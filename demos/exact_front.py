@@ -32,8 +32,8 @@ for point, sched in zip(result.front, result.schedules):
     assert check == point
     print(f"  ({point.cmax}, {point.lmax}): machine 1 runs {m1}, machine 2 runs {m2}")
 
-# The dynamic program keeps one state per (machine flag, load) pair and
-# layer; layer_sizes records how many states survived after each job.
+# The dynamic program keeps one state per load and layer; layer_sizes
+# records how many states survived after each job.
 print(f"\nstates kept per layer: {list(result.layer_sizes)}")
 
 # For n this small the full 2^(n-1) assignment enumeration is instant

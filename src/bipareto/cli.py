@@ -293,7 +293,7 @@ def _run_verify_checks(
             (
                 "FAIL",
                 "trim-closeness",
-                f"layer {witness.layer} state (k={state.k}, lmax={state.lmax}, "
+                f"layer {witness.layer} state (lmax={state.lmax}, "
                 f"cmax={state.cmax}) has no trimmed state with "
                 f"lmax <= {state.lmax} + {witness.layer}*max(delta1, delta2) and "
                 f"cmax within {state.cmax} +- {witness.layer}*delta1",

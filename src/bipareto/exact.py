@@ -1,12 +1,25 @@
 """Exact Pareto front via a layered dynamic program.
 
 Jobs are added one at a time in the instance's sorted order.  Layer ``i``
-holds one state per feasible (most-loaded-machine flag, lateness, load)
-triple reachable with the first ``i`` jobs, after keeping only the best
-lateness per (flag, load) pair.  Both children of a state are generated:
-put job ``i`` on the most-loaded machine, or on the other one (which may
-or may not overtake the load lead).  The first job is pinned to machine
-flag 1, halving the search space at no cost since machines are identical.
+holds one state per load ``C`` of the most-loaded machine reachable with
+the first ``i`` jobs: the one with the smallest maximum lateness ``L``.
+Both children of a state are generated: put job ``i`` on the most-loaded
+machine, or on the other one (which may or may not overtake the load
+lead).  The first job is pinned to machine flag 1, halving the search
+space at no cost since machines are identical.
+
+The paper's state is the triple (most-loaded machine flag, L, C).  The
+flag is dropped here: the machines are identical, so the loads
+``(C, S_i - C)`` and ``L`` fix every future child, and the flag of each
+job is recovered afterwards by replaying the same/other choices along the
+parent chain.  Keying on ``(flag, C)`` would keep up to twice the states
+for the same front.
+
+Tie-break: among children with the same load and lateness, the earliest
+generated wins.  Children are generated parent by parent in ascending
+parent load, the same-machine child before the other-machine child, so
+the winner has the smallest parent load, then the same-machine choice.
+Every layer is kept in ascending load order.
 
 The module exposes scalar reference operations (`initial_layer`,
 `successors`, `prune`) that define the transition semantics on `DpState`
@@ -31,6 +44,7 @@ from .model import (
     pareto_filter,
 )
 
+# The values are also the parity of a child's successor-pool index.
 CHOICE_SAME = 0
 CHOICE_OTHER = 1
 
@@ -69,7 +83,7 @@ class SolveResult:
 def initial_layer(inst: Instance) -> Layer:
     """Layer 1: the first sorted job alone on machine flag 1."""
     first = inst.jobs[0]
-    root = DpState(k=1, lmax=first.p + first.q, cmax=first.p)
+    root = DpState(lmax=first.p + first.q, cmax=first.p)
     return Layer(1, (root,))
 
 
@@ -79,33 +93,22 @@ def successors(state: DpState, p: int, q: int, prefix_total: int) -> tuple[DpSta
     ``prefix_total`` is the processing-time sum through the added job.
     The first child keeps the job on the most-loaded machine; the second
     puts it on the other machine, whose new load ``prefix_total - cmax``
-    is also the job's completion time, and takes over the most-loaded
-    flag only if it overtakes strictly.
+    is also the job's completion time; the child's most-loaded load is
+    the larger of the two.
     """
     same = DpState(
-        k=state.k,
         lmax=max(state.lmax, state.cmax + p + q),
         cmax=state.cmax + p,
         parent=state,
         choice=CHOICE_SAME,
     )
     other_load = prefix_total - state.cmax
-    if state.cmax >= other_load:
-        other = DpState(
-            k=state.k,
-            lmax=max(state.lmax, other_load + q),
-            cmax=state.cmax,
-            parent=state,
-            choice=CHOICE_OTHER,
-        )
-    else:
-        other = DpState(
-            k=1 - state.k,
-            lmax=max(state.lmax, other_load + q),
-            cmax=other_load,
-            parent=state,
-            choice=CHOICE_OTHER,
-        )
+    other = DpState(
+        lmax=max(state.lmax, other_load + q),
+        cmax=max(state.cmax, other_load),
+        parent=state,
+        choice=CHOICE_OTHER,
+    )
     return same, other
 
 
@@ -118,20 +121,19 @@ def _chain_depth(state: DpState) -> int:
 
 
 def prune(states: Sequence[DpState]) -> Layer:
-    """Keep one minimal-lateness state per (flag, load) pair.
+    """Keep one minimal-lateness state per load, in ascending load order.
 
     Ties on lateness keep the earliest-generated state (input order).  The
     layer index is inferred from the parent-chain depth of the states.
     """
     if not states:
         raise ValueError("prune requires at least one state")
-    best: dict[tuple[int, int], tuple[int, DpState]] = {}
-    for pos, state in enumerate(states):
-        key = (state.k, state.cmax)
-        cur = best.get(key)
-        if cur is None or state.lmax < cur[1].lmax:
-            best[key] = (pos, state)
-    kept = tuple(state for _, state in sorted(best.values()))
+    best: dict[int, DpState] = {}
+    for state in states:
+        cur = best.get(state.cmax)
+        if cur is None or state.lmax < cur.lmax:
+            best[state.cmax] = state
+    kept = tuple(best[c] for c in sorted(best))
     return Layer(_chain_depth(kept[0]), kept)
 
 
@@ -142,13 +144,11 @@ def prune(states: Sequence[DpState]) -> Layer:
 
 @dataclass
 class _ArrayLayer:
-    """One layer as parallel arrays, in generation order."""
+    """One layer as parallel arrays."""
 
-    k: np.ndarray       # int8, most-loaded machine flag
     lmax: np.ndarray    # int64
     cmax: np.ndarray    # int64
-    parent: np.ndarray  # int64 index into the previous layer, -1 at layer 1
-    choice: np.ndarray  # int8, CHOICE_SAME / CHOICE_OTHER, -1 at layer 1
+    origin: np.ndarray  # int64 successor-pool index each state won from, -1 at layer 1
 
     def __len__(self) -> int:
         return len(self.cmax)
@@ -156,62 +156,44 @@ class _ArrayLayer:
 
 @dataclass
 class _Successors:
-    """All children of one layer, with per-child generation ranks.
+    """All children of one layer, in generation order.
 
-    Child 2j is the same-machine child of parent j, child 2j+1 the
-    other-machine child, mirroring the scalar generation order.
+    Child 2j is the same-machine child of parent j, child 2j+1 its
+    other-machine child, mirroring the scalar generation order.  A child's
+    pool index is therefore its generation rank, ``index >> 1`` its parent
+    and ``index & 1`` its choice (CHOICE_SAME / CHOICE_OTHER).
     """
 
-    k: np.ndarray
     lmax: np.ndarray
     cmax: np.ndarray
-    parent: np.ndarray
-    choice: np.ndarray
-    gen: np.ndarray
 
 
 # A reducer collapses a layer's successor pool to the retained states,
-# returning the winning indices into the pool in generation order.
+# returning their pool indices in the order the next layer keeps them.
 _Reducer = Callable[[_Successors], np.ndarray]
 
 
 def _initial_arrays(inst: Instance) -> _ArrayLayer:
     first = inst.jobs[0]
     return _ArrayLayer(
-        k=np.array([1], dtype=np.int8),
         lmax=np.array([first.p + first.q], dtype=np.int64),
         cmax=np.array([first.p], dtype=np.int64),
-        parent=np.array([-1], dtype=np.int64),
-        choice=np.array([-1], dtype=np.int8),
+        origin=np.array([-1], dtype=np.int64),
     )
 
 
 def _expand(layer: _ArrayLayer, p: int, q: int, prefix_total: int) -> _Successors:
     m = len(layer)
-    idx = np.arange(m, dtype=np.int64)
+    lmax = np.empty(2 * m, dtype=np.int64)
+    cmax = np.empty(2 * m, dtype=np.int64)
 
-    same_lmax = np.maximum(layer.lmax, layer.cmax + (p + q))
-    same_cmax = layer.cmax + p
+    np.maximum(layer.lmax, layer.cmax + (p + q), out=lmax[0::2])
+    np.add(layer.cmax, p, out=cmax[0::2])
 
     other_load = prefix_total - layer.cmax
-    stays = layer.cmax >= other_load
-    other_lmax = np.maximum(layer.lmax, other_load + q)
-    other_cmax = np.where(stays, layer.cmax, other_load)
-    other_k = np.where(stays, layer.k, 1 - layer.k).astype(np.int8)
-
-    return _Successors(
-        k=np.concatenate([layer.k, other_k]),
-        lmax=np.concatenate([same_lmax, other_lmax]),
-        cmax=np.concatenate([same_cmax, other_cmax]),
-        parent=np.concatenate([idx, idx]),
-        choice=np.concatenate(
-            [
-                np.full(m, CHOICE_SAME, dtype=np.int8),
-                np.full(m, CHOICE_OTHER, dtype=np.int8),
-            ]
-        ),
-        gen=np.concatenate([2 * idx, 2 * idx + 1]),
-    )
+    np.maximum(layer.lmax, other_load + q, out=lmax[1::2])
+    np.maximum(layer.cmax, other_load, out=cmax[1::2])
+    return _Successors(lmax=lmax, cmax=cmax)
 
 
 def _first_per_group(key: np.ndarray, order: np.ndarray) -> np.ndarray:
@@ -224,36 +206,27 @@ def _first_per_group(key: np.ndarray, order: np.ndarray) -> np.ndarray:
 
 
 def _take(pool: _Successors, winners: np.ndarray) -> _ArrayLayer:
-    # Restore generation order so "earliest generated" is simply the
-    # smallest array index in every layer.
-    winners = winners[np.argsort(pool.gen[winners])]
-    return _ArrayLayer(
-        k=pool.k[winners],
-        lmax=pool.lmax[winners],
-        cmax=pool.cmax[winners],
-        parent=pool.parent[winners],
-        choice=pool.choice[winners],
-    )
+    return _ArrayLayer(lmax=pool.lmax[winners], cmax=pool.cmax[winners], origin=winners)
 
 
 def _prune_reducer(pool: _Successors) -> np.ndarray:
-    # One winner per (k, cmax): smallest lmax, then earliest generated.
-    key = pool.cmax * 2 + pool.k
-    order = np.lexsort((pool.gen, pool.lmax, key))
-    return _first_per_group(key, order)
+    # One winner per load: smallest lmax, then earliest generated, since
+    # lexsort is stable and pool order is generation order.  The winners
+    # come out in ascending load order.
+    order = np.lexsort((pool.lmax, pool.cmax))
+    return _first_per_group(pool.cmax, order)
 
 
 def _materialize_layer(arrays: _ArrayLayer, i: int, prev_states: Optional[tuple[DpState, ...]]) -> Layer:
     states = []
     for j in range(len(arrays)):
-        parent_idx = int(arrays.parent[j])
+        origin = int(arrays.origin[j])
         states.append(
             DpState(
-                k=int(arrays.k[j]),
                 lmax=int(arrays.lmax[j]),
                 cmax=int(arrays.cmax[j]),
-                parent=None if parent_idx < 0 or prev_states is None else prev_states[parent_idx],
-                choice=None if parent_idx < 0 else int(arrays.choice[j]),
+                parent=None if origin < 0 or prev_states is None else prev_states[origin >> 1],
+                choice=None if origin < 0 else origin & 1,
             )
         )
     return Layer(i, tuple(states))
@@ -339,7 +312,7 @@ def _solve_layered(
     reducer = make_reducer()
 
     current = _initial_arrays(inst)
-    chain: list[tuple[np.ndarray, np.ndarray]] = [(current.parent, current.choice)]
+    chain: list[np.ndarray] = [current.origin]
     layer_sizes = [1]
     retained = 1
 
@@ -356,7 +329,7 @@ def _solve_layered(
         job = inst.jobs[i - 1]
         pool = _expand(current, job.p, job.q, inst.prefix[i])
         current = _take(pool, reducer(pool))
-        chain.append((current.parent, current.choice))
+        chain.append(current.origin)
         layer_sizes.append(len(current))
         retained += len(current)
         if kept_layers is not None:
@@ -368,9 +341,9 @@ def _solve_layered(
         choices: list[int] = []
         idx = w
         for layer_idx in range(inst.n - 1, 0, -1):
-            parents, picks = chain[layer_idx]
-            choices.append(int(picks[idx]))
-            idx = int(parents[idx])
+            origin = int(chain[layer_idx][idx])
+            choices.append(origin & 1)
+            idx = origin >> 1
         choices.reverse()
         schedules.append(build_schedule(inst, _replay_choices(inst, choices)))
 
@@ -390,9 +363,9 @@ def solve_exact(
 ) -> SolveResult:
     """Exact Pareto front of (makespan, maximum lateness).
 
-    Runs the layered recurrence with per-(flag, load) pruning and returns
-    every non-dominated objective pair together with a schedule realizing
-    it.  Raises StateBudgetError instead of exhausting memory when the
+    Runs the layered recurrence with per-load pruning and returns every
+    non-dominated objective pair together with a schedule realizing it.
+    Raises StateBudgetError instead of exhausting memory when the
     retained state count would exceed ``budget``.
     """
     return _solve_layered(inst, lambda: _prune_reducer, budget, keep_layers)

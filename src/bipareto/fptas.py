@@ -110,8 +110,8 @@ def trim(states: Sequence[DpState], grid: GridParams) -> Layer:
     """Keep one representative state per occupied (lateness, load) box.
 
     The representative is the state with minimal lateness, then minimal
-    load, then earliest generation (input order).  The machine flag is
-    not part of the box key.
+    load, then earliest generation (input order).  Representatives stay
+    in input order.
     """
     if not states:
         raise ValueError("trim requires at least one state")
@@ -133,7 +133,9 @@ def _make_trim_reducer(grid: GridParams):
     l_boxes = box_index(grid.lmax_bound, grid.delta2) + 1
 
     # The vectorized path needs every scaled product and the combined box
-    # key inside int64; otherwise fall back to exact Python integers.
+    # key inside int64; otherwise fall back to exact Python integers.  Both
+    # return the winners sorted by pool index, i.e. in generation order,
+    # which is the order trimmed layers keep.
     vector_safe = (
         max(num1, num2) <= _INT64_MAX
         and grid.cmax_bound * den1 <= _INT64_MAX
@@ -147,24 +149,27 @@ def _make_trim_reducer(grid: GridParams):
             box_l = (pool.lmax * den2) // num2
             box_c = (pool.cmax * den1) // num1
             key = box_l * c_boxes + box_c
-            order = np.lexsort((pool.gen, pool.cmax, pool.lmax, key))
-            return _first_per_group(key, order)
+            # lexsort is stable and pool order is generation order, so
+            # ties after (lmax, cmax) go to the earliest generated.
+            order = np.lexsort((pool.cmax, pool.lmax, key))
+            return np.sort(_first_per_group(key, order))
 
     else:
 
         def reducer(pool: _Successors) -> np.ndarray:
             lmax = pool.lmax.tolist()
             cmax = pool.cmax.tolist()
-            best: dict[tuple[int, int], tuple[tuple[int, int, int], int]] = {}
+            best: dict[tuple[int, int], tuple[tuple[int, int], int]] = {}
             for j in range(len(lmax)):
                 key = (lmax[j] * den2 // num2, cmax[j] * den1 // num1)
-                rank = (lmax[j], cmax[j], int(pool.gen[j]))
+                rank = (lmax[j], cmax[j])
                 cur = best.get(key)
                 if cur is None or rank < cur[0]:
                     best[key] = (rank, j)
-            return np.fromiter(
+            winners = np.fromiter(
                 (j for _, j in best.values()), dtype=np.int64, count=len(best)
             )
+            return np.sort(winners)
 
     return reducer
 
@@ -230,8 +235,8 @@ def find_closeness_violation(
 ) -> Optional[ClosenessViolation]:
     """Check the per-layer drift bounds of trimming, returning a witness.
 
-    For every exact state (k, L, C) of layer i there must be an
-    approximate state (m, L#, C#) in the trimmed layer i with
+    For every exact state (L, C) of layer i there must be an
+    approximate state (L#, C#) in the trimmed layer i with
 
         L# <= L + i * max(delta1, delta2)
         C - i * delta1 <= C# <= C + i * delta1.

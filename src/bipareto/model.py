@@ -59,13 +59,13 @@ class Instance:
 class DpState:
     """One feasible partial schedule, summarized for the layered solvers.
 
-    ``k`` flags the currently most-loaded machine, ``cmax`` its load and
-    ``lmax`` the maximum lateness accumulated so far.  ``parent`` links to
-    the state this one was expanded from and ``choice`` records whether the
-    newest job went onto the most-loaded machine (0) or the other one (1).
+    ``cmax`` is the load of the currently most-loaded machine and ``lmax``
+    the maximum lateness accumulated so far; the other machine's load is
+    the prefix total minus ``cmax``.  ``parent`` links to the state this
+    one was expanded from and ``choice`` records whether the newest job
+    went onto the most-loaded machine (0) or the other one (1).
     """
 
-    k: int
     lmax: int
     cmax: int
     parent: Optional["DpState"] = field(default=None, repr=False)

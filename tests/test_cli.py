@@ -3,7 +3,16 @@ from fractions import Fraction
 
 import pytest
 
-from bipareto import Front, GenSpec, ParetoPoint, coverage_check, normalize, solve_fptas
+from bipareto import (
+    DpState,
+    Front,
+    GenSpec,
+    Layer,
+    ParetoPoint,
+    coverage_check,
+    normalize,
+    solve_fptas,
+)
 from bipareto import cli
 from bipareto.cli import EXIT_BUDGET, EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
 from bipareto.io import parse_front_csv, parse_instance, save_instance
@@ -151,6 +160,25 @@ def test_verify_reports_corrupted_front(worked_file, monkeypatch, capsys):
     captured = capsys.readouterr()
     assert "FAIL coverage" in captured.out
     assert "(cmax=5, lmax=9)" in captured.out
+    assert "1 check(s) failed" in captured.err
+
+
+def test_verify_reports_trim_closeness_violation(worked_file, monkeypatch, capsys):
+    def far_layers(inst, eps, **kwargs):
+        result = solve_fptas(inst, eps, **kwargs)
+        far = (DpState(lmax=10**6, cmax=10**6),)
+        return dataclasses.replace(
+            result, layers=tuple(Layer(layer.i, far) for layer in result.layers)
+        )
+
+    monkeypatch.setattr(cli, "solve_fptas", far_layers)
+    assert main(["verify", "--input-path", worked_file, "--epsilon", "0.3"]) == EXIT_FAIL
+    captured = capsys.readouterr()
+    assert "PASS coverage" in captured.out
+    assert (
+        "FAIL trim-closeness: layer 1 state (lmax=7, cmax=2) has no trimmed state "
+        "with lmax <= 7 + 1*max(delta1, delta2) and cmax within 2 +- 1*delta1\n"
+    ) in captured.out
     assert "1 check(s) failed" in captured.err
 
 

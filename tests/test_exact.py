@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bipareto import (
     DpState,
@@ -21,64 +23,67 @@ from conftest import make_instances
 WORKED = [(2, 5), (3, 4), (4, 1)]
 
 
-def as_triples(states):
-    return [(s.k, s.lmax, s.cmax) for s in states]
+def as_pairs(states):
+    return [(s.lmax, s.cmax) for s in states]
 
 
 def test_initial_layer():
     layer = initial_layer(normalize(WORKED))
     assert layer.i == 1
-    assert as_triples(layer.states) == [(1, 7, 2)]
+    assert as_pairs(layer.states) == [(7, 2)]
     assert initial_layer(normalize([(1, 0)])).states[0].point == ParetoPoint(1, 1)
-    assert as_triples(initial_layer(normalize([(10, 10), (1, 0)])).states) == [(1, 20, 10)]
+    assert as_pairs(initial_layer(normalize([(10, 10), (1, 0)])).states) == [(20, 10)]
 
 
 def test_successors_worked_transitions():
-    root = DpState(k=1, lmax=7, cmax=2)
+    root = DpState(lmax=7, cmax=2)
     same, other = successors(root, 3, 4, 5)
-    assert (same.k, same.lmax, same.cmax) == (1, 9, 5)
-    # other machine's load 3 exceeds 2, so the flag flips
-    assert (other.k, other.lmax, other.cmax) == (0, 7, 3)
+    assert (same.lmax, same.cmax) == (9, 5)
+    # other machine's load 3 exceeds 2 and becomes the lead
+    assert (other.lmax, other.cmax) == (7, 3)
     assert same.choice == CHOICE_SAME and other.choice == CHOICE_OTHER
     assert same.parent is root and other.parent is root
 
-    same, other = successors(DpState(k=0, lmax=7, cmax=3), 4, 1, 9)
-    assert (same.k, same.lmax, same.cmax) == (0, 8, 7)
-    assert (other.k, other.lmax, other.cmax) == (1, 7, 6)
+    same, other = successors(DpState(lmax=7, cmax=3), 4, 1, 9)
+    assert (same.lmax, same.cmax) == (8, 7)
+    assert (other.lmax, other.cmax) == (7, 6)
 
-    # other machine's load 4 stays below 5: flag and load unchanged
-    same, other = successors(DpState(k=1, lmax=9, cmax=5), 4, 1, 9)
-    assert (same.k, same.lmax, same.cmax) == (1, 10, 9)
-    assert (other.k, other.lmax, other.cmax) == (1, 9, 5)
+    # other machine's load 4 stays below 5: lead load unchanged
+    same, other = successors(DpState(lmax=9, cmax=5), 4, 1, 9)
+    assert (same.lmax, same.cmax) == (10, 9)
+    assert (other.lmax, other.cmax) == (9, 5)
 
 
-def test_prune_keeps_minimal_lateness_per_flag_and_load():
-    root = DpState(k=1, lmax=7, cmax=2)
-    a = DpState(k=1, lmax=9, cmax=5, parent=root, choice=0)
-    b = DpState(k=1, lmax=12, cmax=5, parent=root, choice=1)
-    assert as_triples(prune([a, b]).states) == [(1, 9, 5)]
-    assert as_triples(prune([b, a]).states) == [(1, 9, 5)]
+def test_prune_keeps_minimal_lateness_per_load():
+    root = DpState(lmax=7, cmax=2)
+    a = DpState(lmax=9, cmax=5, parent=root, choice=0)
+    b = DpState(lmax=12, cmax=5, parent=root, choice=1)
+    assert prune([a, b]).states == (a,)
+    assert prune([b, a]).states[0] is a
 
-    c = DpState(k=0, lmax=9, cmax=5, parent=root, choice=1)
-    assert as_triples(prune([a, c]).states) == [(1, 9, 5), (0, 9, 5)]
+    # the paper's flag would split these two; the load alone merges them
+    c = DpState(lmax=9, cmax=5, parent=root, choice=1)
+    assert prune([a, c]).states[0] is a
 
     layer3 = [
-        DpState(k=1, lmax=10, cmax=9, parent=a, choice=0),
-        DpState(k=1, lmax=9, cmax=5, parent=a, choice=1),
-        DpState(k=0, lmax=8, cmax=7, parent=c, choice=0),
-        DpState(k=1, lmax=7, cmax=6, parent=c, choice=1),
+        DpState(lmax=10, cmax=9, parent=a, choice=0),
+        DpState(lmax=9, cmax=5, parent=a, choice=1),
+        DpState(lmax=8, cmax=7, parent=c, choice=0),
+        DpState(lmax=7, cmax=6, parent=c, choice=1),
     ]
     pruned = prune(layer3)
     assert pruned.i == 3
-    assert as_triples(pruned.states) == [(1, 10, 9), (1, 9, 5), (0, 8, 7), (1, 7, 6)]
+    # kept in ascending load order, not input order
+    assert as_pairs(pruned.states) == [(9, 5), (7, 6), (8, 7), (10, 9)]
+    assert [s.choice for s in pruned.states] == [1, 1, 0, 0]
 
 
 def test_prune_tie_keeps_earliest_generated():
-    root = DpState(k=1, lmax=7, cmax=2)
-    first = DpState(k=1, lmax=9, cmax=5, parent=root, choice=0)
-    second = DpState(k=1, lmax=9, cmax=5, parent=root, choice=1)
-    assert prune([first, second]).states == (first,)
-    assert prune([second, first]).states == (second,)
+    root = DpState(lmax=7, cmax=2)
+    first = DpState(lmax=9, cmax=5, parent=root, choice=0)
+    second = DpState(lmax=9, cmax=5, parent=root, choice=1)
+    assert prune([first, second]).states[0] is first
+    assert prune([second, first]).states[0] is second
 
 
 def test_prune_rejects_empty():
@@ -91,13 +96,9 @@ def test_solve_exact_worked_instance():
     result = solve_exact(inst, keep_layers=True)
     assert result.front.points == (ParetoPoint(5, 9), ParetoPoint(6, 7))
     assert result.layer_sizes == (1, 2, 4)
-    assert as_triples(result.layers[1].states) == [(1, 9, 5), (0, 7, 3)]
-    assert as_triples(result.layers[2].states) == [
-        (1, 10, 9),
-        (1, 9, 5),
-        (0, 8, 7),
-        (1, 7, 6),
-    ]
+    assert as_pairs(result.layers[1].states) == [(7, 3), (9, 5)]
+    assert as_pairs(result.layers[2].states) == [(9, 5), (7, 6), (8, 7), (10, 9)]
+    assert [s.flags for s in result.schedules] == [(1, 1, 0), (1, 0, 1)]
     for sched, point in zip(result.schedules, result.front):
         assert evaluate_schedule(inst, sched.flags) == point
 
@@ -128,7 +129,7 @@ def test_reconstruct_from_scalar_chain():
     root = initial_layer(inst).states[0]
     _, other = successors(root, 3, 4, inst.prefix[2])
     _, final = successors(other, 4, 1, inst.prefix[3])
-    assert (final.k, final.lmax, final.cmax) == (1, 7, 6)
+    assert (final.lmax, final.cmax) == (7, 6)
     sched = reconstruct(final, inst)
     assert sched.assignment == {1: 1, 2: 0, 3: 1}
     assert evaluate_schedule(inst, sched.flags) == ParetoPoint(6, 7)
@@ -136,7 +137,7 @@ def test_reconstruct_from_scalar_chain():
 
 def test_reconstruct_rejects_broken_chain():
     inst = normalize(WORKED)
-    dangling = DpState(k=1, lmax=9, cmax=5, parent=None, choice=CHOICE_SAME)
+    dangling = DpState(lmax=9, cmax=5, parent=None, choice=CHOICE_SAME)
     with pytest.raises(RuntimeError, match="broken parent chain"):
         reconstruct(dangling, inst)
     too_short = initial_layer(inst).states[0]
@@ -165,12 +166,36 @@ def scalar_reference_layers(inst):
         yield layer
 
 
+def layer_records(layers):
+    """Per layer: (lmax, cmax, choice, parent position) of every state, in order."""
+    records = []
+    prev_pos = {}
+    for layer in layers:
+        records.append(
+            [
+                (s.lmax, s.cmax, s.choice, None if s.parent is None else prev_pos[id(s.parent)])
+                for s in layer.states
+            ]
+        )
+        prev_pos = {id(s): pos for pos, s in enumerate(layer.states)}
+    return records
+
+
+def assert_matches_scalar_reference(inst):
+    result = solve_exact(inst, keep_layers=True)
+    ref_layers = list(scalar_reference_layers(inst))
+    assert [layer.i for layer in ref_layers] == [layer.i for layer in result.layers]
+    # same values, same order and the same tie-break winners (parent, choice)
+    assert layer_records(ref_layers) == layer_records(result.layers)
+    return result
+
+
 def test_vectorized_engine_matches_scalar_reference():
     for inst in make_instances(11, 40, (2, 12)):
-        result = solve_exact(inst, keep_layers=True)
-        for ref, vec in zip(scalar_reference_layers(inst), result.layers):
-            assert ref.i == vec.i
-            assert as_triples(ref.states) == as_triples(vec.states)
+        assert_matches_scalar_reference(inst)
+    # equal loads everywhere: maximal (load, lateness) ties
+    for inst in make_instances(11, 10, (2, 12), (3, 3), (1, 4)):
+        assert_matches_scalar_reference(inst)
 
 
 def test_layer_invariants_on_random_instances():
@@ -178,11 +203,11 @@ def test_layer_invariants_on_random_instances():
         result = solve_exact(inst, keep_layers=True)
         for layer in result.layers:
             s_i = inst.prefix[layer.i]
-            seen = set()
+            loads = [state.cmax for state in layer.states]
+            # one state per load, in strictly ascending load order
+            assert all(a < b for a, b in zip(loads, loads[1:]))
             for state in layer.states:
                 assert math.ceil(s_i / 2) <= state.cmax <= s_i
-                assert (state.k, state.cmax) not in seen
-                seen.add((state.k, state.cmax))
                 if state.parent is not None:
                     assert state.lmax >= state.parent.lmax
 
@@ -198,3 +223,40 @@ def test_schedules_realize_front_points():
         assert len(result.schedules) == len(result.front)
         for sched, point in zip(result.schedules, result.front):
             assert evaluate_schedule(inst, sched.flags) == point
+
+
+def assert_exact_front_is_oracle_front(jobs):
+    inst = normalize(jobs)
+    result = assert_matches_scalar_reference(inst)
+    assert result.front.points == enumerate_front(inst).points
+    assert len(result.schedules) == len(result.front)
+    for sched, point in zip(result.schedules, result.front):
+        assert evaluate_schedule(inst, sched.flags) == point
+
+
+@st.composite
+def edge_instances(draw, kind):
+    """Job lists at the edges of the load-keyed recurrence."""
+    if kind == "single":
+        return [(draw(st.integers(1, 2**59)), draw(st.integers(0, 2**59)))]
+    if kind == "huge_p":
+        # one or two loads near 2^59; the total stays under MAX_MAGNITUDE
+        n = draw(st.integers(1, 8))
+        big = draw(st.integers(1, min(2, n)))
+        ps = [draw(st.integers(2**59 - 2**20, 2**59 - 2**19)) for _ in range(big)]
+        ps += [draw(st.integers(1, 2**16)) for _ in range(n - big)]
+        qs = [draw(st.integers(0, 2**16)) for _ in range(n)]
+        return list(zip(draw(st.permutations(ps)), qs))
+    n = draw(st.integers(1, 10))
+    if kind == "equal_q":
+        q = draw(st.integers(0, 50))
+        return [(draw(st.integers(1, 30)), q) for _ in range(n)]
+    p = draw(st.integers(1, 30))  # equal p: every layer collides on load
+    return [(p, draw(st.integers(0, 50))) for _ in range(n)]
+
+
+@pytest.mark.parametrize("kind", ["single", "equal_q", "equal_p", "huge_p"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_exact_front_equals_enumeration_at_edges(kind, data):
+    assert_exact_front_is_oracle_front(data.draw(edge_instances(kind)))

@@ -1,4 +1,6 @@
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -70,22 +72,22 @@ def worked_grid():
 
 
 def test_trim_merges_identical_values():
-    a = DpState(k=1, lmax=9, cmax=5)
-    b = DpState(k=0, lmax=9, cmax=5)
+    a = DpState(lmax=9, cmax=5, choice=0)
+    b = DpState(lmax=9, cmax=5, choice=1)
     kept = trim([a, b], worked_grid()).states
     assert kept == (a,)  # same box, earliest generated wins
 
 
 def test_trim_keeps_distinct_boxes():
-    a = DpState(k=1, lmax=7, cmax=6)   # boxes (4, 4)
-    b = DpState(k=0, lmax=8, cmax=7)   # boxes (5, 4)
+    a = DpState(lmax=7, cmax=6)   # boxes (4, 4)
+    b = DpState(lmax=8, cmax=7)   # boxes (5, 4)
     assert trim([a, b], worked_grid()).states == (a, b)
 
 
 def test_trim_boundary_straddle():
     # lateness 13 and 14 differ by less than delta2 yet straddle a box edge
-    a = DpState(k=1, lmax=13, cmax=3)
-    b = DpState(k=1, lmax=14, cmax=3)
+    a = DpState(lmax=13, cmax=3)
+    b = DpState(lmax=14, cmax=3)
     assert box_index(13, Fraction(14, 9)) == 8
     assert box_index(14, Fraction(14, 9)) == 9
     assert trim([a, b], worked_grid()).states == (a, b)
@@ -103,10 +105,10 @@ def test_trim_representative_rank():
     )
     # one giant box: minimal lateness, then minimal load, then earliest
     states = [
-        DpState(k=1, lmax=5, cmax=9),
-        DpState(k=1, lmax=4, cmax=8),
-        DpState(k=0, lmax=4, cmax=6),
-        DpState(k=1, lmax=4, cmax=6),
+        DpState(lmax=5, cmax=9),
+        DpState(lmax=4, cmax=8),
+        DpState(lmax=4, cmax=6, choice=0),
+        DpState(lmax=4, cmax=6, choice=1),
     ]
     assert trim(states, grid).states == (states[2],)
     with pytest.raises(ValueError):
@@ -182,7 +184,7 @@ def test_closeness_violation_witness():
     exact = solve_exact(inst, keep_layers=True)
     # a far-off approximate layer cannot be close to anything
     fake = [
-        type(layer)(layer.i, (DpState(k=0, lmax=10**6, cmax=10**6),))
+        type(layer)(layer.i, (DpState(lmax=10**6, cmax=10**6),))
         for layer in exact.layers
     ]
     grid = worked_grid()
@@ -241,3 +243,23 @@ def test_huge_epsilon_denominator_uses_exact_arithmetic():
     exact = solve_exact(inst)
     approx = solve_fptas(inst, eps)
     assert approx.front.points == exact.front.points
+
+
+GOLDEN = Path(__file__).parent / "data" / "fptas_golden.json"
+
+
+@pytest.mark.parametrize("fallback", [False, True], ids=["int64", "python-int"])
+def test_solve_fptas_matches_golden_record(monkeypatch, fallback):
+    """Trimmed fronts, layer sizes and witness flags recorded before the
+    exact engine dropped the machine flag from its state; the trimmed
+    solver must reproduce them exactly on both reducer paths."""
+    if fallback:
+        monkeypatch.setattr(fptas_module, "_INT64_MAX", 0)
+    cases = json.loads(GOLDEN.read_text())["cases"]
+    assert len(cases) == 20
+    for case in cases:
+        inst = normalize([tuple(job) for job in case["jobs"]])
+        result = solve_fptas(inst, Fraction(case["eps"]))
+        assert [list(pt) for pt in result.front] == case["front"]
+        assert list(result.layer_sizes) == case["layer_sizes"]
+        assert ["".join(map(str, s.flags)) for s in result.schedules] == case["flags"]

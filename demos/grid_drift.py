@@ -40,12 +40,12 @@ print("\nlayer   exact states   trimmed states")
 step = max(1, inst.n // 10)
 for i in range(0, inst.n, step):
     ex, ap = exact.layers[i], approx.layers[i]
-    print(f"{ex.i:5d}  {len(ex.states):13d}  {len(ap.states):15d}")
+    print(f"{ex.i:5d}  {len(ex):13d}  {len(ap):15d}")
 ex, ap = exact.layers[-1], approx.layers[-1]
-print(f"{ex.i:5d}  {len(ex.states):13d}  {len(ap.states):15d}")
+print(f"{ex.i:5d}  {len(ex):13d}  {len(ap):15d}")
 
-# verify_trim_closeness walks every exact state in every layer and
-# searches the trimmed layer for a witness inside the drift window;
+# verify_trim_closeness checks every exact state in every layer for a
+# trimmed state inside its drift window, one vectorized pass per layer;
 # find_closeness_violation returns the first counterexample, if any.
 verify_trim_closeness(exact.layers, approx.layers, grid)
 witness = find_closeness_violation(exact.layers, approx.layers, grid)

@@ -288,15 +288,15 @@ def _run_verify_checks(
             )
         )
     else:
-        state = witness.state
+        point = witness.point
         checks.append(
             (
                 "FAIL",
                 "trim-closeness",
-                f"layer {witness.layer} state (lmax={state.lmax}, "
-                f"cmax={state.cmax}) has no trimmed state with "
-                f"lmax <= {state.lmax} + {witness.layer}*max(delta1, delta2) and "
-                f"cmax within {state.cmax} +- {witness.layer}*delta1",
+                f"layer {witness.layer} state (lmax={point.lmax}, "
+                f"cmax={point.cmax}) has no trimmed state with "
+                f"lmax <= {point.lmax} + {witness.layer}*max(delta1, delta2) and "
+                f"cmax within {point.cmax} +- {witness.layer}*delta1",
             )
         )
     return checks

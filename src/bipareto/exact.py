@@ -22,9 +22,17 @@ the winner has the smallest parent load, then the same-machine choice.
 Every layer is kept in ascending load order.
 
 The module exposes scalar reference operations (`initial_layer`,
-`successors`, `prune`) that define the transition semantics on `DpState`
-objects, plus `solve_exact`, which runs the same recurrence vectorized
-over numpy arrays.  The two are cross-checked in the test suite.
+`successors`, `prune`, `reconstruct`) that define the transition
+semantics on `DpState` objects, plus `solve_exact`, which runs the same
+recurrence vectorized over numpy arrays.  The two are cross-checked in
+the test suite; no `DpState` is built on the solver path.
+
+A `Layer` is the engine's own representation: parallel int64 arrays
+``lmax``, ``cmax`` and ``origin``.  ``origin[j]`` is the index in the
+layer's successor pool that state ``j`` won from, so its parent is
+state ``origin[j] >> 1`` of the previous layer and its choice
+``origin[j] & 1``.  With ``keep_layers=True`` the solver keeps a
+reference to every layer it builds, 24 bytes per state.
 """
 
 from __future__ import annotations
@@ -56,12 +64,22 @@ class StateBudgetError(RuntimeError):
     """Raised when a solve would retain more states than allowed."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Layer:
-    """States kept after processing the first ``i`` jobs."""
+    """States kept after processing the first ``i`` jobs, as int64 arrays.
+
+    State ``j`` has lateness ``lmax[j]`` and most-loaded machine load
+    ``cmax[j]``; ``origin[j]`` is the successor-pool index it won from
+    (parent ``origin[j] >> 1``, choice ``origin[j] & 1``), -1 at layer 1.
+    """
 
     i: int
-    states: tuple[DpState, ...]
+    lmax: np.ndarray
+    cmax: np.ndarray
+    origin: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.cmax)
 
 
 @dataclass(frozen=True)
@@ -70,8 +88,8 @@ class SolveResult:
 
     ``schedules[j]`` evaluates exactly to ``front.points[j]``.
     ``layer_sizes[i-1]`` is the retained state count of layer ``i``;
-    ``layers`` carries the full state sets only when the solver ran with
-    ``keep_layers=True`` (instrumentation mode, meant for small instances).
+    ``layers`` carries every layer's arrays only when the solver ran with
+    ``keep_layers=True`` (about 24 bytes per retained state).
     """
 
     front: Front
@@ -80,11 +98,10 @@ class SolveResult:
     layers: Optional[tuple[Layer, ...]] = None
 
 
-def initial_layer(inst: Instance) -> Layer:
+def initial_layer(inst: Instance) -> tuple[DpState, ...]:
     """Layer 1: the first sorted job alone on machine flag 1."""
     first = inst.jobs[0]
-    root = DpState(lmax=first.p + first.q, cmax=first.p)
-    return Layer(1, (root,))
+    return (DpState(lmax=first.p + first.q, cmax=first.p),)
 
 
 def successors(state: DpState, p: int, q: int, prefix_total: int) -> tuple[DpState, DpState]:
@@ -112,19 +129,10 @@ def successors(state: DpState, p: int, q: int, prefix_total: int) -> tuple[DpSta
     return same, other
 
 
-def _chain_depth(state: DpState) -> int:
-    depth = 1
-    while state.parent is not None:
-        state = state.parent
-        depth += 1
-    return depth
-
-
-def prune(states: Sequence[DpState]) -> Layer:
+def prune(states: Sequence[DpState]) -> tuple[DpState, ...]:
     """Keep one minimal-lateness state per load, in ascending load order.
 
-    Ties on lateness keep the earliest-generated state (input order).  The
-    layer index is inferred from the parent-chain depth of the states.
+    Ties on lateness keep the earliest-generated state (input order).
     """
     if not states:
         raise ValueError("prune requires at least one state")
@@ -133,25 +141,12 @@ def prune(states: Sequence[DpState]) -> Layer:
         cur = best.get(state.cmax)
         if cur is None or state.lmax < cur.lmax:
             best[state.cmax] = state
-    kept = tuple(best[c] for c in sorted(best))
-    return Layer(_chain_depth(kept[0]), kept)
+    return tuple(best[c] for c in sorted(best))
 
 
 # ---------------------------------------------------------------------------
 # Vectorized layer engine (shared with the trimming solver in fptas.py)
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class _ArrayLayer:
-    """One layer as parallel arrays."""
-
-    lmax: np.ndarray    # int64
-    cmax: np.ndarray    # int64
-    origin: np.ndarray  # int64 successor-pool index each state won from, -1 at layer 1
-
-    def __len__(self) -> int:
-        return len(self.cmax)
 
 
 @dataclass
@@ -173,16 +168,17 @@ class _Successors:
 _Reducer = Callable[[_Successors], np.ndarray]
 
 
-def _initial_arrays(inst: Instance) -> _ArrayLayer:
+def _initial_arrays(inst: Instance) -> Layer:
     first = inst.jobs[0]
-    return _ArrayLayer(
+    return Layer(
+        i=1,
         lmax=np.array([first.p + first.q], dtype=np.int64),
         cmax=np.array([first.p], dtype=np.int64),
         origin=np.array([-1], dtype=np.int64),
     )
 
 
-def _expand(layer: _ArrayLayer, p: int, q: int, prefix_total: int) -> _Successors:
+def _expand(layer: Layer, p: int, q: int, prefix_total: int) -> _Successors:
     m = len(layer)
     lmax = np.empty(2 * m, dtype=np.int64)
     cmax = np.empty(2 * m, dtype=np.int64)
@@ -205,8 +201,8 @@ def _first_per_group(key: np.ndarray, order: np.ndarray) -> np.ndarray:
     return order[is_first]
 
 
-def _take(pool: _Successors, winners: np.ndarray) -> _ArrayLayer:
-    return _ArrayLayer(lmax=pool.lmax[winners], cmax=pool.cmax[winners], origin=winners)
+def _take(pool: _Successors, winners: np.ndarray, i: int) -> Layer:
+    return Layer(i=i, lmax=pool.lmax[winners], cmax=pool.cmax[winners], origin=winners)
 
 
 def _prune_reducer(pool: _Successors) -> np.ndarray:
@@ -215,21 +211,6 @@ def _prune_reducer(pool: _Successors) -> np.ndarray:
     # come out in ascending load order.
     order = np.lexsort((pool.lmax, pool.cmax))
     return _first_per_group(pool.cmax, order)
-
-
-def _materialize_layer(arrays: _ArrayLayer, i: int, prev_states: Optional[tuple[DpState, ...]]) -> Layer:
-    states = []
-    for j in range(len(arrays)):
-        origin = int(arrays.origin[j])
-        states.append(
-            DpState(
-                lmax=int(arrays.lmax[j]),
-                cmax=int(arrays.cmax[j]),
-                parent=None if origin < 0 or prev_states is None else prev_states[origin >> 1],
-                choice=None if origin < 0 else origin & 1,
-            )
-        )
-    return Layer(i, tuple(states))
 
 
 def _replay_choices(inst: Instance, choices: Sequence[int]) -> tuple[int, ...]:
@@ -275,29 +256,27 @@ def reconstruct(final_state: DpState, inst: Instance) -> Schedule:
     return build_schedule(inst, _replay_choices(inst, choices))
 
 
-def _pareto_of_final(arrays: _ArrayLayer) -> tuple[list[ParetoPoint], list[int]]:
+def _pareto_of_final(layer: Layer) -> tuple[list[ParetoPoint], list[int]]:
     """Non-dominated (cmax, lmax) points of the final layer.
 
     Returns the points sorted by increasing cmax and, per point, the index
     of its earliest-generated witness state.
     """
-    m = len(arrays)
-    order = np.lexsort((np.arange(m), arrays.lmax, arrays.cmax))
-    points: list[ParetoPoint] = []
-    witnesses: list[int] = []
-    best_lmax: Optional[int] = None
-    last_cmax: Optional[int] = None
-    for j in order:
-        c = int(arrays.cmax[j])
-        l = int(arrays.lmax[j])
-        if c == last_cmax:
-            continue  # larger or equal lmax for the same cmax
-        if best_lmax is None or l < best_lmax:
-            points.append(ParetoPoint(c, l))
-            witnesses.append(int(j))
-            best_lmax = l
-        last_cmax = c
-    return points, witnesses
+    # lexsort is stable and layer order is generation order, so the first
+    # state per load has the smallest lmax, ties to the earliest generated.
+    first = _first_per_group(layer.cmax, np.lexsort((layer.lmax, layer.cmax)))
+    lmax = layer.lmax[first]
+    # A load's best state is non-dominated iff its lmax is below that of
+    # every smaller load.
+    keep = np.empty(len(first), dtype=bool)
+    keep[0] = True
+    np.less(lmax[1:], np.minimum.accumulate(lmax)[:-1], out=keep[1:])
+    witnesses = first[keep]
+    points = [
+        ParetoPoint(c, l)
+        for c, l in zip(layer.cmax[witnesses].tolist(), layer.lmax[witnesses].tolist())
+    ]
+    return points, witnesses.tolist()
 
 
 def _solve_layered(
@@ -316,9 +295,7 @@ def _solve_layered(
     layer_sizes = [1]
     retained = 1
 
-    kept_layers: Optional[list[Layer]] = None
-    if keep_layers:
-        kept_layers = [_materialize_layer(current, 1, None)]
+    kept_layers: Optional[list[Layer]] = [current] if keep_layers else None
 
     for i in range(2, inst.n + 1):
         if retained + 2 * len(current) > budget:
@@ -328,12 +305,12 @@ def _solve_layered(
             )
         job = inst.jobs[i - 1]
         pool = _expand(current, job.p, job.q, inst.prefix[i])
-        current = _take(pool, reducer(pool))
+        current = _take(pool, reducer(pool), i)
         chain.append(current.origin)
         layer_sizes.append(len(current))
         retained += len(current)
         if kept_layers is not None:
-            kept_layers.append(_materialize_layer(current, i, kept_layers[-1].states))
+            kept_layers.append(current)
 
     points, witnesses = _pareto_of_final(current)
     schedules = []

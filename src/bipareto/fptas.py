@@ -16,13 +16,19 @@ exact state of every layer i, an approximate state within i*delta1 on the
 load axis and i*max(delta1, delta2) above on the lateness axis.
 
 All grid arithmetic is exact: deltas are `fractions.Fraction`, box
-indices are integer floor divisions, and the comparison predicates
-cross-multiply integers.  No float touches any decision.
+indices are integer floor divisions, and the coverage predicate
+cross-multiplies integers.  The drift check compares integers only:
+loads and latenesses are integers, so ``|C# - C| <= i*delta1`` holds
+iff ``|C# - C| <= floor(i*delta1)``, and likewise for the lateness
+bound.  Each floor is one Python-integer division per layer, clamped at
+2^61: values lie in [0, MAX_MAGNITUDE = 2^60], so no difference can
+exceed the clamp, and every sum stays inside int64 whatever the
+epsilon's denominator.  No float touches any decision.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -33,17 +39,20 @@ from .exact import (
     DEFAULT_STATE_BUDGET,
     Layer,
     SolveResult,
-    _chain_depth,
     _first_per_group,
     _Successors,
     _solve_layered,
 )
-from .model import DpState, Front, Instance, ParetoPoint
+from .model import MAX_MAGNITUDE, DpState, Front, Instance, ParetoPoint
 
 # An epsilon is any positive exact rational.
 Epsilon = Fraction
 
 _INT64_MAX = 2**63 - 1
+
+# Drift windows are clamped here: no two values in [0, MAX_MAGNITUDE]
+# differ by more, and a value plus the clamp still fits in int64.
+_WINDOW_CLAMP = 2 * MAX_MAGNITUDE
 
 
 def parse_epsilon(text: str) -> Fraction:
@@ -106,7 +115,7 @@ def box_index(value: int, delta: Fraction) -> int:
     return value * delta.denominator // delta.numerator
 
 
-def trim(states: Sequence[DpState], grid: GridParams) -> Layer:
+def trim(states: Sequence[DpState], grid: GridParams) -> tuple[DpState, ...]:
     """Keep one representative state per occupied (lateness, load) box.
 
     The representative is the state with minimal lateness, then minimal
@@ -122,8 +131,7 @@ def trim(states: Sequence[DpState], grid: GridParams) -> Layer:
         cur = best.get(key)
         if cur is None or rank < cur[0]:
             best[key] = (rank, state)
-    kept = tuple(state for rank, state in sorted(best.values(), key=lambda item: item[0][2]))
-    return Layer(_chain_depth(kept[0]), kept)
+    return tuple(state for rank, state in sorted(best.values(), key=lambda item: item[0][2]))
 
 
 def _make_trim_reducer(grid: GridParams):
@@ -222,10 +230,34 @@ def coverage_check(exact: Front, approx: Front, eps: Epsilon) -> bool:
 
 @dataclass(frozen=True)
 class ClosenessViolation:
-    """An exact state with no approximate state inside its drift window."""
+    """An exact state, as its (cmax, lmax) point, with no approximate state
+    inside its drift window in trimmed layer ``layer``."""
 
     layer: int
-    state: DpState
+    point: ParetoPoint
+
+
+def _first_uncovered(
+    ex_layer: Layer, ap_layer: Layer, load_window: int, lateness_window: int
+) -> Optional[int]:
+    """Index of the first exact state with no trimmed state (L#, C#) such
+    that |C# - C| <= load_window and L# - L <= lateness_window."""
+    order = np.argsort(ap_layer.cmax)
+    ap_cmax = ap_layer.cmax[order]
+    lo = np.searchsorted(ap_cmax, ex_layer.cmax - load_window, side="left")
+    hi = np.searchsorted(ap_cmax, ex_layer.cmax + load_window, side="right")
+    # Range minimum of the trimmed lmax over each window [lo, hi): reduceat
+    # over interleaved bounds reduces ap_lmax[lo:hi] at even positions.
+    # The sentinel keeps lo == len(ap_layer) a valid index; empty windows
+    # (lo == hi) reduce to a single element, so they are flagged apart.
+    ap_lmax = np.append(ap_layer.lmax[order], np.int64(_INT64_MAX))
+    bounds = np.empty(2 * len(lo), dtype=np.int64)
+    bounds[0::2] = lo
+    bounds[1::2] = hi
+    window_min = np.minimum.reduceat(ap_lmax, bounds)[0::2]
+    uncovered = (lo >= hi) | (window_min > ex_layer.lmax + lateness_window)
+    hits = np.flatnonzero(uncovered)
+    return int(hits[0]) if len(hits) else None
 
 
 def find_closeness_violation(
@@ -241,35 +273,24 @@ def find_closeness_violation(
         L# <= L + i * max(delta1, delta2)
         C - i * delta1 <= C# <= C + i * delta1.
 
-    Returns the first uncovered exact state, or None when all layers
-    pass.  Both solvers must have run with ``keep_layers=True``.
+    Returns the first uncovered exact state (first layer, then first in
+    layer order, which is ascending load), or None when all layers pass.
+    Both solvers must have run with ``keep_layers=True``; every load and
+    lateness must lie in [0, MAX_MAGNITUDE].
     """
     if len(exact_layers) != len(approx_layers):
         raise ValueError("layer sequences differ in length")
     delta_max = max(grid.delta1, grid.delta2)
-    a1, b1 = grid.delta1.numerator, grid.delta1.denominator
-    am, bm = delta_max.numerator, delta_max.denominator
     for ex_layer, ap_layer in zip(exact_layers, approx_layers):
         if ex_layer.i != ap_layer.i:
             raise ValueError(f"misaligned layers: {ex_layer.i} vs {ap_layer.i}")
         i = ex_layer.i
-        scaled = sorted((s.cmax * b1, s.lmax * bm) for s in ap_layer.states)
-        load_keys = [c for c, _ in scaled]
-        load_slack = i * a1
-        lateness_slack = i * am
-        for state in ex_layer.states:
-            window_lo = state.cmax * b1 - load_slack
-            window_hi = state.cmax * b1 + load_slack
-            lateness_cap = state.lmax * bm + lateness_slack
-            found = False
-            for j in range(bisect_left(load_keys, window_lo), len(scaled)):
-                if scaled[j][0] > window_hi:
-                    break
-                if scaled[j][1] <= lateness_cap:
-                    found = True
-                    break
-            if not found:
-                return ClosenessViolation(i, state)
+        # Integer differences: comparing with floor(i * delta) is exact.
+        load_window = min(i * grid.delta1.numerator // grid.delta1.denominator, _WINDOW_CLAMP)
+        lateness_window = min(i * delta_max.numerator // delta_max.denominator, _WINDOW_CLAMP)
+        j = _first_uncovered(ex_layer, ap_layer, load_window, lateness_window)
+        if j is not None:
+            return ClosenessViolation(i, ParetoPoint(int(ex_layer.cmax[j]), int(ex_layer.lmax[j])))
     return None
 
 

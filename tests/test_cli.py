@@ -1,10 +1,10 @@
 import dataclasses
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from bipareto import (
-    DpState,
     Front,
     GenSpec,
     Layer,
@@ -166,9 +166,13 @@ def test_verify_reports_corrupted_front(worked_file, monkeypatch, capsys):
 def test_verify_reports_trim_closeness_violation(worked_file, monkeypatch, capsys):
     def far_layers(inst, eps, **kwargs):
         result = solve_fptas(inst, eps, **kwargs)
-        far = (DpState(lmax=10**6, cmax=10**6),)
+        far = np.array([10**6], dtype=np.int64)
         return dataclasses.replace(
-            result, layers=tuple(Layer(layer.i, far) for layer in result.layers)
+            result,
+            layers=tuple(
+                Layer(layer.i, lmax=far, cmax=far, origin=np.array([-1], dtype=np.int64))
+                for layer in result.layers
+            ),
         )
 
     monkeypatch.setattr(cli, "solve_fptas", far_layers)

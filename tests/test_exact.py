@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,12 +28,14 @@ def as_pairs(states):
     return [(s.lmax, s.cmax) for s in states]
 
 
+def array_pairs(layer):
+    return list(zip(layer.lmax.tolist(), layer.cmax.tolist()))
+
+
 def test_initial_layer():
-    layer = initial_layer(normalize(WORKED))
-    assert layer.i == 1
-    assert as_pairs(layer.states) == [(7, 2)]
-    assert initial_layer(normalize([(1, 0)])).states[0].point == ParetoPoint(1, 1)
-    assert as_pairs(initial_layer(normalize([(10, 10), (1, 0)])).states) == [(20, 10)]
+    assert as_pairs(initial_layer(normalize(WORKED))) == [(7, 2)]
+    assert initial_layer(normalize([(1, 0)]))[0].point == ParetoPoint(1, 1)
+    assert as_pairs(initial_layer(normalize([(10, 10), (1, 0)]))) == [(20, 10)]
 
 
 def test_successors_worked_transitions():
@@ -58,12 +61,12 @@ def test_prune_keeps_minimal_lateness_per_load():
     root = DpState(lmax=7, cmax=2)
     a = DpState(lmax=9, cmax=5, parent=root, choice=0)
     b = DpState(lmax=12, cmax=5, parent=root, choice=1)
-    assert prune([a, b]).states == (a,)
-    assert prune([b, a]).states[0] is a
+    assert prune([a, b]) == (a,)
+    assert prune([b, a])[0] is a
 
     # the paper's flag would split these two; the load alone merges them
     c = DpState(lmax=9, cmax=5, parent=root, choice=1)
-    assert prune([a, c]).states[0] is a
+    assert prune([a, c])[0] is a
 
     layer3 = [
         DpState(lmax=10, cmax=9, parent=a, choice=0),
@@ -72,18 +75,17 @@ def test_prune_keeps_minimal_lateness_per_load():
         DpState(lmax=7, cmax=6, parent=c, choice=1),
     ]
     pruned = prune(layer3)
-    assert pruned.i == 3
     # kept in ascending load order, not input order
-    assert as_pairs(pruned.states) == [(9, 5), (7, 6), (8, 7), (10, 9)]
-    assert [s.choice for s in pruned.states] == [1, 1, 0, 0]
+    assert as_pairs(pruned) == [(9, 5), (7, 6), (8, 7), (10, 9)]
+    assert [s.choice for s in pruned] == [1, 1, 0, 0]
 
 
 def test_prune_tie_keeps_earliest_generated():
     root = DpState(lmax=7, cmax=2)
     first = DpState(lmax=9, cmax=5, parent=root, choice=0)
     second = DpState(lmax=9, cmax=5, parent=root, choice=1)
-    assert prune([first, second]).states[0] is first
-    assert prune([second, first]).states[0] is second
+    assert prune([first, second])[0] is first
+    assert prune([second, first])[0] is second
 
 
 def test_prune_rejects_empty():
@@ -96,8 +98,11 @@ def test_solve_exact_worked_instance():
     result = solve_exact(inst, keep_layers=True)
     assert result.front.points == (ParetoPoint(5, 9), ParetoPoint(6, 7))
     assert result.layer_sizes == (1, 2, 4)
-    assert as_pairs(result.layers[1].states) == [(7, 3), (9, 5)]
-    assert as_pairs(result.layers[2].states) == [(9, 5), (7, 6), (8, 7), (10, 9)]
+    assert [layer.i for layer in result.layers] == [1, 2, 3]
+    assert array_pairs(result.layers[1]) == [(7, 3), (9, 5)]
+    assert array_pairs(result.layers[2]) == [(9, 5), (7, 6), (8, 7), (10, 9)]
+    # parents (origin >> 1) and choices (origin & 1) of the kept states
+    assert result.layers[2].origin.tolist() == [3, 1, 0, 2]
     assert [s.flags for s in result.schedules] == [(1, 1, 0), (1, 0, 1)]
     for sched, point in zip(result.schedules, result.front):
         assert evaluate_schedule(inst, sched.flags) == point
@@ -126,7 +131,7 @@ def test_reconstruct_worked_instance():
 
 def test_reconstruct_from_scalar_chain():
     inst = normalize(WORKED)
-    root = initial_layer(inst).states[0]
+    root = initial_layer(inst)[0]
     _, other = successors(root, 3, 4, inst.prefix[2])
     _, final = successors(other, 4, 1, inst.prefix[3])
     assert (final.lmax, final.cmax) == (7, 6)
@@ -140,7 +145,7 @@ def test_reconstruct_rejects_broken_chain():
     dangling = DpState(lmax=9, cmax=5, parent=None, choice=CHOICE_SAME)
     with pytest.raises(RuntimeError, match="broken parent chain"):
         reconstruct(dangling, inst)
-    too_short = initial_layer(inst).states[0]
+    too_short = initial_layer(inst)[0]
     with pytest.raises(RuntimeError, match="broken parent chain"):
         reconstruct(too_short, inst)
 
@@ -160,13 +165,13 @@ def scalar_reference_layers(inst):
     for i in range(2, inst.n + 1):
         job = inst.jobs[i - 1]
         children = []
-        for state in layer.states:
+        for state in layer:
             children.extend(successors(state, job.p, job.q, inst.prefix[i]))
         layer = prune(children)
         yield layer
 
 
-def layer_records(layers):
+def scalar_layer_records(layers):
     """Per layer: (lmax, cmax, choice, parent position) of every state, in order."""
     records = []
     prev_pos = {}
@@ -174,19 +179,34 @@ def layer_records(layers):
         records.append(
             [
                 (s.lmax, s.cmax, s.choice, None if s.parent is None else prev_pos[id(s.parent)])
-                for s in layer.states
+                for s in layer
             ]
         )
-        prev_pos = {id(s): pos for pos, s in enumerate(layer.states)}
+        prev_pos = {id(s): pos for pos, s in enumerate(layer)}
+    return records
+
+
+def array_layer_records(layers):
+    """The same records read off array layers: parent origin >> 1, choice origin & 1."""
+    records = []
+    for layer in layers:
+        records.append(
+            [
+                (l, c, None if o < 0 else o & 1, None if o < 0 else o >> 1)
+                for l, c, o in zip(layer.lmax.tolist(), layer.cmax.tolist(), layer.origin.tolist())
+            ]
+        )
     return records
 
 
 def assert_matches_scalar_reference(inst):
     result = solve_exact(inst, keep_layers=True)
     ref_layers = list(scalar_reference_layers(inst))
-    assert [layer.i for layer in ref_layers] == [layer.i for layer in result.layers]
+    assert [layer.i for layer in result.layers] == list(range(1, inst.n + 1))
+    for layer in result.layers:
+        assert layer.lmax.dtype == layer.cmax.dtype == layer.origin.dtype == np.int64
     # same values, same order and the same tie-break winners (parent, choice)
-    assert layer_records(ref_layers) == layer_records(result.layers)
+    assert scalar_layer_records(ref_layers) == array_layer_records(result.layers)
     return result
 
 
@@ -201,15 +221,19 @@ def test_vectorized_engine_matches_scalar_reference():
 def test_layer_invariants_on_random_instances():
     for inst in make_instances(13, 25, (2, 14)):
         result = solve_exact(inst, keep_layers=True)
-        for layer in result.layers:
+        assert result.layers[0].origin.tolist() == [-1]
+        for prev, layer in zip((None,) + result.layers, result.layers):
             s_i = inst.prefix[layer.i]
-            loads = [state.cmax for state in layer.states]
+            loads = layer.cmax.tolist()
             # one state per load, in strictly ascending load order
             assert all(a < b for a, b in zip(loads, loads[1:]))
-            for state in layer.states:
-                assert math.ceil(s_i / 2) <= state.cmax <= s_i
-                if state.parent is not None:
-                    assert state.lmax >= state.parent.lmax
+            assert all(math.ceil(s_i / 2) <= c <= s_i for c in loads)
+            if prev is not None:
+                parents = (layer.origin >> 1).tolist()
+                assert all(0 <= j < len(prev) for j in parents)
+                assert all(
+                    l >= prev.lmax[j] for l, j in zip(layer.lmax.tolist(), parents)
+                )
 
 
 def test_front_matches_oracle_on_random_instances():

@@ -1,13 +1,19 @@
 import json
+from bisect import bisect_left
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bipareto import (
+    MAX_MAGNITUDE,
     DpState,
     Front,
     GridParams,
+    Layer,
     ParetoPoint,
     box_index,
     coverage_check,
@@ -74,14 +80,14 @@ def worked_grid():
 def test_trim_merges_identical_values():
     a = DpState(lmax=9, cmax=5, choice=0)
     b = DpState(lmax=9, cmax=5, choice=1)
-    kept = trim([a, b], worked_grid()).states
+    kept = trim([a, b], worked_grid())
     assert kept == (a,)  # same box, earliest generated wins
 
 
 def test_trim_keeps_distinct_boxes():
     a = DpState(lmax=7, cmax=6)   # boxes (4, 4)
     b = DpState(lmax=8, cmax=7)   # boxes (5, 4)
-    assert trim([a, b], worked_grid()).states == (a, b)
+    assert trim([a, b], worked_grid()) == (a, b)
 
 
 def test_trim_boundary_straddle():
@@ -90,7 +96,7 @@ def test_trim_boundary_straddle():
     b = DpState(lmax=14, cmax=3)
     assert box_index(13, Fraction(14, 9)) == 8
     assert box_index(14, Fraction(14, 9)) == 9
-    assert trim([a, b], worked_grid()).states == (a, b)
+    assert trim([a, b], worked_grid()) == (a, b)
 
 
 def test_trim_representative_rank():
@@ -110,7 +116,7 @@ def test_trim_representative_rank():
         DpState(lmax=4, cmax=6, choice=0),
         DpState(lmax=4, cmax=6, choice=1),
     ]
-    assert trim(states, grid).states == (states[2],)
+    assert trim(states, grid) == (states[2],)
     with pytest.raises(ValueError):
         trim([], grid)
 
@@ -179,19 +185,79 @@ def test_closeness_worked_instance():
     assert verify_trim_closeness(exact.layers, approx.layers, grid_params(inst, eps))
 
 
+def array_layer(i, pairs):
+    """A layer holding the given (lmax, cmax) states, without parents."""
+    return Layer(
+        i,
+        lmax=np.array([l for l, _ in pairs], dtype=np.int64),
+        cmax=np.array([c for _, c in pairs], dtype=np.int64),
+        origin=np.full(len(pairs), -1, dtype=np.int64),
+    )
+
+
+def reference_closeness_violation(exact_layers, approx_layers, grid):
+    """Scalar drift check: scaled cross-multiplied Python integers and a
+    bisect per exact state.  Returns (layer, point) of the first exact
+    state with no trimmed state inside its window, or None."""
+    delta_max = max(grid.delta1, grid.delta2)
+    a1, b1 = grid.delta1.numerator, grid.delta1.denominator
+    am, bm = delta_max.numerator, delta_max.denominator
+    for ex_layer, ap_layer in zip(exact_layers, approx_layers):
+        i = ex_layer.i
+        scaled = sorted(
+            (c * b1, l * bm) for c, l in zip(ap_layer.cmax.tolist(), ap_layer.lmax.tolist())
+        )
+        load_keys = [c for c, _ in scaled]
+        load_slack = i * a1
+        lateness_slack = i * am
+        for c, l in zip(ex_layer.cmax.tolist(), ex_layer.lmax.tolist()):
+            window_lo = c * b1 - load_slack
+            window_hi = c * b1 + load_slack
+            lateness_cap = l * bm + lateness_slack
+            found = False
+            for j in range(bisect_left(load_keys, window_lo), len(scaled)):
+                if scaled[j][0] > window_hi:
+                    break
+                if scaled[j][1] <= lateness_cap:
+                    found = True
+                    break
+            if not found:
+                return i, ParetoPoint(c, l)
+    return None
+
+
 def test_closeness_violation_witness():
     inst = normalize(WORKED)
     exact = solve_exact(inst, keep_layers=True)
     # a far-off approximate layer cannot be close to anything
-    fake = [
-        type(layer)(layer.i, (DpState(lmax=10**6, cmax=10**6),))
-        for layer in exact.layers
-    ]
+    fake = [array_layer(layer.i, [(10**6, 10**6)]) for layer in exact.layers]
     grid = worked_grid()
     violation = find_closeness_violation(exact.layers, fake, grid)
     assert violation is not None
     assert violation.layer == 1
-    assert violation.state.point == ParetoPoint(2, 7)
+    assert violation.point == ParetoPoint(2, 7)
+    assert reference_closeness_violation(exact.layers, fake, grid) == (1, ParetoPoint(2, 7))
+
+    # Layer 3 holds (lmax, cmax) = (9, 5), (7, 6), (8, 7), (10, 9); the
+    # windows are floor(3 * 3/2) = 4 in load and floor(3 * 14/9) = 4 in
+    # lateness.  A lone trimmed (12, 9) covers (9, 5) and (8, 7), sitting
+    # exactly on their lateness bound, but is 5 > 14/3 above (7, 6).
+    partial = list(exact.layers[:2]) + [array_layer(3, [(12, 9)])]
+    violation = find_closeness_violation(exact.layers, partial, grid)
+    assert (violation.layer, violation.point) == (3, ParetoPoint(6, 7))
+    assert reference_closeness_violation(exact.layers, partial, grid) == (3, ParetoPoint(6, 7))
+    # Layer 1 holds (7, 2) and its load window is floor(3/2) = 1: a
+    # trimmed state 2 loads away, on either side, is outside it.
+    outside = (1, ParetoPoint(2, 7))
+    for load, expected in ((3, None), (1, None), (4, outside), (0, outside)):
+        moved = [array_layer(1, [(7, load)])] + list(exact.layers[1:])
+        violation = find_closeness_violation(exact.layers, moved, grid)
+        assert (None if violation is None else (violation.layer, violation.point)) == expected
+        assert reference_closeness_violation(exact.layers, moved, grid) == expected
+    # an empty trimmed layer leaves its first exact state uncovered
+    empty = list(exact.layers[:2]) + [array_layer(3, [])]
+    violation = find_closeness_violation(exact.layers, empty, grid)
+    assert (violation.layer, violation.point) == (3, ParetoPoint(5, 9))
 
 
 def test_closeness_rejects_misaligned_layers():
@@ -202,6 +268,89 @@ def test_closeness_rejects_misaligned_layers():
     swapped = (exact.layers[1], exact.layers[0], exact.layers[2])
     with pytest.raises(ValueError, match="misaligned"):
         find_closeness_violation(exact.layers, swapped, worked_grid())
+
+
+@st.composite
+def closeness_jobs(draw):
+    """Job lists for the drift check, at its edges."""
+    kind = draw(st.sampled_from(["single", "small", "wide", "huge_p"]))
+    if kind == "single":
+        return [(draw(st.integers(1, 2**59)), draw(st.integers(0, 2**59)))]
+    if kind == "huge_p":
+        # one or two loads near 2^59; the total stays under MAX_MAGNITUDE
+        n = draw(st.integers(1, 6))
+        big = draw(st.integers(1, min(2, n)))
+        ps = [draw(st.integers(2**59 - 2**20, 2**59 - 2**19)) for _ in range(big)]
+        ps += [draw(st.integers(1, 2**16)) for _ in range(n - big)]
+        qs = [draw(st.integers(0, 2**16)) for _ in range(n)]
+        return list(zip(draw(st.permutations(ps)), qs))
+    p_hi = 30 if kind == "small" else 10**12
+    n = draw(st.integers(1, 9))
+    return [(draw(st.integers(1, p_hi)), draw(st.integers(0, p_hi))) for _ in range(n)]
+
+
+EPSILONS = st.one_of(
+    st.builds(Fraction, st.integers(1, 40), st.integers(1, 40)),
+    # denominators beyond 64 bits
+    st.builds(Fraction, st.integers(1, 2**70), st.integers(2**64 + 1, 2**80)),
+    st.just(Fraction(1, 10**20)),
+    st.just(Fraction(10**19 + 1, 10**19)),
+    # windows beyond the 2^61 clamp
+    st.just(Fraction(10**30)),
+)
+
+
+def jitter(rng, w, size):
+    """Offsets in [-2w-2, 2w+2], about half of them on the window edges
+    -w-1, -w, w and w+1."""
+    edges = rng.choice(np.array([-w - 1, -w, w, w + 1], dtype=np.int64), size)
+    wide = rng.integers(-2 * w - 2, 2 * w + 3, size)
+    return np.where(rng.random(size) < 0.5, edges, wide)
+
+
+def perturbed_layers(layers, grid, rng, subsample, shift):
+    """Trimmed layers with states dropped and values moved about their
+    drift windows, clipped to [0, MAX_MAGNITUDE]."""
+    delta_max = max(grid.delta1, grid.delta2)
+    out = []
+    for layer in layers:
+        lmax, cmax = layer.lmax, layer.cmax
+        if subsample:
+            keep = rng.random(len(layer)) < 0.5
+            lmax, cmax = lmax[keep], cmax[keep]
+        if shift:
+            w1 = min(int(layer.i * grid.delta1), MAX_MAGNITUDE)
+            wm = min(int(layer.i * delta_max), MAX_MAGNITUDE)
+            cmax = np.clip(cmax + jitter(rng, w1, len(cmax)), 0, MAX_MAGNITUDE)
+            lmax = np.clip(lmax + jitter(rng, wm, len(lmax)), 0, MAX_MAGNITUDE)
+        out.append(Layer(layer.i, lmax=lmax, cmax=cmax, origin=np.full(len(cmax), -1)))
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    jobs=closeness_jobs(),
+    eps=EPSILONS,
+    mode=st.sampled_from(["real", "subsampled", "shifted", "both", "identity"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_vectorized_closeness_matches_reference(jobs, eps, mode, seed):
+    inst = normalize(jobs)
+    grid = grid_params(inst, eps)
+    exact = solve_exact(inst, keep_layers=True)
+    if mode == "identity":
+        approx = list(exact.layers)
+    else:
+        approx = solve_fptas(inst, eps, keep_layers=True).layers
+        rng = np.random.default_rng(seed)
+        approx = perturbed_layers(
+            approx, grid, rng, mode in ("subsampled", "both"), mode in ("shifted", "both")
+        )
+    expected = reference_closeness_violation(exact.layers, approx, grid)
+    violation = find_closeness_violation(exact.layers, approx, grid)
+    assert (None if violation is None else (violation.layer, violation.point)) == expected
+    if mode in ("real", "identity"):
+        assert expected is None
 
 
 def test_coverage_and_closeness_on_random_instances():

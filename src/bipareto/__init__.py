@@ -24,11 +24,7 @@ from .exact import (
     Layer,
     SolveResult,
     StateBudgetError,
-    initial_layer,
-    prune,
-    reconstruct,
     solve_exact,
-    successors,
 )
 from .fptas import (
     ClosenessViolation,
@@ -41,12 +37,10 @@ from .fptas import (
     grid_params,
     parse_epsilon,
     solve_fptas,
-    trim,
     verify_trim_closeness,
 )
 from .model import (
     MAX_MAGNITUDE,
-    DpState,
     Front,
     Instance,
     Job,
@@ -69,7 +63,6 @@ __all__ = [
     "Job",
     "ParetoPoint",
     "Instance",
-    "DpState",
     "Front",
     "Schedule",
     "Layer",
@@ -86,14 +79,9 @@ __all__ = [
     "dominates",
     "pareto_filter",
     "build_schedule",
-    "initial_layer",
-    "successors",
-    "prune",
     "solve_exact",
-    "reconstruct",
     "grid_params",
     "box_index",
-    "trim",
     "solve_fptas",
     "parse_epsilon",
     "coverage_check",

@@ -21,7 +21,6 @@ from typing import Optional, Sequence
 from . import bench, io
 from .exact import DEFAULT_STATE_BUDGET, StateBudgetError, solve_exact
 from .fptas import (
-    coverage_check,
     find_closeness_violation,
     find_coverage_violation,
     grid_params,

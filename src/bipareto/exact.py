@@ -21,18 +21,17 @@ parent load, the same-machine child before the other-machine child, so
 the winner has the smallest parent load, then the same-machine choice.
 Every layer is kept in ascending load order.
 
-The module exposes scalar reference operations (`initial_layer`,
-`successors`, `prune`, `reconstruct`) that define the transition
-semantics on `DpState` objects, plus `solve_exact`, which runs the same
-recurrence vectorized over numpy arrays.  The two are cross-checked in
-the test suite; no `DpState` is built on the solver path.
-
 A `Layer` is the engine's own representation: parallel int64 arrays
 ``lmax``, ``cmax`` and ``origin``.  ``origin[j]`` is the index in the
 layer's successor pool that state ``j`` won from, so its parent is
 state ``origin[j] >> 1`` of the previous layer and its choice
 ``origin[j] & 1``.  With ``keep_layers=True`` the solver keeps a
 reference to every layer it builds, 24 bytes per state.
+
+This engine is the only copy of the recurrence in the package.  The
+test suite checks its layers, parents and tie-breaks against a
+plain-integer reference, and for small ``n`` each layer against brute
+force over the assignments of the job prefix.
 """
 
 from __future__ import annotations
@@ -42,15 +41,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .model import (
-    DpState,
-    Front,
-    Instance,
-    ParetoPoint,
-    Schedule,
-    build_schedule,
-    pareto_filter,
-)
+from .model import Front, Instance, ParetoPoint, Schedule, build_schedule
 
 # The values are also the parity of a child's successor-pool index.
 CHOICE_SAME = 0
@@ -98,52 +89,6 @@ class SolveResult:
     layers: Optional[tuple[Layer, ...]] = None
 
 
-def initial_layer(inst: Instance) -> tuple[DpState, ...]:
-    """Layer 1: the first sorted job alone on machine flag 1."""
-    first = inst.jobs[0]
-    return (DpState(lmax=first.p + first.q, cmax=first.p),)
-
-
-def successors(state: DpState, p: int, q: int, prefix_total: int) -> tuple[DpState, DpState]:
-    """Both children of ``state`` when adding a job (p, q).
-
-    ``prefix_total`` is the processing-time sum through the added job.
-    The first child keeps the job on the most-loaded machine; the second
-    puts it on the other machine, whose new load ``prefix_total - cmax``
-    is also the job's completion time; the child's most-loaded load is
-    the larger of the two.
-    """
-    same = DpState(
-        lmax=max(state.lmax, state.cmax + p + q),
-        cmax=state.cmax + p,
-        parent=state,
-        choice=CHOICE_SAME,
-    )
-    other_load = prefix_total - state.cmax
-    other = DpState(
-        lmax=max(state.lmax, other_load + q),
-        cmax=max(state.cmax, other_load),
-        parent=state,
-        choice=CHOICE_OTHER,
-    )
-    return same, other
-
-
-def prune(states: Sequence[DpState]) -> tuple[DpState, ...]:
-    """Keep one minimal-lateness state per load, in ascending load order.
-
-    Ties on lateness keep the earliest-generated state (input order).
-    """
-    if not states:
-        raise ValueError("prune requires at least one state")
-    best: dict[int, DpState] = {}
-    for state in states:
-        cur = best.get(state.cmax)
-        if cur is None or state.lmax < cur.lmax:
-            best[state.cmax] = state
-    return tuple(best[c] for c in sorted(best))
-
-
 # ---------------------------------------------------------------------------
 # Vectorized layer engine (shared with the trimming solver in fptas.py)
 # ---------------------------------------------------------------------------
@@ -154,9 +99,9 @@ class _Successors:
     """All children of one layer, in generation order.
 
     Child 2j is the same-machine child of parent j, child 2j+1 its
-    other-machine child, mirroring the scalar generation order.  A child's
-    pool index is therefore its generation rank, ``index >> 1`` its parent
-    and ``index & 1`` its choice (CHOICE_SAME / CHOICE_OTHER).
+    other-machine child.  A child's pool index is therefore its generation
+    rank, ``index >> 1`` its parent and ``index & 1`` its choice
+    (CHOICE_SAME / CHOICE_OTHER).
     """
 
     lmax: np.ndarray
@@ -239,23 +184,6 @@ def _replay_choices(inst: Instance, choices: Sequence[int]) -> tuple[int, ...]:
     return tuple(flags)
 
 
-def reconstruct(final_state: DpState, inst: Instance) -> Schedule:
-    """Decode a final state's parent chain into a full Schedule."""
-    choices: list[int] = []
-    state: Optional[DpState] = final_state
-    while state is not None and state.choice is not None:
-        choices.append(state.choice)
-        state = state.parent
-    if state is None:
-        raise RuntimeError("broken parent chain: no root state")
-    choices.reverse()
-    if len(choices) != inst.n - 1:
-        raise RuntimeError(
-            f"broken parent chain: {len(choices) + 1} states for {inst.n} jobs"
-        )
-    return build_schedule(inst, _replay_choices(inst, choices))
-
-
 def _pareto_of_final(layer: Layer) -> tuple[list[ParetoPoint], list[int]]:
     """Non-dominated (cmax, lmax) points of the final layer.
 
@@ -281,14 +209,13 @@ def _pareto_of_final(layer: Layer) -> tuple[list[ParetoPoint], list[int]]:
 
 def _solve_layered(
     inst: Instance,
-    make_reducer: Callable[[], _Reducer],
+    reducer: _Reducer,
     budget: int,
     keep_layers: bool,
 ) -> SolveResult:
     """Shared layer loop: expand, reduce, track parents, reconstruct."""
     if budget < 1:
         raise ValueError("state budget must be positive")
-    reducer = make_reducer()
 
     current = _initial_arrays(inst)
     chain: list[np.ndarray] = [current.origin]
@@ -325,7 +252,7 @@ def _solve_layered(
         schedules.append(build_schedule(inst, _replay_choices(inst, choices)))
 
     return SolveResult(
-        front=pareto_filter(points),
+        front=Front(tuple(points)),
         schedules=tuple(schedules),
         layer_sizes=tuple(layer_sizes),
         layers=tuple(kept_layers) if kept_layers is not None else None,
@@ -345,4 +272,4 @@ def solve_exact(
     Raises StateBudgetError instead of exhausting memory when the
     retained state count would exceed ``budget``.
     """
-    return _solve_layered(inst, lambda: _prune_reducer, budget, keep_layers)
+    return _solve_layered(inst, _prune_reducer, budget, keep_layers)

@@ -4,7 +4,9 @@ The trimming solver runs the same layered recurrence as the exact one but
 collapses each layer onto a rectangular grid: the load axis [0, CMAX] is
 cut into boxes of exact-rational width delta1 and the lateness axis
 [0, LMAX] into boxes of width delta2, and only one representative state
-survives per occupied box.  With
+survives per occupied box: the one with the smallest lateness, then the
+smallest load, then the earliest generated.  Trimmed layers keep their
+states in generation order.  With
 
     delta1 = eps * P / (2 n)          CMAX = P
     delta2 = eps * (P + q_max) / (3 n)   LMAX = P + q_max
@@ -43,7 +45,7 @@ from .exact import (
     _Successors,
     _solve_layered,
 )
-from .model import MAX_MAGNITUDE, DpState, Front, Instance, ParetoPoint
+from .model import MAX_MAGNITUDE, Front, Instance, ParetoPoint
 
 # An epsilon is any positive exact rational.
 Epsilon = Fraction
@@ -78,9 +80,6 @@ class GridParams:
     delta2: Fraction
     cmax_bound: int
     lmax_bound: int
-    n: int
-    total_p: int
-    q_max: int
 
 
 def grid_params(inst: Instance, eps: Epsilon) -> GridParams:
@@ -98,9 +97,6 @@ def grid_params(inst: Instance, eps: Epsilon) -> GridParams:
         delta2=eps * Fraction(inst.total_p + inst.q_max, 3 * inst.n),
         cmax_bound=inst.total_p,
         lmax_bound=inst.total_p + inst.q_max,
-        n=inst.n,
-        total_p=inst.total_p,
-        q_max=inst.q_max,
     )
 
 
@@ -115,26 +111,8 @@ def box_index(value: int, delta: Fraction) -> int:
     return value * delta.denominator // delta.numerator
 
 
-def trim(states: Sequence[DpState], grid: GridParams) -> tuple[DpState, ...]:
-    """Keep one representative state per occupied (lateness, load) box.
-
-    The representative is the state with minimal lateness, then minimal
-    load, then earliest generation (input order).  Representatives stay
-    in input order.
-    """
-    if not states:
-        raise ValueError("trim requires at least one state")
-    best: dict[tuple[int, int], tuple[tuple[int, int, int], DpState]] = {}
-    for pos, state in enumerate(states):
-        key = (box_index(state.lmax, grid.delta2), box_index(state.cmax, grid.delta1))
-        rank = (state.lmax, state.cmax, pos)
-        cur = best.get(key)
-        if cur is None or rank < cur[0]:
-            best[key] = (rank, state)
-    return tuple(state for rank, state in sorted(best.values(), key=lambda item: item[0][2]))
-
-
 def _make_trim_reducer(grid: GridParams):
+    """Reducer keeping one representative per occupied (lateness, load) box."""
     num1, den1 = grid.delta1.numerator, grid.delta1.denominator
     num2, den2 = grid.delta2.numerator, grid.delta2.denominator
     c_boxes = box_index(grid.cmax_bound, grid.delta1) + 1
@@ -196,7 +174,7 @@ def solve_fptas(
     returned point is realized by its reconstructed schedule exactly.
     """
     grid = grid_params(inst, eps)
-    return _solve_layered(inst, lambda: _make_trim_reducer(grid), budget, keep_layers)
+    return _solve_layered(inst, _make_trim_reducer(grid), budget, keep_layers)
 
 
 def find_coverage_violation(

@@ -10,11 +10,13 @@ maximum lateness).  The two objectives, both minimized, are
 * maximum lateness ``lmax``: the largest ``completion + q`` over all jobs.
 
 Everything here is an immutable value type; all operations are pure.
+The solvers' dynamic-programming states are not model types: they live
+in `exact.Layer` as int64 arrays.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 # Loads, lateness values and prefix sums stay well inside int64 (the solver
@@ -53,27 +55,6 @@ class Instance:
     total_p: int
     q_max: int
     prefix: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class DpState:
-    """One feasible partial schedule, summarized for the layered solvers.
-
-    ``cmax`` is the load of the currently most-loaded machine and ``lmax``
-    the maximum lateness accumulated so far; the other machine's load is
-    the prefix total minus ``cmax``.  ``parent`` links to the state this
-    one was expanded from and ``choice`` records whether the newest job
-    went onto the most-loaded machine (0) or the other one (1).
-    """
-
-    lmax: int
-    cmax: int
-    parent: Optional["DpState"] = field(default=None, repr=False)
-    choice: Optional[int] = None
-
-    @property
-    def point(self) -> ParetoPoint:
-        return ParetoPoint(self.cmax, self.lmax)
 
 
 @dataclass(frozen=True)

@@ -1,0 +1,59 @@
+from types import ModuleType
+
+import bipareto
+
+PUBLIC_API = [
+    "ClosenessViolation",
+    "DEFAULT_STATE_BUDGET",
+    "EpsResult",
+    "Epsilon",
+    "Front",
+    "GenSpec",
+    "GridParams",
+    "Instance",
+    "Job",
+    "Layer",
+    "MAX_MAGNITUDE",
+    "ORACLE_CAP",
+    "ParetoPoint",
+    "RunRecord",
+    "Schedule",
+    "SolveResult",
+    "StateBudgetError",
+    "__version__",
+    "box_index",
+    "build_schedule",
+    "coverage_check",
+    "desk_families",
+    "dominates",
+    "enumerate_front",
+    "evaluate_schedule",
+    "find_closeness_violation",
+    "find_coverage_violation",
+    "generate_instance",
+    "grid_params",
+    "normalize",
+    "paper_families",
+    "pareto_filter",
+    "parse_epsilon",
+    "quality_metrics",
+    "run_suite",
+    "solve_exact",
+    "solve_fptas",
+    "verify_trim_closeness",
+    "write_report",
+]
+
+
+def test_public_api_is_pinned():
+    # adding to or removing from the public API has to update this list
+    assert sorted(bipareto.__all__) == PUBLIC_API
+    for name in PUBLIC_API:
+        assert getattr(bipareto, name) is not None
+    # nothing public is importable from the package without being listed
+    exported = {
+        name
+        for name, value in vars(bipareto).items()
+        if not name.startswith("_") and not isinstance(value, ModuleType)
+    }
+    assert exported == set(PUBLIC_API) - {"__version__"}

@@ -1,4 +1,5 @@
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -6,26 +7,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bipareto import (
-    DpState,
+    Layer,
     ParetoPoint,
     StateBudgetError,
     evaluate_schedule,
-    initial_layer,
     normalize,
-    prune,
-    reconstruct,
     solve_exact,
-    successors,
 )
-from bipareto.exact import CHOICE_OTHER, CHOICE_SAME
+from bipareto.exact import CHOICE_OTHER, CHOICE_SAME, _expand, _prune_reducer
 from bipareto.oracle import enumerate_front
-from conftest import make_instances
+from conftest import make_instances, successor_pool
 
 WORKED = [(2, 5), (3, 4), (4, 1)]
-
-
-def as_pairs(states):
-    return [(s.lmax, s.cmax) for s in states]
 
 
 def array_pairs(layer):
@@ -33,64 +26,50 @@ def array_pairs(layer):
 
 
 def test_initial_layer():
-    assert as_pairs(initial_layer(normalize(WORKED))) == [(7, 2)]
-    assert initial_layer(normalize([(1, 0)]))[0].point == ParetoPoint(1, 1)
-    assert as_pairs(initial_layer(normalize([(10, 10), (1, 0)]))) == [(20, 10)]
+    first = solve_exact(normalize(WORKED), keep_layers=True).layers[0]
+    assert (first.i, array_pairs(first), first.origin.tolist()) == (1, [(7, 2)], [-1])
+    assert array_pairs(solve_exact(normalize([(1, 0)]), keep_layers=True).layers[0]) == [(1, 1)]
+    # the first job in sorted order (largest q), not in input order
+    first = solve_exact(normalize([(1, 0), (10, 10)]), keep_layers=True).layers[0]
+    assert array_pairs(first) == [(20, 10)]
+
+
+def expand_pairs(pairs, p, q, prefix_total):
+    states = successor_pool(pairs)
+    layer = Layer(1, states.lmax, states.cmax, origin=np.full(len(pairs), -1, dtype=np.int64))
+    pool = _expand(layer, p, q, prefix_total)
+    return list(zip(pool.lmax.tolist(), pool.cmax.tolist()))
 
 
 def test_successors_worked_transitions():
-    root = DpState(lmax=7, cmax=2)
-    same, other = successors(root, 3, 4, 5)
-    assert (same.lmax, same.cmax) == (9, 5)
+    # child 2j is parent j's same-machine child, 2j+1 its other-machine child
+    assert CHOICE_SAME == 0 and CHOICE_OTHER == 1
     # other machine's load 3 exceeds 2 and becomes the lead
-    assert (other.lmax, other.cmax) == (7, 3)
-    assert same.choice == CHOICE_SAME and other.choice == CHOICE_OTHER
-    assert same.parent is root and other.parent is root
-
-    same, other = successors(DpState(lmax=7, cmax=3), 4, 1, 9)
-    assert (same.lmax, same.cmax) == (8, 7)
-    assert (other.lmax, other.cmax) == (7, 6)
-
+    assert expand_pairs([(7, 2)], 3, 4, 5) == [(9, 5), (7, 3)]
+    assert expand_pairs([(7, 3)], 4, 1, 9) == [(8, 7), (7, 6)]
     # other machine's load 4 stays below 5: lead load unchanged
-    same, other = successors(DpState(lmax=9, cmax=5), 4, 1, 9)
-    assert (same.lmax, same.cmax) == (10, 9)
-    assert (other.lmax, other.cmax) == (9, 5)
+    assert expand_pairs([(9, 5)], 4, 1, 9) == [(10, 9), (9, 5)]
+    # a two-state layer interleaves its parents' children
+    assert expand_pairs([(7, 3), (9, 5)], 4, 1, 9) == [(8, 7), (7, 6), (10, 9), (9, 5)]
 
 
 def test_prune_keeps_minimal_lateness_per_load():
-    root = DpState(lmax=7, cmax=2)
-    a = DpState(lmax=9, cmax=5, parent=root, choice=0)
-    b = DpState(lmax=12, cmax=5, parent=root, choice=1)
-    assert prune([a, b]) == (a,)
-    assert prune([b, a])[0] is a
+    assert _prune_reducer(successor_pool([(9, 5), (12, 5)])).tolist() == [0]
+    assert _prune_reducer(successor_pool([(12, 5), (9, 5)])).tolist() == [1]
 
-    # the paper's flag would split these two; the load alone merges them
-    c = DpState(lmax=9, cmax=5, parent=root, choice=1)
-    assert prune([a, c])[0] is a
-
-    layer3 = [
-        DpState(lmax=10, cmax=9, parent=a, choice=0),
-        DpState(lmax=9, cmax=5, parent=a, choice=1),
-        DpState(lmax=8, cmax=7, parent=c, choice=0),
-        DpState(lmax=7, cmax=6, parent=c, choice=1),
-    ]
-    pruned = prune(layer3)
-    # kept in ascending load order, not input order
-    assert as_pairs(pruned) == [(9, 5), (7, 6), (8, 7), (10, 9)]
-    assert [s.choice for s in pruned] == [1, 1, 0, 0]
+    # layer 3 of the worked instance: kept in ascending load order, not
+    # pool order; the choices (index & 1) are other, other, same, same
+    layer3 = successor_pool([(10, 9), (9, 5), (8, 7), (7, 6)])
+    assert _prune_reducer(layer3).tolist() == [1, 3, 2, 0]
 
 
 def test_prune_tie_keeps_earliest_generated():
-    root = DpState(lmax=7, cmax=2)
-    first = DpState(lmax=9, cmax=5, parent=root, choice=0)
-    second = DpState(lmax=9, cmax=5, parent=root, choice=1)
-    assert prune([first, second])[0] is first
-    assert prune([second, first])[0] is second
-
-
-def test_prune_rejects_empty():
-    with pytest.raises(ValueError):
-        prune([])
+    # the paper's flag would split these two; the load alone merges them
+    assert _prune_reducer(successor_pool([(9, 5), (9, 5)])).tolist() == [0]
+    # the earliest wins even when it is an other-machine child (index 1)
+    # and the later one a same-machine child (index 2)
+    tied = successor_pool([(12, 8), (9, 5), (9, 5), (4, 3)])
+    assert _prune_reducer(tied).tolist() == [3, 1, 0]
 
 
 def test_solve_exact_worked_instance():
@@ -129,27 +108,6 @@ def test_reconstruct_worked_instance():
     assert single.schedules[0].assignment == {1: 1}
 
 
-def test_reconstruct_from_scalar_chain():
-    inst = normalize(WORKED)
-    root = initial_layer(inst)[0]
-    _, other = successors(root, 3, 4, inst.prefix[2])
-    _, final = successors(other, 4, 1, inst.prefix[3])
-    assert (final.lmax, final.cmax) == (7, 6)
-    sched = reconstruct(final, inst)
-    assert sched.assignment == {1: 1, 2: 0, 3: 1}
-    assert evaluate_schedule(inst, sched.flags) == ParetoPoint(6, 7)
-
-
-def test_reconstruct_rejects_broken_chain():
-    inst = normalize(WORKED)
-    dangling = DpState(lmax=9, cmax=5, parent=None, choice=CHOICE_SAME)
-    with pytest.raises(RuntimeError, match="broken parent chain"):
-        reconstruct(dangling, inst)
-    too_short = initial_layer(inst)[0]
-    with pytest.raises(RuntimeError, match="broken parent chain"):
-        reconstruct(too_short, inst)
-
-
 def test_budget_guard():
     inst = make_instances(5, 1, (30, 30))[0]
     with pytest.raises(StateBudgetError, match="state budget exceeded"):
@@ -158,31 +116,27 @@ def test_budget_guard():
         solve_exact(inst, budget=0)
 
 
-def scalar_reference_layers(inst):
-    """Layer-by-layer reference using only the scalar operations."""
-    layer = initial_layer(inst)
-    yield layer
-    for i in range(2, inst.n + 1):
-        job = inst.jobs[i - 1]
-        children = []
-        for state in layer:
-            children.extend(successors(state, job.p, job.q, inst.prefix[i]))
-        layer = prune(children)
-        yield layer
+def scalar_layer_records(inst):
+    """The recurrence on plain integers, as the reference for the engine.
 
-
-def scalar_layer_records(layers):
-    """Per layer: (lmax, cmax, choice, parent position) of every state, in order."""
-    records = []
-    prev_pos = {}
-    for layer in layers:
-        records.append(
-            [
-                (s.lmax, s.cmax, s.choice, None if s.parent is None else prev_pos[id(s.parent)])
-                for s in layer
-            ]
-        )
-        prev_pos = {id(s): pos for pos, s in enumerate(layer)}
+    Per layer: (lmax, cmax, choice, parent position) of every kept state.
+    Parents are expanded in layer order, the same-machine child (choice 0)
+    before the other-machine child (choice 1); per load the first child
+    with strictly smallest lmax wins; loads are kept in ascending order.
+    """
+    first = inst.jobs[0]
+    layer = [(first.p + first.q, first.p, None, None)]
+    records = [layer]
+    for job, total in zip(inst.jobs[1:], inst.prefix[2:]):
+        best = {}
+        for pos, (l, c, _, _) in enumerate(layer):
+            same = (max(l, c + job.p + job.q), c + job.p)
+            other = (max(l, total - c + job.q), max(c, total - c))
+            for choice, (child_l, child_c) in enumerate((same, other)):
+                if child_c not in best or child_l < best[child_c][0]:
+                    best[child_c] = (child_l, child_c, choice, pos)
+        layer = [best[c] for c in sorted(best)]
+        records.append(layer)
     return records
 
 
@@ -201,12 +155,11 @@ def array_layer_records(layers):
 
 def assert_matches_scalar_reference(inst):
     result = solve_exact(inst, keep_layers=True)
-    ref_layers = list(scalar_reference_layers(inst))
     assert [layer.i for layer in result.layers] == list(range(1, inst.n + 1))
     for layer in result.layers:
         assert layer.lmax.dtype == layer.cmax.dtype == layer.origin.dtype == np.int64
     # same values, same order and the same tie-break winners (parent, choice)
-    assert scalar_layer_records(ref_layers) == array_layer_records(result.layers)
+    assert scalar_layer_records(inst) == array_layer_records(result.layers)
     return result
 
 
@@ -234,6 +187,35 @@ def test_layer_invariants_on_random_instances():
                 assert all(
                     l >= prev.lmax[j] for l, j in zip(layer.lmax.tolist(), parents)
                 )
+
+
+def brute_force_layer(inst, i):
+    """Smallest lateness per load of the most-loaded machine over every
+    assignment of the first i jobs (job 1 on flag 1), in ascending load."""
+    prefix = normalize([(job.p, job.q) for job in inst.jobs[:i]])
+    best = {}
+    for rest in product((0, 1), repeat=i - 1):
+        c, l = evaluate_schedule(prefix, (1,) + rest)
+        best[c] = min(l, best.get(c, l))
+    return sorted(best.items())
+
+
+def test_layers_equal_brute_force_over_prefixes():
+    instances = (
+        make_instances(11, 40, (2, 12))
+        + make_instances(11, 10, (2, 12), (3, 3), (1, 4))
+        + make_instances(13, 25, (2, 14))
+    )
+    checked = 0
+    for inst in instances:
+        if inst.n > 10:
+            continue
+        for layer in solve_exact(inst, keep_layers=True).layers:
+            assert list(zip(layer.cmax.tolist(), layer.lmax.tolist())) == brute_force_layer(
+                inst, layer.i
+            )
+            checked += 1
+    assert checked > 300
 
 
 def test_front_matches_oracle_on_random_instances():

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from bipareto import (
     MAX_MAGNITUDE,
-    DpState,
     Front,
     GridParams,
     Layer,
@@ -25,11 +24,11 @@ from bipareto import (
     parse_epsilon,
     solve_exact,
     solve_fptas,
-    trim,
     verify_trim_closeness,
 )
 from bipareto import fptas as fptas_module
-from conftest import make_instances
+from bipareto.fptas import _make_trim_reducer
+from conftest import make_instances, successor_pool
 
 WORKED = [(2, 5), (3, 4), (4, 1)]
 
@@ -47,7 +46,6 @@ def test_grid_params_direct_substitution():
     grid = grid_params(normalize(WORKED), Fraction(1))
     assert (grid.delta1, grid.delta2) == (Fraction(3, 2), Fraction(14, 9))
     assert (grid.cmax_bound, grid.lmax_bound) == (9, 14)
-    assert (grid.n, grid.total_p, grid.q_max) == (3, 9, 5)
 
     # P=20, q_max=20, n=5
     inst = normalize([(4, 20), (4, 3), (4, 2), (4, 1), (4, 0)])
@@ -77,48 +75,42 @@ def worked_grid():
     return grid_params(normalize(WORKED), Fraction(1))  # delta1=3/2, delta2=14/9
 
 
+def trim_winners(pairs, grid):
+    """Pool indices kept by the trim reducer from a pool of (lmax, cmax)
+    children, on the int64 path and on the Python-integer fallback."""
+    pool = successor_pool(pairs)
+    winners = [_make_trim_reducer(grid)(pool).tolist()]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fptas_module, "_INT64_MAX", 0)  # force the fallback path
+        winners.append(_make_trim_reducer(grid)(pool).tolist())
+    return winners
+
+
 def test_trim_merges_identical_values():
-    a = DpState(lmax=9, cmax=5, choice=0)
-    b = DpState(lmax=9, cmax=5, choice=1)
-    kept = trim([a, b], worked_grid())
-    assert kept == (a,)  # same box, earliest generated wins
+    # same box, earliest generated wins
+    assert trim_winners([(9, 5), (9, 5)], worked_grid()) == [[0]] * 2
 
 
 def test_trim_keeps_distinct_boxes():
-    a = DpState(lmax=7, cmax=6)   # boxes (4, 4)
-    b = DpState(lmax=8, cmax=7)   # boxes (5, 4)
-    assert trim([a, b], worked_grid()) == (a, b)
+    # (lateness, load) boxes (4, 4) and (5, 4)
+    assert trim_winners([(7, 6), (8, 7)], worked_grid()) == [[0, 1]] * 2
+    # winners stay in pool order, not box order
+    assert trim_winners([(8, 7), (7, 6)], worked_grid()) == [[0, 1]] * 2
 
 
 def test_trim_boundary_straddle():
     # lateness 13 and 14 differ by less than delta2 yet straddle a box edge
-    a = DpState(lmax=13, cmax=3)
-    b = DpState(lmax=14, cmax=3)
     assert box_index(13, Fraction(14, 9)) == 8
     assert box_index(14, Fraction(14, 9)) == 9
-    assert trim([a, b], worked_grid()) == (a, b)
+    assert trim_winners([(13, 3), (14, 3)], worked_grid()) == [[0, 1]] * 2
 
 
 def test_trim_representative_rank():
-    grid = GridParams(
-        delta1=Fraction(10),
-        delta2=Fraction(10),
-        cmax_bound=9,
-        lmax_bound=9,
-        n=2,
-        total_p=9,
-        q_max=0,
-    )
+    grid = GridParams(delta1=Fraction(10), delta2=Fraction(10), cmax_bound=9, lmax_bound=9)
     # one giant box: minimal lateness, then minimal load, then earliest
-    states = [
-        DpState(lmax=5, cmax=9),
-        DpState(lmax=4, cmax=8),
-        DpState(lmax=4, cmax=6, choice=0),
-        DpState(lmax=4, cmax=6, choice=1),
-    ]
-    assert trim(states, grid) == (states[2],)
-    with pytest.raises(ValueError):
-        trim([], grid)
+    pool = [(5, 9), (4, 8), (4, 6), (4, 6)]
+    assert trim_winners(pool, grid) == [[2]] * 2
+    assert trim_winners(pool[::-1], grid) == [[0]] * 2
 
 
 def test_solve_fptas_worked_instance():

@@ -17,7 +17,6 @@ from bipareto import (
     grid_params,
     solve_exact,
     solve_fptas,
-    verify_trim_closeness,
 )
 
 inst = generate_instance(GenSpec((40, 40), (1, 60), (1, 60), 11, 1), 0)
@@ -44,12 +43,10 @@ for i in range(0, inst.n, step):
 ex, ap = exact.layers[-1], approx.layers[-1]
 print(f"{ex.i:5d}  {len(ex):13d}  {len(ap):15d}")
 
-# verify_trim_closeness checks every exact state in every layer for a
-# trimmed state inside its drift window, one vectorized pass per layer;
-# find_closeness_violation returns the first counterexample, if any.
-verify_trim_closeness(exact.layers, approx.layers, grid)
-witness = find_closeness_violation(exact.layers, approx.layers, grid)
-assert witness is None
+# find_closeness_violation checks every exact state in every layer for a
+# trimmed state inside its drift window, one vectorized pass per layer,
+# and returns the first counterexample, if any.
+assert find_closeness_violation(exact.layers, approx.layers, grid) is None
 print(f"\ndrift bound i*delta1 / i*max(delta1,delta2) holds in all {inst.n} layers")
 print(f"exact front {len(exact.front.points)} points, "
       f"trimmed front {len(approx.front.points)} points")

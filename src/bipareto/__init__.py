@@ -37,7 +37,6 @@ from .fptas import (
     grid_params,
     parse_epsilon,
     solve_fptas,
-    verify_trim_closeness,
 )
 from .model import (
     MAX_MAGNITUDE,
@@ -86,7 +85,6 @@ __all__ = [
     "parse_epsilon",
     "coverage_check",
     "find_coverage_violation",
-    "verify_trim_closeness",
     "find_closeness_violation",
     "enumerate_front",
     "generate_instance",

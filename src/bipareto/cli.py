@@ -5,7 +5,10 @@ go to stderr.  Exit codes: 0 success, 1 verification failure (or a bench
 run where every instance failed), 2 usage or parse errors, 3 state
 budget exceeded.  The environment variable BIPARETO_STATE_BUDGET
 overrides the default state budget; an explicit --budget flag overrides
-both.
+both.  `gen` takes its value ranges as --p LO:HI and --q LO:HI.
+`verify` compares against brute-force enumeration only up to ORACLE_CAP
+(20) jobs, since the oracle scores 2^(n-1) assignments, and reports the
+check as SKIP above it.
 """
 
 from __future__ import annotations
@@ -55,23 +58,6 @@ def _parse_range(text: str, flag: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _resolve_range(
-    name: str,
-    compact: Optional[str],
-    lo: Optional[int],
-    hi: Optional[int],
-) -> tuple[int, int]:
-    if compact is not None:
-        if lo is not None or hi is not None:
-            raise _UsageError(f"give either --{name} or --{name}-lo/--{name}-hi, not both")
-        return _parse_range(compact, f"--{name}")
-    if lo is None or hi is None:
-        raise _UsageError(f"missing --{name} LO:HI (or --{name}-lo and --{name}-hi)")
-    if lo < 1 or hi < lo:
-        raise _UsageError(f"--{name} range [{lo}, {hi}] is invalid")
-    return lo, hi
-
-
 def _resolve_budget(flag_value: Optional[int]) -> int:
     if flag_value is not None:
         if flag_value < 1:
@@ -101,12 +87,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen", help="generate a reproducible random instance")
     gen.add_argument("--n", type=int, required=True, help="number of jobs")
-    gen.add_argument("--p", metavar="LO:HI", help="processing time range")
-    gen.add_argument("--p-lo", type=int, help="processing time lower bound")
-    gen.add_argument("--p-hi", type=int, help="processing time upper bound")
-    gen.add_argument("--q", metavar="LO:HI", help="delivery time range")
-    gen.add_argument("--q-lo", type=int, help="delivery time lower bound")
-    gen.add_argument("--q-hi", type=int, help="delivery time upper bound")
+    gen.add_argument("--p", metavar="LO:HI", required=True, help="processing time range")
+    gen.add_argument("--q", metavar="LO:HI", required=True, help="delivery time range")
     gen.add_argument("--seed", type=int, default=0, help="stream seed (default 0)")
     gen.add_argument(
         "--index", type=int, default=0, help="instance index within the stream"
@@ -128,9 +110,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="check solver agreement on an instance")
     verify.add_argument("--input-path", required=True, help="instance file")
     verify.add_argument("--epsilon", required=True, help="accuracy, e.g. 0.3")
-    verify.add_argument(
-        "--cap", type=int, default=ORACLE_CAP, help="oracle size cap (default 20)"
-    )
     verify.add_argument("--budget", type=int, help="state budget override")
 
     bench_cmd = sub.add_parser("bench", help="run a benchmark suite")
@@ -163,8 +142,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         raise _UsageError(f"--seed must fit in 64 bits, got {args.seed}")
     if args.index < 0:
         raise _UsageError(f"--index must be >= 0, got {args.index}")
-    p_range = _resolve_range("p", args.p, args.p_lo, args.p_hi)
-    q_range = _resolve_range("q", args.q, args.q_lo, args.q_hi)
+    p_range = _parse_range(args.p, "--p")
+    q_range = _parse_range(args.q, "--q")
     spec = bench.GenSpec((args.n, args.n), p_range, q_range, args.seed, 1)
     inst = bench.generate_instance(spec, args.index)
     header = (
@@ -226,7 +205,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _run_verify_checks(
-    inst: Instance, eps: Fraction, cap: int, budget: int
+    inst: Instance, eps: Fraction, budget: int
 ) -> list[tuple[str, str, str]]:
     """Returns (status, name, detail) per check; statuses PASS/FAIL/SKIP."""
     checks: list[tuple[str, str, str]] = []
@@ -234,12 +213,12 @@ def _run_verify_checks(
     approx_result = solve_fptas(inst, eps, budget=budget, keep_layers=True)
     exact_front = exact_result.front
 
-    if inst.n > cap:
+    if inst.n > ORACLE_CAP:
         checks.append(
-            ("SKIP", "oracle-equality", f"n={inst.n} exceeds oracle cap {cap}")
+            ("SKIP", "oracle-equality", f"n={inst.n} exceeds oracle cap {ORACLE_CAP}")
         )
     else:
-        oracle_front = enumerate_front(inst, cap)
+        oracle_front = enumerate_front(inst)
         if exact_front.points == oracle_front.points:
             checks.append(
                 ("PASS", "oracle-equality", f"{len(exact_front)} points match enumeration")
@@ -306,11 +285,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         eps = parse_epsilon(args.epsilon)
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
-    if args.cap < 1:
-        raise _UsageError(f"--cap must be >= 1, got {args.cap}")
     budget = _resolve_budget(args.budget)
     inst = _load_instance(args.input_path)
-    checks = _run_verify_checks(inst, eps, args.cap, budget)
+    checks = _run_verify_checks(inst, eps, budget)
     for status, name, detail in checks:
         print(f"{status} {name}: {detail}")
     failed = sum(1 for status, _, _ in checks if status == "FAIL")

@@ -150,7 +150,7 @@ def _take(pool: _Successors, winners: np.ndarray, i: int) -> Layer:
     return Layer(i=i, lmax=pool.lmax[winners], cmax=pool.cmax[winners], origin=winners)
 
 
-def _prune_reducer(pool: _Successors) -> np.ndarray:
+def _prune_reducer(pool: _Successors | Layer) -> np.ndarray:
     # One winner per load: smallest lmax, then earliest generated, since
     # lexsort is stable and pool order is generation order.  The winners
     # come out in ascending load order.
@@ -190,9 +190,10 @@ def _pareto_of_final(layer: Layer) -> tuple[list[ParetoPoint], list[int]]:
     Returns the points sorted by increasing cmax and, per point, the index
     of its earliest-generated witness state.
     """
-    # lexsort is stable and layer order is generation order, so the first
-    # state per load has the smallest lmax, ties to the earliest generated.
-    first = _first_per_group(layer.cmax, np.lexsort((layer.lmax, layer.cmax)))
+    # Trimmed layers keep generation order and exact layers hold one state
+    # per load, so the exact per-load rule picks each load's best state,
+    # ties to the earliest generated.
+    first = _prune_reducer(layer)
     lmax = layer.lmax[first]
     # A load's best state is non-dominated iff its lmax is below that of
     # every smaller load.

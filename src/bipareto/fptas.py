@@ -13,14 +13,17 @@ states in generation order.  With
 
 every exact front point (C, L) is covered by an approximate point within
 (1+eps) * C and (1+eps) * L.  The per-layer drift that adds up to this
-bound is checkable directly: `verify_trim_closeness` asserts, for every
-exact state of every layer i, an approximate state within i*delta1 on the
-load axis and i*max(delta1, delta2) above on the lateness axis.
+bound is checkable directly: `find_closeness_violation` looks, for every
+exact state of every layer i, for an approximate state within i*delta1 on
+the load axis and i*max(delta1, delta2) above on the lateness axis, and
+returns the first exact state that has none.
 
 All grid arithmetic is exact: deltas are `fractions.Fraction`, box
 indices are integer floor divisions, and the coverage predicate
-cross-multiplies integers.  The drift check compares integers only:
-loads and latenesses are integers, so ``|C# - C| <= i*delta1`` holds
+cross-multiplies integers.  Box keys are int64 arrays when the grid's
+scaled products fit in int64, and object arrays of Python integers when
+they do not; one reducer serves both.  The drift check compares integers
+only: loads and latenesses are integers, so ``|C# - C| <= i*delta1`` holds
 iff ``|C# - C| <= floor(i*delta1)``, and likewise for the lateness
 bound.  Each floor is one Python-integer division per layer, clamped at
 2^61: values lie in [0, MAX_MAGNITUDE = 2^60], so no difference can
@@ -118,44 +121,27 @@ def _make_trim_reducer(grid: GridParams):
     c_boxes = box_index(grid.cmax_bound, grid.delta1) + 1
     l_boxes = box_index(grid.lmax_bound, grid.delta2) + 1
 
-    # The vectorized path needs every scaled product and the combined box
-    # key inside int64; otherwise fall back to exact Python integers.  Both
-    # return the winners sorted by pool index, i.e. in generation order,
-    # which is the order trimmed layers keep.
-    vector_safe = (
+    # Box keys are int64 when every scaled product and the combined key
+    # fit; otherwise they are object arrays of exact Python integers.  Both
+    # dtypes run the same sort, and the winners come back sorted by pool
+    # index, i.e. in generation order, which is the order trimmed layers
+    # keep.
+    fits_int64 = (
         max(num1, num2) <= _INT64_MAX
         and grid.cmax_bound * den1 <= _INT64_MAX
         and grid.lmax_bound * den2 <= _INT64_MAX
         and l_boxes * c_boxes <= _INT64_MAX
     )
+    dtype = np.int64 if fits_int64 else object
 
-    if vector_safe:
-
-        def reducer(pool: _Successors) -> np.ndarray:
-            box_l = (pool.lmax * den2) // num2
-            box_c = (pool.cmax * den1) // num1
-            key = box_l * c_boxes + box_c
-            # lexsort is stable and pool order is generation order, so
-            # ties after (lmax, cmax) go to the earliest generated.
-            order = np.lexsort((pool.cmax, pool.lmax, key))
-            return np.sort(_first_per_group(key, order))
-
-    else:
-
-        def reducer(pool: _Successors) -> np.ndarray:
-            lmax = pool.lmax.tolist()
-            cmax = pool.cmax.tolist()
-            best: dict[tuple[int, int], tuple[tuple[int, int], int]] = {}
-            for j in range(len(lmax)):
-                key = (lmax[j] * den2 // num2, cmax[j] * den1 // num1)
-                rank = (lmax[j], cmax[j])
-                cur = best.get(key)
-                if cur is None or rank < cur[0]:
-                    best[key] = (rank, j)
-            winners = np.fromiter(
-                (j for _, j in best.values()), dtype=np.int64, count=len(best)
-            )
-            return np.sort(winners)
+    def reducer(pool: _Successors) -> np.ndarray:
+        lmax = pool.lmax.astype(dtype, copy=False)
+        cmax = pool.cmax.astype(dtype, copy=False)
+        key = (lmax * den2 // num2) * c_boxes + cmax * den1 // num1
+        # lexsort is stable and pool order is generation order, so ties
+        # after (lmax, cmax) go to the earliest generated.
+        order = np.lexsort((pool.cmax, pool.lmax, key))
+        return np.sort(_first_per_group(key, order))
 
     return reducer
 
@@ -270,12 +256,3 @@ def find_closeness_violation(
         if j is not None:
             return ClosenessViolation(i, ParetoPoint(int(ex_layer.cmax[j]), int(ex_layer.lmax[j])))
     return None
-
-
-def verify_trim_closeness(
-    exact_layers: Sequence[Layer],
-    approx_layers: Sequence[Layer],
-    grid: GridParams,
-) -> bool:
-    """True iff every exact state of every layer has a close trimmed state."""
-    return find_closeness_violation(exact_layers, approx_layers, grid) is None

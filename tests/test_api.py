@@ -40,7 +40,6 @@ PUBLIC_API = [
     "run_suite",
     "solve_exact",
     "solve_fptas",
-    "verify_trim_closeness",
     "write_report",
 ]
 

@@ -43,16 +43,6 @@ def test_gen_writes_deterministic_file(tmp_path, capsys):
     assert all(1 <= j.p <= 20 and 1 <= j.q <= 20 for j in inst.jobs)
 
 
-def test_gen_split_flags_match_compact_form(tmp_path):
-    a, b = tmp_path / "a.txt", tmp_path / "b.txt"
-    assert main(["gen", "--n", "4", "--p", "1:9", "--q", "2:8", "--seed", "3",
-                 "--out-path", str(a)]) == EXIT_OK
-    assert main(["gen", "--n", "4", "--p-lo", "1", "--p-hi", "9",
-                 "--q-lo", "2", "--q-hi", "8", "--seed", "3",
-                 "--out-path", str(b)]) == EXIT_OK
-    assert a.read_bytes() == b.read_bytes()
-
-
 def test_gen_stdout_when_no_out_path(capsys):
     assert main(["gen", "--n", "3", "--p", "1:5", "--q", "1:5", "--seed", "1"]) == EXIT_OK
     captured = capsys.readouterr()
@@ -65,6 +55,7 @@ def test_gen_usage_errors(tmp_path, capsys):
     assert main(["gen", "--n", "3", "--q", "1:5"]) == EXIT_USAGE
     assert main(["gen", "--n", "3", "--p", "5:1", "--q", "1:5"]) == EXIT_USAGE
     assert main(["gen", "--n", "3", "--p", "1-5", "--q", "1:5"]) == EXIT_USAGE
+    # ranges have one syntax: the split bound flags do not exist
     assert main(["gen", "--n", "3", "--p", "1:5", "--p-lo", "1",
                  "--q", "1:5"]) == EXIT_USAGE
     assert main(["gen", "--n", "3", "--p", "1:5", "--q", "1:5",
@@ -139,13 +130,19 @@ def test_verify_all_pass(worked_file, capsys):
     assert "FAIL" not in out
 
 
-def test_verify_skips_oracle_beyond_cap(worked_file, capsys):
-    assert main(["verify", "--input-path", worked_file, "--epsilon", "0.3",
-                 "--cap", "2"]) == EXIT_OK
+def test_verify_skips_oracle_beyond_cap(tmp_path, capsys):
+    path = str(tmp_path / "n21.txt")
+    assert main(["gen", "--n", "21", "--p", "1:20", "--q", "1:20", "--seed", "5",
+                 "--out-path", path]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["verify", "--input-path", path, "--epsilon", "0.3"]) == EXIT_OK
     out = capsys.readouterr().out
-    assert "SKIP oracle-equality" in out
-    assert "exceeds oracle cap 2" in out
+    assert "SKIP oracle-equality: n=21 exceeds oracle cap 20\n" in out
     assert "PASS coverage" in out
+    assert "PASS trim-closeness" in out
+    # the cap is fixed: no flag can raise it to an exponential enumeration
+    assert main(["verify", "--input-path", path, "--epsilon", "0.3",
+                 "--cap", "40"]) == EXIT_USAGE
 
 
 def test_verify_reports_corrupted_front(worked_file, monkeypatch, capsys):

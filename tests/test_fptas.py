@@ -24,7 +24,6 @@ from bipareto import (
     parse_epsilon,
     solve_exact,
     solve_fptas,
-    verify_trim_closeness,
 )
 from bipareto import fptas as fptas_module
 from bipareto.fptas import _make_trim_reducer
@@ -77,13 +76,27 @@ def worked_grid():
 
 def trim_winners(pairs, grid):
     """Pool indices kept by the trim reducer from a pool of (lmax, cmax)
-    children, on the int64 path and on the Python-integer fallback."""
+    children, with the grid's own box-key dtype and with object keys."""
     pool = successor_pool(pairs)
     winners = [_make_trim_reducer(grid)(pool).tolist()]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(fptas_module, "_INT64_MAX", 0)  # force the fallback path
+        mp.setattr(fptas_module, "_INT64_MAX", 0)  # force object box keys
         winners.append(_make_trim_reducer(grid)(pool).tolist())
     return winners
+
+
+def reference_trim_winners(pairs, grid):
+    """Scalar trim in Python integers: per occupied (lateness box, load
+    box), the child with the smallest (lmax, cmax), ties to the earliest
+    in the pool.  Returns the winners' pool indices in pool order."""
+    best = {}
+    for j, (lmax, cmax) in enumerate(pairs):
+        key = (box_index(lmax, grid.delta2), box_index(cmax, grid.delta1))
+        rank = (lmax, cmax)
+        cur = best.get(key)
+        if cur is None or rank < cur[0]:
+            best[key] = (rank, j)
+    return sorted(j for _, j in best.values())
 
 
 def test_trim_merges_identical_values():
@@ -164,9 +177,9 @@ def test_closeness_base_case_and_identity():
     exact = solve_exact(inst, keep_layers=True)
     grid = worked_grid()
     first = exact.layers[:1]
-    assert verify_trim_closeness(first, first, grid)
+    assert find_closeness_violation(first, first, grid) is None
     # identity trimming satisfies the drift bounds with slack zero
-    assert verify_trim_closeness(exact.layers, exact.layers, grid)
+    assert find_closeness_violation(exact.layers, exact.layers, grid) is None
 
 
 def test_closeness_worked_instance():
@@ -174,7 +187,7 @@ def test_closeness_worked_instance():
     eps = Fraction(1)
     exact = solve_exact(inst, keep_layers=True)
     approx = solve_fptas(inst, eps, keep_layers=True)
-    assert verify_trim_closeness(exact.layers, approx.layers, grid_params(inst, eps))
+    assert find_closeness_violation(exact.layers, approx.layers, grid_params(inst, eps)) is None
 
 
 def array_layer(i, pairs):
@@ -345,6 +358,36 @@ def test_vectorized_closeness_matches_reference(jobs, eps, mode, seed):
         assert expected is None
 
 
+@st.composite
+def trim_pools(draw):
+    """A grid from `closeness_jobs` and `EPSILONS`, and a pool of (lmax,
+    cmax) children inside its bounds: a few values, each repeated or
+    moved by up to three box widths, so boxes hold many ties."""
+    grid = grid_params(normalize(draw(closeness_jobs())), draw(EPSILONS))
+    widths = (max(1, int(grid.delta2)), max(1, int(grid.delta1)))
+    bounds = (grid.lmax_bound, grid.cmax_bound)
+    point = st.tuples(*(st.integers(0, b) for b in bounds))
+    centres = draw(st.lists(point, min_size=1, max_size=6))
+
+    def child(centre):
+        return tuple(
+            min(max(v + draw(st.integers(-3 * w, 3 * w)), 0), b)
+            for v, w, b in zip(centre, widths, bounds)
+        )
+
+    picks = draw(
+        st.lists(st.tuples(st.sampled_from(centres), st.booleans()), min_size=1, max_size=60)
+    )
+    return grid, [child(centre) if moved else centre for centre, moved in picks]
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=trim_pools())
+def test_trim_reducer_matches_reference(case):
+    grid, pairs = case
+    assert trim_winners(pairs, grid) == [reference_trim_winners(pairs, grid)] * 2
+
+
 def test_coverage_and_closeness_on_random_instances():
     for inst in make_instances(29, 25, (2, 12)):
         exact = solve_exact(inst, keep_layers=True)
@@ -352,7 +395,7 @@ def test_coverage_and_closeness_on_random_instances():
             approx = solve_fptas(inst, eps, keep_layers=True)
             assert coverage_check(exact.front, approx.front, eps)
             grid = grid_params(inst, eps)
-            assert verify_trim_closeness(exact.layers, approx.layers, grid)
+            assert find_closeness_violation(exact.layers, approx.layers, grid) is None
 
 
 def test_layer_sizes_respect_box_count_bound():
@@ -370,7 +413,7 @@ def test_python_fallback_reducer_matches_vectorized(monkeypatch):
     instances = make_instances(37, 10, (2, 14))
     eps = Fraction(3, 10)
     vectorized = [solve_fptas(inst, eps) for inst in instances]
-    monkeypatch.setattr(fptas_module, "_INT64_MAX", 0)  # force the fallback path
+    monkeypatch.setattr(fptas_module, "_INT64_MAX", 0)  # force object box keys
     for inst, vec in zip(instances, vectorized):
         fal = solve_fptas(inst, eps)
         assert fal.front.points == vec.front.points

@@ -26,11 +26,9 @@ grid = grid_params(inst, eps)
 print(f"instance: n={inst.n}, P={inst.total_p}, q_max={inst.q_max}, eps={eps}")
 print(f"grid steps: delta1={grid.delta1} (load), delta2={grid.delta2} (lateness)")
 
-# The trimmed layer can never exceed one state per grid box.
-boxes = (box_index(grid.cmax_bound, grid.delta1) + 1) * (
-    box_index(grid.lmax_bound, grid.delta2) + 1
-)
-print(f"grid boxes available: {boxes}")
+# Trimming keeps one state per load box, so no trimmed layer is wider.
+boxes = box_index(grid.cmax_bound, grid.delta1) + 1
+print(f"load boxes available: {boxes}")
 
 exact = solve_exact(inst, keep_layers=True)
 approx = solve_fptas(inst, eps, keep_layers=True)

@@ -137,8 +137,14 @@ def _expand(layer: Layer, p: int, q: int, prefix_total: int) -> _Successors:
     return _Successors(lmax=lmax, cmax=cmax)
 
 
-def _first_per_group(key: np.ndarray, order: np.ndarray) -> np.ndarray:
-    """Indices of the first element of each equal-key run, given sort order."""
+def _min_lmax_per_key(key: np.ndarray, lmax: np.ndarray) -> np.ndarray:
+    """Pool index of the smallest-``lmax`` element per distinct ``key``,
+    ties to the smallest index, in ascending key order.
+
+    lexsort is stable, so equal (key, lmax) pairs keep pool order, which
+    is generation order.
+    """
+    order = np.lexsort((lmax, key))
     sorted_key = key[order]
     is_first = np.empty(len(order), dtype=bool)
     is_first[0] = True
@@ -151,11 +157,8 @@ def _take(pool: _Successors, winners: np.ndarray, i: int) -> Layer:
 
 
 def _prune_reducer(pool: _Successors | Layer) -> np.ndarray:
-    # One winner per load: smallest lmax, then earliest generated, since
-    # lexsort is stable and pool order is generation order.  The winners
-    # come out in ascending load order.
-    order = np.lexsort((pool.lmax, pool.cmax))
-    return _first_per_group(pool.cmax, order)
+    # One winner per load, in ascending load order.
+    return _min_lmax_per_key(pool.cmax, pool.lmax)
 
 
 def _replay_choices(inst: Instance, choices: Sequence[int]) -> tuple[int, ...]:

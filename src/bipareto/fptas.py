@@ -1,12 +1,15 @@
 """Approximate Pareto front via state trimming, with a (1+eps) guarantee.
 
 The trimming solver runs the same layered recurrence as the exact one but
-collapses each layer onto a rectangular grid: the load axis [0, CMAX] is
-cut into boxes of exact-rational width delta1 and the lateness axis
-[0, LMAX] into boxes of width delta2, and only one representative state
-survives per occupied box: the one with the smallest lateness, then the
-smallest load, then the earliest generated.  Trimmed layers keep their
-states in generation order.  With
+keeps one state per occupied load box floor(C / delta1): the one with the
+smallest lateness, ties to the earliest generated.  Trimmed layers keep
+their states in generation order.  The paper's grid also cuts the
+lateness axis into boxes of width delta2; this one does not.  A kept
+state is less than delta1 from each state it replaces in load and not
+above it in lateness, and expansion widens neither error (children are
+maxima of sums of C, S_i - C and L), so after i jobs both drifts stay
+within (i-1)*delta1, with up to 3n/eps + 1 times fewer boxes per layer.
+With
 
     delta1 = eps * P / (2 n)          CMAX = P
     delta2 = eps * (P + q_max) / (3 n)   LMAX = P + q_max
@@ -15,14 +18,14 @@ every exact front point (C, L) is covered by an approximate point within
 (1+eps) * C and (1+eps) * L.  The per-layer drift that adds up to this
 bound is checkable directly: `find_closeness_violation` looks, for every
 exact state of every layer i, for an approximate state within i*delta1 on
-the load axis and i*max(delta1, delta2) above on the lateness axis, and
-returns the first exact state that has none.
+the load axis and i*max(delta1, delta2) above on the lateness axis (the
+paper's windows), and returns the first exact state that has none.
 
 All grid arithmetic is exact: deltas are `fractions.Fraction`, box
 indices are integer floor divisions, and the coverage predicate
-cross-multiplies integers.  Box keys are int64 arrays when the grid's
-scaled products fit in int64, and object arrays of Python integers when
-they do not; one reducer serves both.  The drift check compares integers
+cross-multiplies integers.  Box keys are int64 arrays when the scaled
+loads fit in int64, and object arrays of Python integers when they do
+not; one reducer serves both.  The drift check compares integers
 only: loads and latenesses are integers, so ``|C# - C| <= i*delta1`` holds
 iff ``|C# - C| <= floor(i*delta1)``, and likewise for the lateness
 bound.  Each floor is one Python-integer division per layer, clamped at
@@ -44,7 +47,7 @@ from .exact import (
     DEFAULT_STATE_BUDGET,
     Layer,
     SolveResult,
-    _first_per_group,
+    _min_lmax_per_key,
     _Successors,
     _solve_layered,
 )
@@ -77,7 +80,12 @@ def parse_epsilon(text: str) -> Fraction:
 
 @dataclass(frozen=True)
 class GridParams:
-    """Exact grid geometry for one (instance, epsilon) pair."""
+    """Exact grid geometry for one (instance, epsilon) pair.
+
+    The trimming solver boxes loads by ``delta1`` only; ``delta2`` and
+    ``lmax_bound`` describe the paper's lateness axis, which the drift
+    check's lateness window still uses.
+    """
 
     delta1: Fraction
     delta2: Fraction
@@ -115,33 +123,19 @@ def box_index(value: int, delta: Fraction) -> int:
 
 
 def _make_trim_reducer(grid: GridParams):
-    """Reducer keeping one representative per occupied (lateness, load) box."""
+    """Reducer keeping one state per occupied load box: the exact solver's
+    per-load rule keyed on floor(C / delta1), with no lateness boxes."""
     num1, den1 = grid.delta1.numerator, grid.delta1.denominator
-    num2, den2 = grid.delta2.numerator, grid.delta2.denominator
-    c_boxes = box_index(grid.cmax_bound, grid.delta1) + 1
-    l_boxes = box_index(grid.lmax_bound, grid.delta2) + 1
-
-    # Box keys are int64 when every scaled product and the combined key
-    # fit; otherwise they are object arrays of exact Python integers.  Both
-    # dtypes run the same sort, and the winners come back sorted by pool
-    # index, i.e. in generation order, which is the order trimmed layers
-    # keep.
-    fits_int64 = (
-        max(num1, num2) <= _INT64_MAX
-        and grid.cmax_bound * den1 <= _INT64_MAX
-        and grid.lmax_bound * den2 <= _INT64_MAX
-        and l_boxes * c_boxes <= _INT64_MAX
-    )
+    # Box keys are int64 when the scaled loads fit, and otherwise object
+    # arrays of exact Python integers; both dtypes run the same sort.
+    fits_int64 = num1 <= _INT64_MAX and grid.cmax_bound * den1 <= _INT64_MAX
     dtype = np.int64 if fits_int64 else object
 
     def reducer(pool: _Successors) -> np.ndarray:
-        lmax = pool.lmax.astype(dtype, copy=False)
-        cmax = pool.cmax.astype(dtype, copy=False)
-        key = (lmax * den2 // num2) * c_boxes + cmax * den1 // num1
-        # lexsort is stable and pool order is generation order, so ties
-        # after (lmax, cmax) go to the earliest generated.
-        order = np.lexsort((pool.cmax, pool.lmax, key))
-        return np.sort(_first_per_group(key, order))
+        key = pool.cmax.astype(dtype, copy=False) * den1 // num1
+        # Winners come back sorted by pool index, i.e. in generation
+        # order, which is the order trimmed layers keep.
+        return np.sort(_min_lmax_per_key(key, pool.lmax))
 
     return reducer
 
@@ -156,7 +150,7 @@ def solve_fptas(
     """Approximate Pareto front with (1+eps) coverage of the exact front.
 
     Identical to `solve_exact` except that each layer is trimmed to one
-    representative per grid box.  Trimming only discards states, so every
+    representative per load box.  Trimming only discards states, so every
     returned point is realized by its reconstructed schedule exactly.
     """
     grid = grid_params(inst, eps)

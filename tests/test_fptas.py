@@ -26,7 +26,7 @@ from bipareto import (
     solve_fptas,
 )
 from bipareto import fptas as fptas_module
-from bipareto.fptas import _make_trim_reducer
+from bipareto.fptas import _WINDOW_CLAMP, _first_uncovered, _make_trim_reducer
 from conftest import make_instances, successor_pool
 
 WORKED = [(2, 5), (3, 4), (4, 1)]
@@ -86,16 +86,14 @@ def trim_winners(pairs, grid):
 
 
 def reference_trim_winners(pairs, grid):
-    """Scalar trim in Python integers: per occupied (lateness box, load
-    box), the child with the smallest (lmax, cmax), ties to the earliest
-    in the pool.  Returns the winners' pool indices in pool order."""
+    """Scalar trim in Python integers: per occupied load box, the child
+    with the smallest lmax, ties to the earliest in the pool.  Returns the
+    winners' pool indices in pool order."""
     best = {}
     for j, (lmax, cmax) in enumerate(pairs):
-        key = (box_index(lmax, grid.delta2), box_index(cmax, grid.delta1))
-        rank = (lmax, cmax)
-        cur = best.get(key)
-        if cur is None or rank < cur[0]:
-            best[key] = (rank, j)
+        box = box_index(cmax, grid.delta1)
+        if box not in best or lmax < best[box][0]:
+            best[box] = (lmax, j)
     return sorted(j for _, j in best.values())
 
 
@@ -105,24 +103,26 @@ def test_trim_merges_identical_values():
 
 
 def test_trim_keeps_distinct_boxes():
-    # (lateness, load) boxes (4, 4) and (5, 4)
-    assert trim_winners([(7, 6), (8, 7)], worked_grid()) == [[0, 1]] * 2
+    # load boxes 4 and 5; trimming keeps dominated states
+    assert trim_winners([(7, 6), (8, 8)], worked_grid()) == [[0, 1]] * 2
     # winners stay in pool order, not box order
-    assert trim_winners([(8, 7), (7, 6)], worked_grid()) == [[0, 1]] * 2
+    assert trim_winners([(8, 8), (7, 6)], worked_grid()) == [[0, 1]] * 2
+    # lateness does not split a load box: loads 6 and 7 share box 4
+    assert trim_winners([(8, 7), (7, 6)], worked_grid()) == [[1]] * 2
 
 
 def test_trim_boundary_straddle():
-    # lateness 13 and 14 differ by less than delta2 yet straddle a box edge
-    assert box_index(13, Fraction(14, 9)) == 8
-    assert box_index(14, Fraction(14, 9)) == 9
-    assert trim_winners([(13, 3), (14, 3)], worked_grid()) == [[0, 1]] * 2
+    # loads 2 and 3 differ by less than delta1 yet straddle a box edge
+    assert box_index(2, Fraction(3, 2)) == 1
+    assert box_index(3, Fraction(3, 2)) == 2
+    assert trim_winners([(5, 2), (5, 3)], worked_grid()) == [[0, 1]] * 2
 
 
 def test_trim_representative_rank():
     grid = GridParams(delta1=Fraction(10), delta2=Fraction(10), cmax_bound=9, lmax_bound=9)
-    # one giant box: minimal lateness, then minimal load, then earliest
+    # one giant box: minimal lateness, then earliest; the load breaks no tie
     pool = [(5, 9), (4, 8), (4, 6), (4, 6)]
-    assert trim_winners(pool, grid) == [[2]] * 2
+    assert trim_winners(pool, grid) == [[1]] * 2
     assert trim_winners(pool[::-1], grid) == [[0]] * 2
 
 
@@ -145,7 +145,7 @@ def test_solve_fptas_degenerate():
 
 
 def test_solve_fptas_tiny_epsilon_degenerates_to_exact():
-    # both deltas below 1: boxes isolate every integer value pair
+    # delta1 below 1: every load is its own box, as in the exact solver
     for inst in make_instances(23, 15, (2, 9), (1, 9), (1, 9)):
         eps = Fraction(1, 6 * inst.n)
         grid = grid_params(inst, eps)
@@ -228,6 +228,22 @@ def reference_closeness_violation(exact_layers, approx_layers, grid):
                     break
             if not found:
                 return i, ParetoPoint(c, l)
+    return None
+
+
+def load_box_drift_violation(exact_layers, approx_layers, grid):
+    """First layer i where some exact state (L, C) has no trimmed state
+    (L#, C#) with |C# - C| and L# - L both within (i-1) * delta1, or None.
+
+    Trimming to one state per load box moves a state by less than delta1
+    in load and never up in lateness, and expansion widens neither error,
+    so i - 1 trims keep both drifts within (i-1) * delta1: tighter than
+    the windows of `find_closeness_violation`."""
+    for ex_layer, ap_layer in zip(exact_layers, approx_layers):
+        i = ex_layer.i
+        window = min((i - 1) * grid.delta1.numerator // grid.delta1.denominator, _WINDOW_CLAMP)
+        if _first_uncovered(ex_layer, ap_layer, window, window) is not None:
+            return i
     return None
 
 
@@ -356,6 +372,7 @@ def test_vectorized_closeness_matches_reference(jobs, eps, mode, seed):
     assert (None if violation is None else (violation.layer, violation.point)) == expected
     if mode in ("real", "identity"):
         assert expected is None
+        assert load_box_drift_violation(exact.layers, approx, grid) is None
 
 
 @st.composite
@@ -389,22 +406,22 @@ def test_trim_reducer_matches_reference(case):
 
 
 def test_coverage_and_closeness_on_random_instances():
-    for inst in make_instances(29, 25, (2, 12)):
+    instances = make_instances(29, 25, (2, 12)) + make_instances(41, 6, (20, 40), (1, 1000))
+    for inst in instances:
         exact = solve_exact(inst, keep_layers=True)
         for eps in (Fraction(3, 10), Fraction(9, 10), Fraction(2)):
             approx = solve_fptas(inst, eps, keep_layers=True)
             assert coverage_check(exact.front, approx.front, eps)
             grid = grid_params(inst, eps)
             assert find_closeness_violation(exact.layers, approx.layers, grid) is None
+            assert load_box_drift_violation(exact.layers, approx.layers, grid) is None
 
 
 def test_layer_sizes_respect_box_count_bound():
     for inst in make_instances(31, 10, (5, 25), (1, 100), (1, 100)):
         for eps in (Fraction(3, 10), Fraction(9, 10)):
             grid = grid_params(inst, eps)
-            bound = (box_index(grid.cmax_bound, grid.delta1) + 1) * (
-                box_index(grid.lmax_bound, grid.delta2) + 1
-            )
+            bound = box_index(grid.cmax_bound, grid.delta1) + 1
             result = solve_fptas(inst, eps)
             assert max(result.layer_sizes) <= bound
 
@@ -434,9 +451,9 @@ GOLDEN = Path(__file__).parent / "data" / "fptas_golden.json"
 
 @pytest.mark.parametrize("fallback", [False, True], ids=["int64", "python-int"])
 def test_solve_fptas_matches_golden_record(monkeypatch, fallback):
-    """Trimmed fronts, layer sizes and witness flags recorded before the
-    exact engine dropped the machine flag from its state; the trimmed
-    solver must reproduce them exactly on both reducer paths."""
+    """Trimmed fronts, layer sizes and witness flags recorded with one
+    state per load box; the trimmed solver must reproduce them exactly on
+    both box-key dtypes."""
     if fallback:
         monkeypatch.setattr(fptas_module, "_INT64_MAX", 0)
     cases = json.loads(GOLDEN.read_text())["cases"]

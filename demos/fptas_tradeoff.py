@@ -47,12 +47,10 @@ for eps in (Fraction(1, 10), Fraction(3, 10), Fraction(9, 10), Fraction(2)):
         f"  {ms:6.1f}  {float(ratio_c):8.4f}  {float(ratio_l):8.4f}  {covered}"
     )
 
-# With eps small enough that both grid steps fall below 1, rounding
-# loses nothing on integer data and the approximate front is exact.
-# (Shown on a smaller instance: a sub-unit grid keeps one state per
-# distinct objective pair, which is far more than the exact solver's
-# per-load pruning retains.)
+# With eps small enough that the load box width delta1 falls below 1,
+# every integer load is its own box, trimming keeps the exact solver's
+# per-load states and the approximate front is exact.
 small = generate_instance(GenSpec((30, 30), (1, 50), (1, 50), 20, 1), 0)
 tiny = solve_fptas(small, Fraction(1, small.total_p + small.q_max))
-print(f"\ndegenerate grid (steps < 1) reproduces the exact front: "
+print(f"\ndegenerate grid (delta1 < 1) reproduces the exact front: "
       f"{tiny.front.points == solve_exact(small).front.points}")

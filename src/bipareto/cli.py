@@ -3,9 +3,8 @@
 Conventions: machine-readable data goes to files or stdout, diagnostics
 go to stderr.  Exit codes: 0 success, 1 verification failure (or a bench
 run where every instance failed), 2 usage or parse errors, 3 state
-budget exceeded.  The environment variable BIPARETO_STATE_BUDGET
-overrides the default state budget; an explicit --budget flag overrides
-both.  `gen` takes its value ranges as --p LO:HI and --q LO:HI.
+budget exceeded.  --budget overrides the default state budget.  `gen`
+takes its value ranges as --p LO:HI and --q LO:HI.
 `verify` compares against brute-force enumeration only up to ORACLE_CAP
 (20) jobs, since the oracle scores 2^(n-1) assignments, and reports the
 check as SKIP above it.
@@ -14,7 +13,6 @@ check as SKIP above it.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from fractions import Fraction
@@ -38,8 +36,6 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
-BUDGET_ENV_VAR = "BIPARETO_STATE_BUDGET"
-
 
 class _UsageError(Exception):
     pass
@@ -59,20 +55,11 @@ def _parse_range(text: str, flag: str) -> tuple[int, int]:
 
 
 def _resolve_budget(flag_value: Optional[int]) -> int:
-    if flag_value is not None:
-        if flag_value < 1:
-            raise _UsageError(f"--budget must be >= 1, got {flag_value}")
-        return flag_value
-    env = os.environ.get(BUDGET_ENV_VAR)
-    if env is not None:
-        try:
-            value = int(env)
-        except ValueError:
-            raise _UsageError(f"{BUDGET_ENV_VAR} must be an integer, got {env!r}") from None
-        if value < 1:
-            raise _UsageError(f"{BUDGET_ENV_VAR} must be >= 1, got {value}")
-        return value
-    return DEFAULT_STATE_BUDGET
+    if flag_value is None:
+        return DEFAULT_STATE_BUDGET
+    if flag_value < 1:
+        raise _UsageError(f"--budget must be >= 1, got {flag_value}")
+    return flag_value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -267,14 +254,15 @@ def _run_verify_checks(
         )
     else:
         point = witness.point
+        drift = f"{witness.layer - 1}*delta1"
         checks.append(
             (
                 "FAIL",
                 "trim-closeness",
                 f"layer {witness.layer} state (lmax={point.lmax}, "
                 f"cmax={point.cmax}) has no trimmed state with "
-                f"lmax <= {point.lmax} + {witness.layer}*max(delta1, delta2) and "
-                f"cmax within {point.cmax} +- {witness.layer}*delta1",
+                f"lmax <= {point.lmax} + {drift} and "
+                f"cmax within {point.cmax} +- {drift}",
             )
         )
     return checks

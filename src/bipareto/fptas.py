@@ -4,34 +4,34 @@ The trimming solver runs the same layered recurrence as the exact one but
 keeps one state per occupied load box floor(C / delta1): the one with the
 smallest lateness, ties to the earliest generated.  Trimmed layers keep
 their states in generation order.  The paper's grid also cuts the
-lateness axis into boxes of width delta2; this one does not.  A kept
-state is less than delta1 from each state it replaces in load and not
-above it in lateness, and expansion widens neither error (children are
-maxima of sums of C, S_i - C and L), so after i jobs both drifts stay
-within (i-1)*delta1, with up to 3n/eps + 1 times fewer boxes per layer.
-With
+lateness axis into boxes of width delta2 = eps * (P + q_max) / (3 n);
+this one does not, and so has up to 3n/eps + 1 times fewer boxes per
+layer.  A kept state is less than delta1 from each state it replaces in
+load and not above it in lateness, and expansion widens neither error
+(children are maxima of sums of C, S_i - C and L), so after i jobs both
+drifts stay within (i-1)*delta1.  With
 
     delta1 = eps * P / (2 n)          CMAX = P
-    delta2 = eps * (P + q_max) / (3 n)   LMAX = P + q_max
 
-every exact front point (C, L) is covered by an approximate point within
-(1+eps) * C and (1+eps) * L.  The per-layer drift that adds up to this
-bound is checkable directly: `find_closeness_violation` looks, for every
-exact state of every layer i, for an approximate state within i*delta1 on
-the load axis and i*max(delta1, delta2) above on the lateness axis (the
-paper's windows), and returns the first exact state that has none.
+and P <= 2 C <= 2 L at every front point (C, L), the drift after n jobs
+is below eps * C and eps * L: every exact front point is covered by an
+approximate point within (1+eps) * C and (1+eps) * L.  The per-layer
+drift is checkable directly: `find_closeness_violation` looks, for every
+exact state of every layer i, for a trimmed state within (i-1)*delta1
+of it in load and at most (i-1)*delta1 above it in lateness, and
+returns the first exact state that has none.
 
 All grid arithmetic is exact: deltas are `fractions.Fraction`, box
 indices are integer floor divisions, and the coverage predicate
 cross-multiplies integers.  Box keys are int64 arrays when the scaled
 loads fit in int64, and object arrays of Python integers when they do
 not; one reducer serves both.  The drift check compares integers
-only: loads and latenesses are integers, so ``|C# - C| <= i*delta1`` holds
-iff ``|C# - C| <= floor(i*delta1)``, and likewise for the lateness
-bound.  Each floor is one Python-integer division per layer, clamped at
-2^61: values lie in [0, MAX_MAGNITUDE = 2^60], so no difference can
-exceed the clamp, and every sum stays inside int64 whatever the
-epsilon's denominator.  No float touches any decision.
+only: loads and latenesses are integers, so a difference is at most
+(i-1)*delta1 iff it is at most floor((i-1)*delta1).  That floor is one
+Python-integer division per layer, clamped at 2^61: values lie in
+[0, MAX_MAGNITUDE = 2^60], so no difference can exceed the clamp, and
+every sum stays inside int64 whatever the epsilon's denominator.  No
+float touches any decision.
 """
 
 from __future__ import annotations
@@ -82,9 +82,10 @@ def parse_epsilon(text: str) -> Fraction:
 class GridParams:
     """Exact grid geometry for one (instance, epsilon) pair.
 
-    The trimming solver boxes loads by ``delta1`` only; ``delta2`` and
-    ``lmax_bound`` describe the paper's lateness axis, which the drift
-    check's lateness window still uses.
+    The trimming solver and the drift check use ``delta1`` only.
+    ``delta2`` and ``lmax_bound`` describe the paper's lateness axis and
+    feed no decision here; they are kept only because the benchmark's
+    tracer (``perfbench/tracing.py``) reads them for ``fptas.box_fill``.
     """
 
     delta1: Fraction
@@ -195,15 +196,13 @@ class ClosenessViolation:
     point: ParetoPoint
 
 
-def _first_uncovered(
-    ex_layer: Layer, ap_layer: Layer, load_window: int, lateness_window: int
-) -> Optional[int]:
+def _first_uncovered(ex_layer: Layer, ap_layer: Layer, window: int) -> Optional[int]:
     """Index of the first exact state with no trimmed state (L#, C#) such
-    that |C# - C| <= load_window and L# - L <= lateness_window."""
+    that |C# - C| <= window and L# - L <= window."""
     order = np.argsort(ap_layer.cmax)
     ap_cmax = ap_layer.cmax[order]
-    lo = np.searchsorted(ap_cmax, ex_layer.cmax - load_window, side="left")
-    hi = np.searchsorted(ap_cmax, ex_layer.cmax + load_window, side="right")
+    lo = np.searchsorted(ap_cmax, ex_layer.cmax - window, side="left")
+    hi = np.searchsorted(ap_cmax, ex_layer.cmax + window, side="right")
     # Range minimum of the trimmed lmax over each window [lo, hi): reduceat
     # over interleaved bounds reduces ap_lmax[lo:hi] at even positions.
     # The sentinel keeps lo == len(ap_layer) a valid index; empty windows
@@ -213,7 +212,7 @@ def _first_uncovered(
     bounds[0::2] = lo
     bounds[1::2] = hi
     window_min = np.minimum.reduceat(ap_lmax, bounds)[0::2]
-    uncovered = (lo >= hi) | (window_min > ex_layer.lmax + lateness_window)
+    uncovered = (lo >= hi) | (window_min > ex_layer.lmax + window)
     hits = np.flatnonzero(uncovered)
     return int(hits[0]) if len(hits) else None
 
@@ -223,13 +222,13 @@ def find_closeness_violation(
     approx_layers: Sequence[Layer],
     grid: GridParams,
 ) -> Optional[ClosenessViolation]:
-    """Check the per-layer drift bounds of trimming, returning a witness.
+    """Check the per-layer drift bound of trimming, returning a witness.
 
     For every exact state (L, C) of layer i there must be an
     approximate state (L#, C#) in the trimmed layer i with
 
-        L# <= L + i * max(delta1, delta2)
-        C - i * delta1 <= C# <= C + i * delta1.
+        L# <= L + (i-1) * delta1
+        C - (i-1) * delta1 <= C# <= C + (i-1) * delta1.
 
     Returns the first uncovered exact state (first layer, then first in
     layer order, which is ascending load), or None when all layers pass.
@@ -238,15 +237,14 @@ def find_closeness_violation(
     """
     if len(exact_layers) != len(approx_layers):
         raise ValueError("layer sequences differ in length")
-    delta_max = max(grid.delta1, grid.delta2)
+    num, den = grid.delta1.numerator, grid.delta1.denominator
     for ex_layer, ap_layer in zip(exact_layers, approx_layers):
         if ex_layer.i != ap_layer.i:
             raise ValueError(f"misaligned layers: {ex_layer.i} vs {ap_layer.i}")
         i = ex_layer.i
-        # Integer differences: comparing with floor(i * delta) is exact.
-        load_window = min(i * grid.delta1.numerator // grid.delta1.denominator, _WINDOW_CLAMP)
-        lateness_window = min(i * delta_max.numerator // delta_max.denominator, _WINDOW_CLAMP)
-        j = _first_uncovered(ex_layer, ap_layer, load_window, lateness_window)
+        # Integer differences: comparing with floor((i-1) * delta1) is exact.
+        window = min((i - 1) * num // den, _WINDOW_CLAMP)
+        j = _first_uncovered(ex_layer, ap_layer, window)
         if j is not None:
             return ClosenessViolation(i, ParetoPoint(int(ex_layer.cmax[j]), int(ex_layer.lmax[j])))
     return None

@@ -103,14 +103,6 @@ def parse_front_csv(text: str) -> Front:
     return Front(tuple(points))
 
 
-def save_front_csv(front: Front, path: PathLike) -> None:
-    Path(path).write_text(format_front_csv(front))
-
-
-def load_front_csv(path: PathLike) -> Front:
-    return parse_front_csv(Path(path).read_text())
-
-
 def format_schedules_csv(schedules: Iterable[Schedule]) -> str:
     """One row per (front point, job); machine 1 is flag 1, machine 2 flag 0."""
     rows = [SCHEDULES_HEADER]

@@ -15,14 +15,14 @@ from .model import Front, Instance, evaluate_schedule, pareto_filter
 ORACLE_CAP = 20
 
 
-def enumerate_front(inst: Instance, cap: int = ORACLE_CAP) -> Front:
+def enumerate_front(inst: Instance) -> Front:
     """Exact Pareto front by exhaustive enumeration.
 
-    Raises ValueError when ``inst.n`` exceeds ``cap``.
+    Raises ValueError when ``inst.n`` exceeds ``ORACLE_CAP``.
     """
-    if inst.n > cap:
+    if inst.n > ORACLE_CAP:
         raise ValueError(
-            f"instance too large for oracle: n={inst.n} exceeds cap {cap}"
+            f"instance too large for oracle: n={inst.n} exceeds cap {ORACLE_CAP}"
         )
     n = inst.n
     flags = [1] * n

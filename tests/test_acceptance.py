@@ -140,8 +140,8 @@ def test_criterion_3_layer_drift_bounds(announce):
     announce(
         ok,
         "criterion-3 layer drift bounds: 50/50 instances, every exact state has a "
-        "trimmed state within i*max(delta1,delta2) above in lateness and within "
-        "i*delta1 in load, zero violations" if ok else
+        "trimmed state within (i-1)*delta1 above in lateness and within "
+        "(i-1)*delta1 in load, zero violations" if ok else
         f"criterion-3 layer drift bounds: {violations} instance/eps pairs violated",
     )
 
@@ -189,14 +189,12 @@ def test_criterion_6_complexity_behavior(
     instances = small_instances + medium_instances
     runs, _ = fptas_runs
 
-    # box-count bound on every FPTAS layer
+    # load-box count bound on every FPTAS layer
     bound_violations = 0
     for eps in EPS_LIST:
         for inst, result in zip(instances, runs[eps]):
             grid = grid_params(inst, eps)
-            bound = (box_index(grid.cmax_bound, grid.delta1) + 1) * (
-                box_index(grid.lmax_bound, grid.delta2) + 1
-            )
+            bound = box_index(grid.cmax_bound, grid.delta1) + 1
             if any(size > bound for size in result.layer_sizes):
                 bound_violations += 1
 
@@ -226,7 +224,7 @@ def test_criterion_6_complexity_behavior(
     )
     announce(
         ok,
-        f"criterion-6 complexity behavior: layer sizes within box bound "
+        f"criterion-6 complexity behavior: layer sizes within load-box bound "
         f"({bound_violations} violations); n=200 fptas {fptas_s:.2f} s (limit 10 s); "
         f"dp {dp_s:.2f} s = {dp_s / fptas_s:.1f}x fptas; dp seconds over p-ranges "
         f"{dp_series[0]:.3f} < {dp_series[1]:.3f} < {dp_series[2]:.3f}",

@@ -26,7 +26,7 @@ from bipareto import (
     solve_fptas,
 )
 from bipareto import fptas as fptas_module
-from bipareto.fptas import _WINDOW_CLAMP, _first_uncovered, _make_trim_reducer
+from bipareto.fptas import _make_trim_reducer
 from conftest import make_instances, successor_pool
 
 WORKED = [(2, 5), (3, 4), (4, 1)]
@@ -201,24 +201,21 @@ def array_layer(i, pairs):
 
 
 def reference_closeness_violation(exact_layers, approx_layers, grid):
-    """Scalar drift check: scaled cross-multiplied Python integers and a
+    """Scalar drift check: values scaled by delta1's denominator, a
     bisect per exact state.  Returns (layer, point) of the first exact
     state with no trimmed state inside its window, or None."""
-    delta_max = max(grid.delta1, grid.delta2)
-    a1, b1 = grid.delta1.numerator, grid.delta1.denominator
-    am, bm = delta_max.numerator, delta_max.denominator
+    num, den = grid.delta1.numerator, grid.delta1.denominator
     for ex_layer, ap_layer in zip(exact_layers, approx_layers):
         i = ex_layer.i
         scaled = sorted(
-            (c * b1, l * bm) for c, l in zip(ap_layer.cmax.tolist(), ap_layer.lmax.tolist())
+            (c * den, l * den) for c, l in zip(ap_layer.cmax.tolist(), ap_layer.lmax.tolist())
         )
         load_keys = [c for c, _ in scaled]
-        load_slack = i * a1
-        lateness_slack = i * am
+        slack = (i - 1) * num
         for c, l in zip(ex_layer.cmax.tolist(), ex_layer.lmax.tolist()):
-            window_lo = c * b1 - load_slack
-            window_hi = c * b1 + load_slack
-            lateness_cap = l * bm + lateness_slack
+            window_lo = c * den - slack
+            window_hi = c * den + slack
+            lateness_cap = l * den + slack
             found = False
             for j in range(bisect_left(load_keys, window_lo), len(scaled)):
                 if scaled[j][0] > window_hi:
@@ -231,54 +228,55 @@ def reference_closeness_violation(exact_layers, approx_layers, grid):
     return None
 
 
-def load_box_drift_violation(exact_layers, approx_layers, grid):
-    """First layer i where some exact state (L, C) has no trimmed state
-    (L#, C#) with |C# - C| and L# - L both within (i-1) * delta1, or None.
-
-    Trimming to one state per load box moves a state by less than delta1
-    in load and never up in lateness, and expansion widens neither error,
-    so i - 1 trims keep both drifts within (i-1) * delta1: tighter than
-    the windows of `find_closeness_violation`."""
-    for ex_layer, ap_layer in zip(exact_layers, approx_layers):
-        i = ex_layer.i
-        window = min((i - 1) * grid.delta1.numerator // grid.delta1.denominator, _WINDOW_CLAMP)
-        if _first_uncovered(ex_layer, ap_layer, window, window) is not None:
-            return i
-    return None
+def closeness_witness(exact_layers, approx_layers, grid):
+    """(layer, point) from `find_closeness_violation`, after checking that
+    the scalar reference reports the same."""
+    violation = find_closeness_violation(exact_layers, approx_layers, grid)
+    found = None if violation is None else (violation.layer, violation.point)
+    assert reference_closeness_violation(exact_layers, approx_layers, grid) == found
+    return found
 
 
 def test_closeness_violation_witness():
     inst = normalize(WORKED)
     exact = solve_exact(inst, keep_layers=True)
+    layers = list(exact.layers)
     # a far-off approximate layer cannot be close to anything
-    fake = [array_layer(layer.i, [(10**6, 10**6)]) for layer in exact.layers]
+    fake = [array_layer(layer.i, [(10**6, 10**6)]) for layer in layers]
     grid = worked_grid()
-    violation = find_closeness_violation(exact.layers, fake, grid)
-    assert violation is not None
-    assert violation.layer == 1
-    assert violation.point == ParetoPoint(2, 7)
-    assert reference_closeness_violation(exact.layers, fake, grid) == (1, ParetoPoint(2, 7))
+    assert closeness_witness(layers, fake, grid) == (1, ParetoPoint(2, 7))
 
-    # Layer 3 holds (lmax, cmax) = (9, 5), (7, 6), (8, 7), (10, 9); the
-    # windows are floor(3 * 3/2) = 4 in load and floor(3 * 14/9) = 4 in
-    # lateness.  A lone trimmed (12, 9) covers (9, 5) and (8, 7), sitting
-    # exactly on their lateness bound, but is 5 > 14/3 above (7, 6).
-    partial = list(exact.layers[:2]) + [array_layer(3, [(12, 9)])]
-    violation = find_closeness_violation(exact.layers, partial, grid)
-    assert (violation.layer, violation.point) == (3, ParetoPoint(6, 7))
-    assert reference_closeness_violation(exact.layers, partial, grid) == (3, ParetoPoint(6, 7))
-    # Layer 1 holds (7, 2) and its load window is floor(3/2) = 1: a
-    # trimmed state 2 loads away, on either side, is outside it.
+    # With delta1 = 3/2 the windows of layers 1, 2 and 3 are 0, 1 and 3.
+    # Layer 1 holds (lmax, cmax) = (7, 2): only a trimmed (7, 2) or below
+    # covers it.  Load 3 and lateness 8 lie inside the paper's windows,
+    # floor(3/2) = 1 in load and floor(14/9) = 1 in lateness, but not
+    # inside (1-1) * delta1 = 0.
     outside = (1, ParetoPoint(2, 7))
-    for load, expected in ((3, None), (1, None), (4, outside), (0, outside)):
-        moved = [array_layer(1, [(7, load)])] + list(exact.layers[1:])
-        violation = find_closeness_violation(exact.layers, moved, grid)
-        assert (None if violation is None else (violation.layer, violation.point)) == expected
-        assert reference_closeness_violation(exact.layers, moved, grid) == expected
+    for state, expected in (((7, 2), None), ((6, 2), None), ((7, 3), outside),
+                            ((7, 1), outside), ((8, 2), outside)):
+        moved = [array_layer(1, [state])] + layers[1:]
+        assert closeness_witness(layers, moved, grid) == expected
+    # Layer 2 holds (7, 3) and (9, 5); a trimmed (7, C#) next to a kept
+    # (9, 5) covers (7, 3) on both load edges 2 and 4, not at 1 or 5, and
+    # a trimmed (8, 3) sits on its lateness edge, (9, 3) above it.
+    outside = (2, ParetoPoint(3, 7))
+    for state, expected in (((7, 2), None), ((7, 4), None), ((7, 1), outside),
+                            ((7, 5), outside), ((8, 3), None), ((9, 3), outside)):
+        moved = layers[:1] + [array_layer(2, [state, (9, 5)])] + layers[2:]
+        assert closeness_witness(layers, moved, grid) == expected
+    # Layer 3 holds (9, 5), (7, 6), (8, 7), (10, 9).  A lone trimmed
+    # (11, 8) covers (9, 5) on its load edge and (8, 7) exactly on its
+    # lateness bound, but is 4 > 3 above (7, 6).
+    partial = layers[:2] + [array_layer(3, [(11, 8)])]
+    assert closeness_witness(layers, partial, grid) == (3, ParetoPoint(6, 7))
     # an empty trimmed layer leaves its first exact state uncovered
-    empty = list(exact.layers[:2]) + [array_layer(3, [])]
-    violation = find_closeness_violation(exact.layers, empty, grid)
-    assert (violation.layer, violation.point) == (3, ParetoPoint(5, 9))
+    empty = layers[:2] + [array_layer(3, [])]
+    assert closeness_witness(layers, empty, grid) == (3, ParetoPoint(5, 9))
+    # delta2 widens no window: with delta1 = 1 < delta2 = 3, a layer-2
+    # state 2 above the exact one is outside (2-1) * delta1 = 1.
+    wide = GridParams(delta1=Fraction(1), delta2=Fraction(3), cmax_bound=9, lmax_bound=9)
+    exact_2, above = [array_layer(2, [(5, 5)])], [array_layer(2, [(7, 5)])]
+    assert closeness_witness(exact_2, above, wide) == (2, ParetoPoint(5, 5))
 
 
 def test_closeness_rejects_misaligned_layers():
@@ -331,8 +329,7 @@ def jitter(rng, w, size):
 
 def perturbed_layers(layers, grid, rng, subsample, shift):
     """Trimmed layers with states dropped and values moved about their
-    drift windows, clipped to [0, MAX_MAGNITUDE]."""
-    delta_max = max(grid.delta1, grid.delta2)
+    drift window, clipped to [0, MAX_MAGNITUDE]."""
     out = []
     for layer in layers:
         lmax, cmax = layer.lmax, layer.cmax
@@ -340,10 +337,9 @@ def perturbed_layers(layers, grid, rng, subsample, shift):
             keep = rng.random(len(layer)) < 0.5
             lmax, cmax = lmax[keep], cmax[keep]
         if shift:
-            w1 = min(int(layer.i * grid.delta1), MAX_MAGNITUDE)
-            wm = min(int(layer.i * delta_max), MAX_MAGNITUDE)
-            cmax = np.clip(cmax + jitter(rng, w1, len(cmax)), 0, MAX_MAGNITUDE)
-            lmax = np.clip(lmax + jitter(rng, wm, len(lmax)), 0, MAX_MAGNITUDE)
+            w = min(int((layer.i - 1) * grid.delta1), MAX_MAGNITUDE)
+            cmax = np.clip(cmax + jitter(rng, w, len(cmax)), 0, MAX_MAGNITUDE)
+            lmax = np.clip(lmax + jitter(rng, w, len(lmax)), 0, MAX_MAGNITUDE)
         out.append(Layer(layer.i, lmax=lmax, cmax=cmax, origin=np.full(len(cmax), -1)))
     return out
 
@@ -367,12 +363,9 @@ def test_vectorized_closeness_matches_reference(jobs, eps, mode, seed):
         approx = perturbed_layers(
             approx, grid, rng, mode in ("subsampled", "both"), mode in ("shifted", "both")
         )
-    expected = reference_closeness_violation(exact.layers, approx, grid)
-    violation = find_closeness_violation(exact.layers, approx, grid)
-    assert (None if violation is None else (violation.layer, violation.point)) == expected
+    found = closeness_witness(exact.layers, approx, grid)
     if mode in ("real", "identity"):
-        assert expected is None
-        assert load_box_drift_violation(exact.layers, approx, grid) is None
+        assert found is None
 
 
 @st.composite
@@ -414,7 +407,6 @@ def test_coverage_and_closeness_on_random_instances():
             assert coverage_check(exact.front, approx.front, eps)
             grid = grid_params(inst, eps)
             assert find_closeness_violation(exact.layers, approx.layers, grid) is None
-            assert load_box_drift_violation(exact.layers, approx.layers, grid) is None
 
 
 def test_layer_sizes_respect_box_count_bound():

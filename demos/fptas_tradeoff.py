@@ -8,6 +8,8 @@ the verified coverage guarantee for each run.
 import time
 from fractions import Fraction
 
+import numpy as np
+
 from bipareto import (
     GenSpec,
     coverage_check,
@@ -48,9 +50,16 @@ for eps in (Fraction(1, 10), Fraction(3, 10), Fraction(9, 10), Fraction(2)):
     )
 
 # With eps small enough that the load box width delta1 falls below 1,
-# every integer load is its own box, trimming keeps the exact solver's
-# per-load states and the approximate front is exact.
+# every integer load is its own box: the exact solver is trimming with
+# boxes of width 1, so the trimmed solver builds the exact solver's
+# layers, state for state, and the approximate front is exact.
 small = generate_instance(GenSpec((30, 30), (1, 50), (1, 50), 20, 1), 0)
-tiny = solve_fptas(small, Fraction(1, small.total_p + small.q_max))
+tiny = solve_fptas(small, Fraction(1, small.total_p + small.q_max), keep_layers=True)
+small_exact = solve_exact(small, keep_layers=True)
+same_layers = all(
+    np.array_equal(getattr(a, name), getattr(b, name))
+    for a, b in zip(tiny.layers, small_exact.layers)
+    for name in ("lmax", "cmax", "origin")
+)
 print(f"\ndegenerate grid (delta1 < 1) reproduces the exact front: "
-      f"{tiny.front.points == solve_exact(small).front.points}")
+      f"{tiny.front.points == small_exact.front.points}, the exact layers: {same_layers}")

@@ -15,11 +15,16 @@ job is recovered afterwards by replaying the same/other choices along the
 parent chain.  Keying on ``(flag, C)`` would keep up to twice the states
 for the same front.
 
-Tie-break: among children with the same load and lateness, the earliest
-generated wins.  Children are generated parent by parent in ascending
-parent load, the same-machine child before the other-machine child, so
-the winner has the smallest parent load, then the same-machine choice.
-Every layer is kept in ascending load order.
+Both solvers reduce every layer by one rule: per load box
+``floor(C / width)``, keep the state with the smallest lateness ``L``.
+The exact solver's boxes have width 1, one per integer load; the trimming
+solver in `fptas` widens them to ``delta1``.  Tie-break: among children
+with the same box and lateness, the earliest generated wins.  Children
+are generated parent by parent in ascending parent load, the
+same-machine child before the other-machine child, so the winner has the
+smallest parent load, then the same-machine choice.  Winners are kept in
+ascending box order, so every layer either solver builds is in strictly
+ascending load order.
 
 A `Layer` is the engine's own representation: parallel int64 arrays
 ``lmax``, ``cmax`` and ``origin``.  ``origin[j]`` is the index in the
@@ -37,7 +42,8 @@ force over the assignments of the job prefix.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from fractions import Fraction
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -49,6 +55,8 @@ CHOICE_OTHER = 1
 
 # Live retained states across all layers (parent chains keep them alive).
 DEFAULT_STATE_BUDGET = 50_000_000
+
+_INT64_MAX = 2**63 - 1
 
 
 class StateBudgetError(RuntimeError):
@@ -62,6 +70,7 @@ class Layer:
     State ``j`` has lateness ``lmax[j]`` and most-loaded machine load
     ``cmax[j]``; ``origin[j]`` is the successor-pool index it won from
     (parent ``origin[j] >> 1``, choice ``origin[j] & 1``), -1 at layer 1.
+    Both solvers keep states in strictly ascending ``cmax``.
     """
 
     i: int
@@ -108,11 +117,6 @@ class _Successors:
     cmax: np.ndarray
 
 
-# A reducer collapses a layer's successor pool to the retained states,
-# returning their pool indices in the order the next layer keeps them.
-_Reducer = Callable[[_Successors], np.ndarray]
-
-
 def _initial_arrays(inst: Instance) -> Layer:
     first = inst.jobs[0]
     return Layer(
@@ -156,9 +160,23 @@ def _take(pool: _Successors, winners: np.ndarray, i: int) -> Layer:
     return Layer(i=i, lmax=pool.lmax[winners], cmax=pool.cmax[winners], origin=winners)
 
 
-def _prune_reducer(pool: _Successors | Layer) -> np.ndarray:
-    # One winner per load, in ascending load order.
-    return _min_lmax_per_key(pool.cmax, pool.lmax)
+def _load_box_winners(pool: _Successors, width: Fraction, total_p: int) -> np.ndarray:
+    """Pool indices of the states kept from ``pool``: per load box
+    floor(C / width), the smallest ``lmax``, ties to the earliest
+    generated, in ascending box order.
+
+    A width of at most 1 gives every integer load its own box, so the load
+    itself is the key.  Wider boxes are keyed in int64 when the scaled
+    loads (at most ``total_p * den``) fit, and otherwise in object arrays
+    of exact Python integers; both dtypes run the same sort.
+    """
+    num, den = width.numerator, width.denominator
+    key = pool.cmax
+    if num > den:
+        if num > _INT64_MAX or total_p * den > _INT64_MAX:
+            key = key.astype(object)
+        key = key * den // num
+    return _min_lmax_per_key(key, pool.lmax)
 
 
 def _replay_choices(inst: Instance, choices: Sequence[int]) -> tuple[int, ...]:
@@ -191,19 +209,14 @@ def _pareto_of_final(layer: Layer) -> tuple[list[ParetoPoint], list[int]]:
     """Non-dominated (cmax, lmax) points of the final layer.
 
     Returns the points sorted by increasing cmax and, per point, the index
-    of its earliest-generated witness state.
+    of its witness state.
     """
-    # Trimmed layers keep generation order and exact layers hold one state
-    # per load, so the exact per-load rule picks each load's best state,
-    # ties to the earliest generated.
-    first = _prune_reducer(layer)
-    lmax = layer.lmax[first]
-    # A load's best state is non-dominated iff its lmax is below that of
-    # every smaller load.
-    keep = np.empty(len(first), dtype=bool)
+    # The layer holds one state per load, in ascending load, so a state is
+    # non-dominated iff its lmax is below that of every smaller load.
+    keep = np.empty(len(layer), dtype=bool)
     keep[0] = True
-    np.less(lmax[1:], np.minimum.accumulate(lmax)[:-1], out=keep[1:])
-    witnesses = first[keep]
+    np.less(layer.lmax[1:], np.minimum.accumulate(layer.lmax)[:-1], out=keep[1:])
+    witnesses = np.flatnonzero(keep)
     points = [
         ParetoPoint(c, l)
         for c, l in zip(layer.cmax[witnesses].tolist(), layer.lmax[witnesses].tolist())
@@ -213,11 +226,12 @@ def _pareto_of_final(layer: Layer) -> tuple[list[ParetoPoint], list[int]]:
 
 def _solve_layered(
     inst: Instance,
-    reducer: _Reducer,
+    width: Fraction,
     budget: int,
     keep_layers: bool,
 ) -> SolveResult:
-    """Shared layer loop: expand, reduce, track parents, reconstruct."""
+    """Shared layer loop: expand, keep one state per load box of ``width``,
+    track parents, reconstruct."""
     if budget < 1:
         raise ValueError("state budget must be positive")
 
@@ -236,7 +250,7 @@ def _solve_layered(
             )
         job = inst.jobs[i - 1]
         pool = _expand(current, job.p, job.q, inst.prefix[i])
-        current = _take(pool, reducer(pool), i)
+        current = _take(pool, _load_box_winners(pool, width, inst.total_p), i)
         chain.append(current.origin)
         layer_sizes.append(len(current))
         retained += len(current)
@@ -271,9 +285,10 @@ def solve_exact(
 ) -> SolveResult:
     """Exact Pareto front of (makespan, maximum lateness).
 
-    Runs the layered recurrence with per-load pruning and returns every
-    non-dominated objective pair together with a schedule realizing it.
+    Runs the layered recurrence keeping one state per load (load boxes
+    of width 1) and returns every non-dominated objective pair together
+    with a schedule realizing it.
     Raises StateBudgetError instead of exhausting memory when the
     retained state count would exceed ``budget``.
     """
-    return _solve_layered(inst, _prune_reducer, budget, keep_layers)
+    return _solve_layered(inst, Fraction(1), budget, keep_layers)

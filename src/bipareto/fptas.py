@@ -1,13 +1,16 @@
 """Approximate Pareto front via state trimming, with a (1+eps) guarantee.
 
-The trimming solver runs the same layered recurrence as the exact one but
-keeps one state per occupied load box floor(C / delta1): the one with the
-smallest lateness, ties to the earliest generated.  Trimmed layers keep
-their states in generation order.  The paper's grid also cuts the
-lateness axis into boxes of width delta2 = eps * (P + q_max) / (3 n);
-this one does not, and so has up to 3n/eps + 1 times fewer boxes per
-layer.  A kept state is less than delta1 from each state it replaces in
-load and not above it in lateness, and expansion widens neither error
+The trimming solver runs the same layered recurrence as the exact one,
+with the same layer rule on wider boxes: it keeps one state per occupied
+load box floor(C / delta1), the one with the smallest lateness, ties to
+the earliest generated (smallest parent load, then the same-machine
+child), in ascending load order.  The exact solver is the case of boxes
+of width 1; with delta1 <= 1 every load is its own box and the trimming
+solver builds exactly the exact solver's layers.  The paper's grid also
+cuts the lateness axis into boxes of width delta2 = eps * (P + q_max) /
+(3 n); this one does not, and so has up to 3n/eps + 1 times fewer boxes
+per layer.  A kept state is less than delta1 from each state it replaces
+in load and not above it in lateness, and expansion widens neither error
 (children are maxima of sums of C, S_i - C and L), so after i jobs both
 drifts stay within (i-1)*delta1.  With
 
@@ -23,11 +26,12 @@ returns the first exact state that has none.
 
 All grid arithmetic is exact: deltas are `fractions.Fraction`, box
 indices are integer floor divisions, and the coverage predicate
-cross-multiplies integers.  Box keys are int64 arrays when the scaled
-loads fit in int64, and object arrays of Python integers when they do
-not; one reducer serves both.  The drift check compares integers
-only: loads and latenesses are integers, so a difference is at most
-(i-1)*delta1 iff it is at most floor((i-1)*delta1).  That floor is one
+cross-multiplies integers.  Box keys are the loads themselves when
+delta1 <= 1, int64 arrays when the scaled loads fit in int64, and object
+arrays of Python integers when they do not; one reducer in `exact`
+serves all three.  The drift check compares integers only: loads and
+latenesses are integers, so a difference is at most (i-1)*delta1 iff it
+is at most floor((i-1)*delta1).  That floor is one
 Python-integer division per layer, clamped at 2^61: values lie in
 [0, MAX_MAGNITUDE = 2^60], so no difference can exceed the clamp, and
 every sum stays inside int64 whatever the epsilon's denominator.  No
@@ -43,20 +47,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .exact import (
-    DEFAULT_STATE_BUDGET,
-    Layer,
-    SolveResult,
-    _min_lmax_per_key,
-    _Successors,
-    _solve_layered,
-)
+from .exact import _INT64_MAX, DEFAULT_STATE_BUDGET, Layer, SolveResult, _solve_layered
 from .model import MAX_MAGNITUDE, Front, Instance, ParetoPoint
 
 # An epsilon is any positive exact rational.
 Epsilon = Fraction
-
-_INT64_MAX = 2**63 - 1
 
 # Drift windows are clamped here: no two values in [0, MAX_MAGNITUDE]
 # differ by more, and a value plus the clamp still fits in int64.
@@ -123,24 +118,6 @@ def box_index(value: int, delta: Fraction) -> int:
     return value * delta.denominator // delta.numerator
 
 
-def _make_trim_reducer(grid: GridParams):
-    """Reducer keeping one state per occupied load box: the exact solver's
-    per-load rule keyed on floor(C / delta1), with no lateness boxes."""
-    num1, den1 = grid.delta1.numerator, grid.delta1.denominator
-    # Box keys are int64 when the scaled loads fit, and otherwise object
-    # arrays of exact Python integers; both dtypes run the same sort.
-    fits_int64 = num1 <= _INT64_MAX and grid.cmax_bound * den1 <= _INT64_MAX
-    dtype = np.int64 if fits_int64 else object
-
-    def reducer(pool: _Successors) -> np.ndarray:
-        key = pool.cmax.astype(dtype, copy=False) * den1 // num1
-        # Winners come back sorted by pool index, i.e. in generation
-        # order, which is the order trimmed layers keep.
-        return np.sort(_min_lmax_per_key(key, pool.lmax))
-
-    return reducer
-
-
 def solve_fptas(
     inst: Instance,
     eps: Epsilon,
@@ -150,12 +127,11 @@ def solve_fptas(
 ) -> SolveResult:
     """Approximate Pareto front with (1+eps) coverage of the exact front.
 
-    Identical to `solve_exact` except that each layer is trimmed to one
-    representative per load box.  Trimming only discards states, so every
-    returned point is realized by its reconstructed schedule exactly.
+    Identical to `solve_exact` except that the load boxes are delta1
+    wide instead of 1.  Trimming only discards states, so every returned
+    point is realized by its reconstructed schedule exactly.
     """
-    grid = grid_params(inst, eps)
-    return _solve_layered(inst, _make_trim_reducer(grid), budget, keep_layers)
+    return _solve_layered(inst, grid_params(inst, eps).delta1, budget, keep_layers)
 
 
 def find_coverage_violation(

@@ -95,15 +95,14 @@ class Schedule:
     """A concrete job-to-machine assignment realizing one front point.
 
     ``flags`` holds one machine flag per job in the instance's sorted
-    order; ``assignment`` maps original job ids to the same flags;
-    ``machine_sequences[f]`` lists the jobs of machine flag ``f`` in sorted
-    (non-increasing q) order.  Flag 1 is the machine the first sorted job
-    is pinned to; reports name it machine 1 and flag 0 machine 2.
+    order, which is also the order each machine runs its jobs in;
+    ``assignment`` maps original job ids to the same flags.  Flag 1 is
+    the machine the first sorted job is pinned to; reports name it
+    machine 1 and flag 0 machine 2.
     """
 
     flags: tuple[int, ...]
     assignment: dict[int, int]
-    machine_sequences: tuple[tuple[Job, ...], tuple[Job, ...]]
 
 
 def normalize(raw_jobs: Iterable[tuple[int, int]]) -> Instance:
@@ -194,13 +193,5 @@ def build_schedule(inst: Instance, flags: Sequence[int]) -> Schedule:
     flags = tuple(int(f) for f in flags)
     if len(flags) != inst.n or any(f not in (0, 1) for f in flags):
         raise ValueError("flags must assign 0 or 1 to every job")
-    sequences: tuple[list[Job], list[Job]] = ([], [])
-    assignment = {}
-    for job, flag in zip(inst.jobs, flags):
-        sequences[flag].append(job)
-        assignment[job.id] = flag
-    return Schedule(
-        flags=flags,
-        assignment=assignment,
-        machine_sequences=(tuple(sequences[0]), tuple(sequences[1])),
-    )
+    assignment = {job.id: flag for job, flag in zip(inst.jobs, flags)}
+    return Schedule(flags=flags, assignment=assignment)

@@ -1,5 +1,9 @@
 import dataclasses
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -204,3 +208,45 @@ def test_usage_and_help():
     assert main(["no-such-command"]) == EXIT_USAGE
     assert main(["--help"]) == EXIT_OK
     assert main(["solve", "--algo", "nope", "--input-path", "x"]) == EXIT_USAGE
+
+
+def run_module(args, cwd):
+    """`python -m bipareto ARGS` in a child interpreter, importing the
+    package from this checkout's `src`."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        part for part in (str(src), env.get("PYTHONPATH")) if part
+    )
+    return subprocess.run(
+        [sys.executable, "-m", "bipareto", *args], cwd=cwd, env=env,
+        capture_output=True, text=True, timeout=120,
+    )
+
+
+def test_module_entry_point_readme_walkthrough(tmp_path):
+    # README: gen, then solve with schedules, then verify
+    steps = [
+        ["gen", "--n", "6", "--p", "1:20", "--q", "1:20", "--seed", "3", "--index", "0",
+         "--out-path", "inst.txt"],
+        ["solve", "--input-path", "inst.txt", "--algo", "dp", "--out-path", "front.csv",
+         "--schedules"],
+        ["verify", "--input-path", "inst.txt", "--epsilon", "3/10"],
+    ]
+    for args in steps:
+        proc = run_module(args, tmp_path)
+        assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "front.schedules.csv").exists()
+    lines = proc.stdout.splitlines()
+    assert [line.split()[:2] for line in lines] == [
+        ["PASS", "oracle-equality:"], ["PASS", "coverage:"], ["PASS", "trim-closeness:"],
+    ]
+
+    missing_eps = run_module(["solve", "--input-path", "inst.txt", "--algo", "fptas"], tmp_path)
+    # the README's documented exit codes, as the shell sees them
+    assert missing_eps.returncode == 2
+    over_budget = run_module(
+        ["solve", "--input-path", "inst.txt", "--algo", "dp", "--budget", "1"], tmp_path
+    )
+    assert over_budget.returncode == 3
+    assert "state budget exceeded" in over_budget.stderr

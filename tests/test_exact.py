@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -14,7 +15,7 @@ from bipareto import (
     normalize,
     solve_exact,
 )
-from bipareto.exact import CHOICE_OTHER, CHOICE_SAME, _expand, _prune_reducer
+from bipareto.exact import CHOICE_OTHER, CHOICE_SAME, _expand, _load_box_winners
 from bipareto.oracle import enumerate_front
 from conftest import make_instances, successor_pool
 
@@ -53,23 +54,30 @@ def test_successors_worked_transitions():
     assert expand_pairs([(7, 3), (9, 5)], 4, 1, 9) == [(8, 7), (7, 6), (10, 9), (9, 5)]
 
 
+def prune_winners(pairs):
+    """Pool indices the exact solver keeps (load boxes of width 1) from a
+    pool of (lmax, cmax) children."""
+    pool = successor_pool(pairs)
+    return _load_box_winners(pool, Fraction(1), int(pool.cmax.max())).tolist()
+
+
 def test_prune_keeps_minimal_lateness_per_load():
-    assert _prune_reducer(successor_pool([(9, 5), (12, 5)])).tolist() == [0]
-    assert _prune_reducer(successor_pool([(12, 5), (9, 5)])).tolist() == [1]
+    assert prune_winners([(9, 5), (12, 5)]) == [0]
+    assert prune_winners([(12, 5), (9, 5)]) == [1]
 
     # layer 3 of the worked instance: kept in ascending load order, not
     # pool order; the choices (index & 1) are other, other, same, same
-    layer3 = successor_pool([(10, 9), (9, 5), (8, 7), (7, 6)])
-    assert _prune_reducer(layer3).tolist() == [1, 3, 2, 0]
+    layer3 = [(10, 9), (9, 5), (8, 7), (7, 6)]
+    assert prune_winners(layer3) == [1, 3, 2, 0]
 
 
 def test_prune_tie_keeps_earliest_generated():
     # the paper's flag would split these two; the load alone merges them
-    assert _prune_reducer(successor_pool([(9, 5), (9, 5)])).tolist() == [0]
+    assert prune_winners([(9, 5), (9, 5)]) == [0]
     # the earliest wins even when it is an other-machine child (index 1)
     # and the later one a same-machine child (index 2)
-    tied = successor_pool([(12, 8), (9, 5), (9, 5), (4, 3)])
-    assert _prune_reducer(tied).tolist() == [3, 1, 0]
+    tied = [(12, 8), (9, 5), (9, 5), (4, 3)]
+    assert prune_winners(tied) == [3, 1, 0]
 
 
 def test_solve_exact_worked_instance():

@@ -25,8 +25,8 @@ from bipareto import (
     solve_exact,
     solve_fptas,
 )
-from bipareto import fptas as fptas_module
-from bipareto.fptas import _make_trim_reducer
+from bipareto import exact as exact_module
+from bipareto.exact import _load_box_winners
 from conftest import make_instances, successor_pool
 
 WORKED = [(2, 5), (3, 4), (4, 1)]
@@ -75,26 +75,27 @@ def worked_grid():
 
 
 def trim_winners(pairs, grid):
-    """Pool indices kept by the trim reducer from a pool of (lmax, cmax)
-    children, with the grid's own box-key dtype and with object keys."""
+    """Pool indices kept from a pool of (lmax, cmax) children on the
+    grid's load boxes, with the grid's own box keys and with object keys
+    wherever delta1 > 1."""
     pool = successor_pool(pairs)
-    winners = [_make_trim_reducer(grid)(pool).tolist()]
+    winners = [_load_box_winners(pool, grid.delta1, grid.cmax_bound).tolist()]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(fptas_module, "_INT64_MAX", 0)  # force object box keys
-        winners.append(_make_trim_reducer(grid)(pool).tolist())
+        mp.setattr(exact_module, "_INT64_MAX", 0)  # force object box keys
+        winners.append(_load_box_winners(pool, grid.delta1, grid.cmax_bound).tolist())
     return winners
 
 
 def reference_trim_winners(pairs, grid):
     """Scalar trim in Python integers: per occupied load box, the child
     with the smallest lmax, ties to the earliest in the pool.  Returns the
-    winners' pool indices in pool order."""
+    winners' pool indices in ascending box order."""
     best = {}
     for j, (lmax, cmax) in enumerate(pairs):
         box = box_index(cmax, grid.delta1)
         if box not in best or lmax < best[box][0]:
             best[box] = (lmax, j)
-    return sorted(j for _, j in best.values())
+    return [j for _, (_, j) in sorted(best.items())]
 
 
 def test_trim_merges_identical_values():
@@ -105,8 +106,8 @@ def test_trim_merges_identical_values():
 def test_trim_keeps_distinct_boxes():
     # load boxes 4 and 5; trimming keeps dominated states
     assert trim_winners([(7, 6), (8, 8)], worked_grid()) == [[0, 1]] * 2
-    # winners stay in pool order, not box order
-    assert trim_winners([(8, 8), (7, 6)], worked_grid()) == [[0, 1]] * 2
+    # winners come back in load order, not pool order
+    assert trim_winners([(8, 8), (7, 6)], worked_grid()) == [[1, 0]] * 2
     # lateness does not split a load box: loads 6 and 7 share box 4
     assert trim_winners([(8, 7), (7, 6)], worked_grid()) == [[1]] * 2
 
@@ -145,12 +146,34 @@ def test_solve_fptas_degenerate():
 
 
 def test_solve_fptas_tiny_epsilon_degenerates_to_exact():
-    # delta1 below 1: every load is its own box, as in the exact solver
+    # delta1 below 1: every load is its own box, so the trimmed solver
+    # builds the exact solver's layers, parents and witnesses
     for inst in make_instances(23, 15, (2, 9), (1, 9), (1, 9)):
         eps = Fraction(1, 6 * inst.n)
         grid = grid_params(inst, eps)
         assert grid.delta1 < 1 and grid.delta2 < 1
-        assert solve_fptas(inst, eps).front.points == solve_exact(inst).front.points
+        exact = solve_exact(inst, keep_layers=True)
+        approx = solve_fptas(inst, eps, keep_layers=True)
+        assert approx.front.points == exact.front.points
+        assert len(approx.layers) == len(exact.layers)
+        for ap_layer, ex_layer in zip(approx.layers, exact.layers):
+            assert ap_layer.i == ex_layer.i
+            assert np.array_equal(ap_layer.lmax, ex_layer.lmax)
+            assert np.array_equal(ap_layer.cmax, ex_layer.cmax)
+            assert np.array_equal(ap_layer.origin, ex_layer.origin)
+        assert [s.flags for s in approx.schedules] == [s.flags for s in exact.schedules]
+
+
+def test_fptas_layers_ascend_in_load_and_box():
+    for inst in make_instances(13, 25, (2, 14), (1, 100), (1, 100)):
+        for eps in (Fraction(3, 10), Fraction(9, 10), Fraction(2)):
+            grid = grid_params(inst, eps)
+            for layer in solve_fptas(inst, eps, keep_layers=True).layers:
+                loads = layer.cmax.tolist()
+                boxes = [box_index(c, grid.delta1) for c in loads]
+                # one state per load box, in strictly ascending load
+                assert all(a < b for a, b in zip(loads, loads[1:]))
+                assert all(a < b for a, b in zip(boxes, boxes[1:]))
 
 
 def test_coverage_check_examples():
@@ -422,7 +445,7 @@ def test_python_fallback_reducer_matches_vectorized(monkeypatch):
     instances = make_instances(37, 10, (2, 14))
     eps = Fraction(3, 10)
     vectorized = [solve_fptas(inst, eps) for inst in instances]
-    monkeypatch.setattr(fptas_module, "_INT64_MAX", 0)  # force object box keys
+    monkeypatch.setattr(exact_module, "_INT64_MAX", 0)  # force object box keys
     for inst, vec in zip(instances, vectorized):
         fal = solve_fptas(inst, eps)
         assert fal.front.points == vec.front.points
@@ -432,10 +455,21 @@ def test_python_fallback_reducer_matches_vectorized(monkeypatch):
 
 def test_huge_epsilon_denominator_uses_exact_arithmetic():
     inst = normalize(WORKED)
-    eps = Fraction(1, 10**15)  # overflows any int64 scaling, must still be exact
-    exact = solve_exact(inst)
-    approx = solve_fptas(inst, eps)
-    assert approx.front.points == exact.front.points
+    # delta1 = 3 (10^19 + 1) / (2 * 10^19) is just above 3/2, and its
+    # numerator is beyond int64, so the box keys are Python integers
+    eps = Fraction(10**19 + 1, 10**19)
+    grid = grid_params(inst, eps)
+    assert grid.delta1 > 1 and grid.delta1.numerator > 2**63
+    # loads 3, 6 and 9 sit just below the box edges 2, 4 and 6 of delta1 = 3/2
+    assert [box_index(c, grid.delta1) for c in (3, 6, 9)] == [1, 3, 5]
+    assert [box_index(c, Fraction(3, 2)) for c in (3, 6, 9)] == [2, 4, 6]
+    # so loads 5 and 6 share box 3 and the trimmed front loses (5, 9),
+    # which float box keys (6 / 1.5 = 4.0) would keep as at eps = 1
+    approx = solve_fptas(inst, eps, keep_layers=True)
+    assert approx.layers[2].cmax.tolist() == [6, 7, 9]
+    assert approx.front.points == (ParetoPoint(6, 7),)
+    assert solve_fptas(inst, Fraction(1)).front.points == (ParetoPoint(5, 9), ParetoPoint(6, 7))
+    assert coverage_check(solve_exact(inst).front, approx.front, eps)
 
 
 GOLDEN = Path(__file__).parent / "data" / "fptas_golden.json"
@@ -447,7 +481,7 @@ def test_solve_fptas_matches_golden_record(monkeypatch, fallback):
     state per load box; the trimmed solver must reproduce them exactly on
     both box-key dtypes."""
     if fallback:
-        monkeypatch.setattr(fptas_module, "_INT64_MAX", 0)
+        monkeypatch.setattr(exact_module, "_INT64_MAX", 0)
     cases = json.loads(GOLDEN.read_text())["cases"]
     assert len(cases) == 20
     for case in cases:

@@ -12,9 +12,8 @@ from .bench import (
     EpsResult,
     GenSpec,
     RunRecord,
-    desk_families,
     generate_instance,
-    paper_families,
+    preset_families,
     quality_metrics,
     run_suite,
     write_report,
@@ -28,7 +27,6 @@ from .exact import (
 )
 from .fptas import (
     ClosenessViolation,
-    Epsilon,
     GridParams,
     box_index,
     coverage_check,
@@ -68,7 +66,6 @@ __all__ = [
     "SolveResult",
     "StateBudgetError",
     "GridParams",
-    "Epsilon",
     "ClosenessViolation",
     "GenSpec",
     "RunRecord",
@@ -90,8 +87,7 @@ __all__ = [
     "generate_instance",
     "quality_metrics",
     "run_suite",
-    "desk_families",
-    "paper_families",
+    "preset_families",
     "write_report",
     "__version__",
 ]

@@ -20,37 +20,40 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 from statistics import median
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 from numpy.random import Philox
 
 from .exact import DEFAULT_STATE_BUDGET, solve_exact
-from .fptas import Epsilon, solve_fptas
+from .fptas import solve_fptas
+from .io import PathLike
 from .model import Front, Instance, normalize
-
-PathLike = Union[str, Path]
 
 RECORDS_HEADER = (
     "family,seed,index,n,p_lo,p_hi,q_lo,q_hi,dp_front,dp_ms,"
     "eps,fptas_front,fptas_ms,ratio_c,ratio_l,ratio_c_exact,ratio_l_exact"
 )
 
-# Range steps used by both presets: the published protocol crosses
+# Range steps used by every preset: the published protocol crosses
 # processing-time and delivery-time ranges over these three intervals.
 RANGE_STEPS: tuple[tuple[int, int], ...] = ((1, 20), (1, 100), (1, 1000))
 
-PAPER_N_RANGES: tuple[tuple[int, int], ...] = (
-    (5, 25),
-    (26, 50),
-    (51, 75),
-    (76, 100),
-    (100, 200),
-)
 
-DESK_N_RANGE: tuple[int, int] = (5, 25)
-DESK_COUNT_PER_CELL = 12
-PAPER_COUNT_PER_CELL = 15
+class Preset(NamedTuple):
+    """A benchmark campaign: job-count ranges, instances per cell, timing repeats."""
+
+    n_ranges: tuple[tuple[int, int], ...]
+    count: int
+    repeats: int
+
+
+PRESETS: dict[str, Preset] = {
+    # Full protocol: five job-count sets, 15 instances per cell, minutes.
+    "paper": Preset(((5, 25), (26, 50), (51, 75), (76, 100), (100, 200)), 15, 3),
+    # Seconds-scale: the smallest job-count set only.
+    "desk": Preset(((5, 25),), 12, 1),
+}
 
 
 @dataclass(frozen=True)
@@ -159,7 +162,7 @@ def _timed(run: Callable[[], object], repeats: int) -> tuple[object, float]:
 
 def run_suite(
     families: Sequence[GenSpec],
-    eps_list: Sequence[Epsilon],
+    eps_list: Sequence[Fraction],
     repeats: int = 3,
     *,
     budget: int = DEFAULT_STATE_BUDGET,
@@ -224,33 +227,35 @@ def run_suite(
     return records
 
 
-def desk_families(seed: int) -> list[GenSpec]:
-    """Seconds-scale preset: small job counts, full range cross."""
+def preset_families(name: str, seed: int) -> list[GenSpec]:
+    """The families of preset ``name``: each job-count range crossed with
+    RANGE_STEPS for processing times and for delivery times."""
+    preset = PRESETS[name]
     return [
-        GenSpec(DESK_N_RANGE, p, q, seed, DESK_COUNT_PER_CELL)
+        GenSpec(n, p, q, seed, preset.count)
+        for n in preset.n_ranges
         for p in RANGE_STEPS
         for q in RANGE_STEPS
     ]
 
 
-def paper_families(seed: int) -> list[GenSpec]:
-    """Full protocol: five job-count sets, 3x3 range cross, 15 per cell."""
-    return [
-        GenSpec(n, p, q, seed, PAPER_COUNT_PER_CELL)
-        for n in PAPER_N_RANGES
-        for p in RANGE_STEPS
-        for q in RANGE_STEPS
-    ]
-
-
-def format_fraction_decimal(value: Fraction, digits: int = 6) -> str:
-    """Fixed-point decimal of a nonnegative rational, round half up."""
+def format_fraction_decimal(value: Fraction) -> str:
+    """Six-digit fixed-point decimal of a nonnegative rational, round half up."""
     if value < 0:
         raise ValueError("negative values not supported")
-    scaled = value * 10**digits
+    scaled = value * 10**6
     whole = (2 * scaled.numerator + scaled.denominator) // (2 * scaled.denominator)
-    text = str(whole).rjust(digits + 1, "0")
-    return f"{text[:-digits]}.{text[-digits:]}"
+    text = str(whole).rjust(7, "0")
+    return f"{text[:-6]}.{text[-6:]}"
+
+
+def _ratio_cells(ratio_c: Fraction, ratio_l: Fraction) -> str:
+    """Both ratios as decimals, then both as exact num/den."""
+    return (
+        f"{format_fraction_decimal(ratio_c)},{format_fraction_decimal(ratio_l)},"
+        f"{ratio_c.numerator}/{ratio_c.denominator},"
+        f"{ratio_l.numerator}/{ratio_l.denominator}"
+    )
 
 
 def _record_rows(record: RunRecord) -> list[str]:
@@ -266,10 +271,7 @@ def _record_rows(record: RunRecord) -> list[str]:
     for res in record.eps_results:
         rows.append(
             f"{prefix},{dp},{res.eps},{res.front_size},{res.ms:.3f},"
-            f"{format_fraction_decimal(res.ratio_c)},"
-            f"{format_fraction_decimal(res.ratio_l)},"
-            f"{res.ratio_c.numerator}/{res.ratio_c.denominator},"
-            f"{res.ratio_l.numerator}/{res.ratio_l.denominator}"
+            + _ratio_cells(res.ratio_c, res.ratio_l)
         )
     return rows
 
@@ -281,89 +283,58 @@ def format_records_csv(records: Sequence[RunRecord]) -> str:
     return "\n".join(rows) + "\n"
 
 
-@dataclass
-class _Cell:
-    instances: int = 0
-    dp_front: int = 0
-    dp_ms: float = 0.0
-    fptas_front: int = 0
-    fptas_ms: float = 0.0
-    ratio_c: Fraction = Fraction(0)
-    ratio_l: Fraction = Fraction(0)
-
-
 _AGG_COLUMNS = (
     "eps,instances,dp_front_mean,dp_ms_mean,fptas_front_mean,fptas_ms_mean,"
     "ratio_c_mean,ratio_l_mean,ratio_c_mean_exact,ratio_l_mean_exact"
 )
 
+# Aggregate tables: file name, key column, and the key a record groups under.
+# by_family.csv is the paper's computing-time table shape; the range tables
+# are its quality tables by processing-time and by delivery-time range.
+_AGGREGATES: tuple[tuple[str, str, Callable[[RunRecord], str]], ...] = (
+    ("by_family.csv", "family", lambda r: r.family),
+    ("by_p_range.csv", "p_range", lambda r: f"{r.p_range[0]}-{r.p_range[1]}"),
+    ("by_q_range.csv", "q_range", lambda r: f"{r.q_range[0]}-{r.q_range[1]}"),
+)
 
-def _aggregate_csv(records: Sequence[RunRecord], key_name: str, key_of) -> str:
-    cells: dict[tuple[str, Fraction], _Cell] = {}
-    order: list[tuple[str, Fraction]] = []
+
+def _aggregate_csv(
+    records: Sequence[RunRecord], key_name: str, key_of: Callable[[RunRecord], str]
+) -> str:
+    """Means per (key, eps) over the successful records, in first-seen order."""
+    groups: dict[tuple[str, Fraction], list[tuple[RunRecord, EpsResult]]] = {}
     for record in records:
         if record.error is not None or record.dp_front_size is None:
             continue
         for res in record.eps_results:
-            key = (key_of(record), res.eps)
-            cell = cells.get(key)
-            if cell is None:
-                cell = cells[key] = _Cell()
-                order.append(key)
-            cell.instances += 1
-            cell.dp_front += record.dp_front_size
-            cell.dp_ms += record.dp_ms
-            cell.fptas_front += res.front_size
-            cell.fptas_ms += res.ms
-            cell.ratio_c += res.ratio_c
-            cell.ratio_l += res.ratio_l
+            groups.setdefault((key_of(record), res.eps), []).append((record, res))
     rows = [f"{key_name},{_AGG_COLUMNS}"]
-    for key in order:
-        label, eps = key
-        cell = cells[key]
-        k = cell.instances
-        mean_c = cell.ratio_c / k
-        mean_l = cell.ratio_l / k
+    for (label, eps), cell in groups.items():
+        k = len(cell)
+        dp_front = Fraction(sum(r.dp_front_size for r, _ in cell), k)
+        fptas_front = Fraction(sum(e.front_size for _, e in cell), k)
         rows.append(
-            f"{label},{eps},{k},"
-            f"{format_fraction_decimal(Fraction(cell.dp_front, k))},"
-            f"{cell.dp_ms / k:.3f},"
-            f"{format_fraction_decimal(Fraction(cell.fptas_front, k))},"
-            f"{cell.fptas_ms / k:.3f},"
-            f"{format_fraction_decimal(mean_c)},{format_fraction_decimal(mean_l)},"
-            f"{mean_c.numerator}/{mean_c.denominator},"
-            f"{mean_l.numerator}/{mean_l.denominator}"
+            f"{label},{eps},{k},{format_fraction_decimal(dp_front)},"
+            f"{sum(r.dp_ms for r, _ in cell) / k:.3f},"
+            f"{format_fraction_decimal(fptas_front)},"
+            f"{sum(e.ms for _, e in cell) / k:.3f},"
+            + _ratio_cells(
+                sum(e.ratio_c for _, e in cell) / k, sum(e.ratio_l for _, e in cell) / k
+            )
         )
     return "\n".join(rows) + "\n"
-
-
-def format_family_table(records: Sequence[RunRecord]) -> str:
-    """Aggregate by job-count family: the computing-time table shape."""
-    return _aggregate_csv(records, "family", lambda r: r.family)
-
-
-def format_p_range_table(records: Sequence[RunRecord]) -> str:
-    """Aggregate by processing-time range: the p-range quality table."""
-    return _aggregate_csv(records, "p_range", lambda r: f"{r.p_range[0]}-{r.p_range[1]}")
-
-
-def format_q_range_table(records: Sequence[RunRecord]) -> str:
-    """Aggregate by delivery-time range: the q-range quality table."""
-    return _aggregate_csv(records, "q_range", lambda r: f"{r.q_range[0]}-{r.q_range[1]}")
 
 
 def write_report(records: Sequence[RunRecord], out_dir: PathLike) -> list[Path]:
     """Write records.csv and the three aggregate tables; returns paths."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    files = {
-        "records.csv": format_records_csv(records),
-        "by_family.csv": format_family_table(records),
-        "by_p_range.csv": format_p_range_table(records),
-        "by_q_range.csv": format_q_range_table(records),
-    }
+    tables = [("records.csv", format_records_csv(records))] + [
+        (name, _aggregate_csv(records, key_name, key_of))
+        for name, key_name, key_of in _AGGREGATES
+    ]
     paths = []
-    for name, text in files.items():
+    for name, text in tables:
         path = out / name
         path.write_text(text)
         paths.append(path)

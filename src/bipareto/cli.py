@@ -8,6 +8,15 @@ takes its value ranges as --p LO:HI and --q LO:HI.
 `verify` compares against brute-force enumeration only up to ORACLE_CAP
 (20) jobs, since the oracle scores 2^(n-1) assignments, and reports the
 check as SKIP above it.
+
+Each argument is checked once.  argparse's type converters check the
+text: --n and --budget are integers >= 1, --p/--q are integer pairs
+LO:HI, every --epsilon/--epsilons value passes parse_epsilon, and
+--preset names a key of bench.PRESETS; argparse reports a failure and
+exits 2.  The library checks the values: GenSpec rejects ranges with
+LO < 1 or HI < LO and seeds outside 64 bits, generate_instance rejects
+a negative index or an instance too large for exact arithmetic, and
+`gen` and `bench` turn that ValueError into a usage error.
 """
 
 from __future__ import annotations
@@ -41,25 +50,29 @@ class _UsageError(Exception):
     pass
 
 
-def _parse_range(text: str, flag: str) -> tuple[int, int]:
-    parts = text.split(":")
-    if len(parts) != 2:
-        raise _UsageError(f"{flag} expects LO:HI, got {text!r}")
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expects an integer >= 1, got {text!r}")
+    return int(text)
+
+
+def _parse_range(text: str) -> tuple[int, int]:
     try:
-        lo, hi = int(parts[0]), int(parts[1])
+        lo, hi = map(int, text.split(":"))
     except ValueError:
-        raise _UsageError(f"{flag} expects integers LO:HI, got {text!r}") from None
-    if lo < 1 or hi < lo:
-        raise _UsageError(f"{flag} range [{lo}, {hi}] is invalid")
+        raise argparse.ArgumentTypeError(f"expects integers LO:HI, got {text!r}") from None
     return lo, hi
 
 
-def _resolve_budget(flag_value: Optional[int]) -> int:
-    if flag_value is None:
-        return DEFAULT_STATE_BUDGET
-    if flag_value < 1:
-        raise _UsageError(f"--budget must be >= 1, got {flag_value}")
-    return flag_value
+def _epsilon(text: str) -> Fraction:
+    try:
+        return parse_epsilon(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _epsilons(text: str) -> list[Fraction]:
+    return [_epsilon(part) for part in text.split(",")]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -73,9 +86,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate a reproducible random instance")
-    gen.add_argument("--n", type=int, required=True, help="number of jobs")
-    gen.add_argument("--p", metavar="LO:HI", required=True, help="processing time range")
-    gen.add_argument("--q", metavar="LO:HI", required=True, help="delivery time range")
+    gen.add_argument("--n", type=_positive_int, required=True, help="number of jobs")
+    for flag, times in (("--p", "processing"), ("--q", "delivery")):
+        gen.add_argument(
+            flag, type=_parse_range, metavar="LO:HI", required=True,
+            help=f"{times} time range",
+        )
     gen.add_argument("--seed", type=int, default=0, help="stream seed (default 0)")
     gen.add_argument(
         "--index", type=int, default=0, help="instance index within the stream"
@@ -85,30 +101,36 @@ def build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser("solve", help="compute a Pareto front")
     solve.add_argument("--input-path", required=True, help="instance file")
     solve.add_argument("--algo", choices=("dp", "fptas"), required=True)
-    solve.add_argument("--epsilon", help="accuracy, e.g. 0.3 or 3/10 (fptas only)")
+    solve.add_argument(
+        "--epsilon", type=_epsilon, help="accuracy, e.g. 0.3 or 3/10 (fptas only)"
+    )
     solve.add_argument("--out-path", help="write the front CSV here")
     solve.add_argument(
         "--schedules",
         action="store_true",
         help="also write a companion schedules CSV (requires --out-path)",
     )
-    solve.add_argument("--budget", type=int, help="state budget override")
 
     verify = sub.add_parser("verify", help="check solver agreement on an instance")
     verify.add_argument("--input-path", required=True, help="instance file")
-    verify.add_argument("--epsilon", required=True, help="accuracy, e.g. 0.3")
-    verify.add_argument("--budget", type=int, help="state budget override")
+    verify.add_argument("--epsilon", type=_epsilon, required=True, help="accuracy, e.g. 0.3")
 
     bench_cmd = sub.add_parser("bench", help="run a benchmark suite")
-    bench_cmd.add_argument("--preset", choices=("paper", "desk"), required=True)
+    bench_cmd.add_argument("--preset", choices=bench.PRESETS, required=True)
     bench_cmd.add_argument(
         "--out-dir", default="bench-report", help="report directory (default bench-report)"
     )
     bench_cmd.add_argument(
-        "--epsilons", default="0.3,0.9", help="comma-separated accuracies (default 0.3,0.9)"
+        "--epsilons", type=_epsilons, default="0.3,0.9",
+        help="comma-separated accuracies (default 0.3,0.9)",
     )
     bench_cmd.add_argument("--seed", type=int, default=1, help="suite seed (default 1)")
-    bench_cmd.add_argument("--budget", type=int, help="state budget override")
+
+    for cmd in (solve, verify, bench_cmd):
+        cmd.add_argument(
+            "--budget", type=_positive_int, default=DEFAULT_STATE_BUDGET,
+            help="state budget override",
+        )
 
     return parser
 
@@ -123,19 +145,14 @@ def _load_instance(path: str) -> Instance:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    if args.n < 1:
-        raise _UsageError(f"--n must be >= 1, got {args.n}")
-    if not 0 <= args.seed < 2**64:
-        raise _UsageError(f"--seed must fit in 64 bits, got {args.seed}")
-    if args.index < 0:
-        raise _UsageError(f"--index must be >= 0, got {args.index}")
-    p_range = _parse_range(args.p, "--p")
-    q_range = _parse_range(args.q, "--q")
-    spec = bench.GenSpec((args.n, args.n), p_range, q_range, args.seed, 1)
-    inst = bench.generate_instance(spec, args.index)
+    try:
+        spec = bench.GenSpec((args.n, args.n), args.p, args.q, args.seed, 1)
+        inst = bench.generate_instance(spec, args.index)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
     header = (
         f"seed {args.seed} index {args.index} n {args.n} "
-        f"p {p_range[0]}:{p_range[1]} q {q_range[0]}:{q_range[1]}",
+        f"p {args.p[0]}:{args.p[1]} q {args.q[0]}:{args.q[1]}",
     )
     summary = f"n={inst.n} P={inst.total_p} q_max={inst.q_max}"
     if args.out_path:
@@ -158,18 +175,12 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         raise _UsageError("--epsilon is only valid with --algo fptas")
     if args.schedules and not args.out_path:
         raise _UsageError("--schedules requires --out-path")
-    budget = _resolve_budget(args.budget)
     inst = _load_instance(args.input_path)
-    if args.algo == "fptas":
-        try:
-            eps = parse_epsilon(args.epsilon)
-        except ValueError as exc:
-            raise _UsageError(str(exc)) from None
     start = time.perf_counter()
     if args.algo == "dp":
-        result = solve_exact(inst, budget=budget)
+        result = solve_exact(inst, budget=args.budget)
     else:
-        result = solve_fptas(inst, eps, budget=budget)
+        result = solve_fptas(inst, args.epsilon, budget=args.budget)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     front_text = io.format_front_csv(result.front)
     if args.out_path:
@@ -269,13 +280,8 @@ def _run_verify_checks(
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    try:
-        eps = parse_epsilon(args.epsilon)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
-    budget = _resolve_budget(args.budget)
     inst = _load_instance(args.input_path)
-    checks = _run_verify_checks(inst, eps, budget)
+    checks = _run_verify_checks(inst, args.epsilon, args.budget)
     for status, name, detail in checks:
         print(f"{status} {name}: {detail}")
     failed = sum(1 for status, _, _ in checks if status == "FAIL")
@@ -286,21 +292,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    budget = _resolve_budget(args.budget)
-    if not 0 <= args.seed < 2**64:
-        raise _UsageError(f"--seed must fit in 64 bits, got {args.seed}")
     try:
-        eps_list = [parse_epsilon(part) for part in args.epsilons.split(",") if part]
+        families = bench.preset_families(args.preset, args.seed)
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
-    if not eps_list:
-        raise _UsageError("--epsilons must name at least one value")
-    if args.preset == "paper":
-        families = bench.paper_families(args.seed)
-        repeats = 3
-    else:
-        families = bench.desk_families(args.seed)
-        repeats = 1
 
     def progress(done: int, total: int, record: bench.RunRecord) -> None:
         if record.error is not None:
@@ -312,7 +307,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             print(f"[{done}/{total}] n={record.n} ok", file=sys.stderr)
 
     records = bench.run_suite(
-        families, eps_list, repeats, budget=budget, progress=progress
+        families,
+        args.epsilons,
+        bench.PRESETS[args.preset].repeats,
+        budget=args.budget,
+        progress=progress,
     )
     paths = bench.write_report(records, args.out_dir)
     for path in paths:

@@ -50,9 +50,6 @@ import numpy as np
 from .exact import _INT64_MAX, DEFAULT_STATE_BUDGET, Layer, SolveResult, _solve_layered
 from .model import MAX_MAGNITUDE, Front, Instance, ParetoPoint
 
-# An epsilon is any positive exact rational.
-Epsilon = Fraction
-
 # Drift windows are clamped here: no two values in [0, MAX_MAGNITUDE]
 # differ by more, and a value plus the clamp still fits in int64.
 _WINDOW_CLAMP = 2 * MAX_MAGNITUDE
@@ -89,7 +86,7 @@ class GridParams:
     lmax_bound: int
 
 
-def grid_params(inst: Instance, eps: Epsilon) -> GridParams:
+def grid_params(inst: Instance, eps: Fraction) -> GridParams:
     """Box widths and objective upper bounds for the trimming solver.
 
     The bounds are what a single machine running everything would score:
@@ -120,7 +117,7 @@ def box_index(value: int, delta: Fraction) -> int:
 
 def solve_fptas(
     inst: Instance,
-    eps: Epsilon,
+    eps: Fraction,
     *,
     budget: int = DEFAULT_STATE_BUDGET,
     keep_layers: bool = False,
@@ -135,7 +132,7 @@ def solve_fptas(
 
 
 def find_coverage_violation(
-    exact: Front, approx: Front, eps: Epsilon
+    exact: Front, approx: Front, eps: Fraction
 ) -> Optional[ParetoPoint]:
     """First exact front point with no approximate point within (1+eps).
 
@@ -158,7 +155,7 @@ def find_coverage_violation(
     return None
 
 
-def coverage_check(exact: Front, approx: Front, eps: Epsilon) -> bool:
+def coverage_check(exact: Front, approx: Front, eps: Fraction) -> bool:
     """True iff the approximate front (1+eps)-covers the exact front."""
     return find_coverage_violation(exact, approx, eps) is None
 

@@ -6,7 +6,6 @@ PUBLIC_API = [
     "ClosenessViolation",
     "DEFAULT_STATE_BUDGET",
     "EpsResult",
-    "Epsilon",
     "Front",
     "GenSpec",
     "GridParams",
@@ -24,7 +23,6 @@ PUBLIC_API = [
     "box_index",
     "build_schedule",
     "coverage_check",
-    "desk_families",
     "dominates",
     "enumerate_front",
     "evaluate_schedule",
@@ -33,9 +31,9 @@ PUBLIC_API = [
     "generate_instance",
     "grid_params",
     "normalize",
-    "paper_families",
     "pareto_filter",
     "parse_epsilon",
+    "preset_families",
     "quality_metrics",
     "run_suite",
     "solve_exact",

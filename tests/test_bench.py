@@ -6,17 +6,16 @@ from bipareto import (
     Front,
     GenSpec,
     ParetoPoint,
-    desk_families,
     generate_instance,
-    paper_families,
+    preset_families,
     quality_metrics,
     run_suite,
 )
 from bipareto import bench as bench_module
 from bipareto.bench import (
+    PRESETS,
     RECORDS_HEADER,
     format_fraction_decimal,
-    format_p_range_table,
     format_records_csv,
     write_report,
 )
@@ -164,7 +163,7 @@ def test_format_fraction_decimal():
         format_fraction_decimal(Fraction(-1))
 
 
-def test_aggregate_table_groups_by_key():
+def test_aggregate_table_groups_by_key(tmp_path):
     records = run_suite(
         [
             GenSpec((3, 5), (1, 9), (1, 9), 5, 2),
@@ -173,7 +172,8 @@ def test_aggregate_table_groups_by_key():
         [Fraction(3, 10)],
         1,
     )
-    lines = format_p_range_table(records).splitlines()
+    write_report(records, tmp_path)
+    lines = (tmp_path / "by_p_range.csv").read_text().splitlines()
     assert lines[0].startswith("p_range,eps,instances,")
     assert [line.split(",")[:3] for line in lines[1:]] == [
         ["1-9", "3/10", "2"],
@@ -191,11 +191,12 @@ def test_write_report(tmp_path):
 
 
 def test_presets():
-    desk = desk_families(1)
+    assert (PRESETS["desk"].repeats, PRESETS["paper"].repeats) == (1, 3)
+    desk = preset_families("desk", 1)
     assert len(desk) == 9
     assert sum(s.count for s in desk) == 108
     assert {s.n_range for s in desk} == {(5, 25)}
-    paper = paper_families(1)
+    paper = preset_families("paper", 1)
     assert len(paper) == 45
     assert sum(s.count for s in paper) == 675
     assert {s.n_range for s in paper} == {

@@ -24,6 +24,13 @@ from bipareto.io import parse_front_csv, parse_instance, save_instance
 WORKED = [(2, 5), (3, 4), (4, 1)]
 
 
+def assert_usage_error(capsys, argv):
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "error:" in err
+    assert "Traceback" not in err
+
+
 @pytest.fixture
 def worked_file(tmp_path):
     path = tmp_path / "worked.txt"
@@ -64,6 +71,12 @@ def test_gen_usage_errors(tmp_path, capsys):
                  "--q", "1:5"]) == EXIT_USAGE
     assert main(["gen", "--n", "3", "--p", "1:5", "--q", "1:5",
                  "--seed", "-1"]) == EXIT_USAGE
+    # value rules the library enforces, reported as usage errors
+    for extra in (["--index", "-1"], ["--seed", str(2**64)]):
+        assert_usage_error(capsys, ["gen", "--n", "3", "--p", "1:5", "--q", "1:5", *extra])
+    assert_usage_error(capsys, ["gen", "--n", "3", "--p", "0:5", "--q", "1:5"])
+    # P + q_max beyond the 2**60 magnitude cap
+    assert_usage_error(capsys, ["gen", "--n", "20", "--p", f"1:{10**18}", "--q", "1:5"])
     missing_dir = tmp_path / "nope" / "inst.txt"
     assert main(["gen", "--n", "3", "--p", "1:5", "--q", "1:5",
                  "--out-path", str(missing_dir)]) == EXIT_USAGE
@@ -89,7 +102,7 @@ def test_solve_fptas_covers_dp(worked_file, capsys):
     assert coverage_check(dp_front, fp_front, Fraction(3, 10))
 
 
-def test_solve_usage_errors(worked_file, tmp_path):
+def test_solve_usage_errors(worked_file, tmp_path, capsys):
     assert main(["solve", "--input-path", worked_file, "--algo", "fptas"]) == EXIT_USAGE
     assert main(["solve", "--input-path", worked_file, "--algo", "dp",
                  "--epsilon", "0.3"]) == EXIT_USAGE
@@ -102,6 +115,20 @@ def test_solve_usage_errors(worked_file, tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("not an instance\n")
     assert main(["solve", "--input-path", str(bad), "--algo", "dp"]) == EXIT_USAGE
+    assert_usage_error(capsys, ["solve", "--input-path", worked_file, "--algo", "dp",
+                                "--budget", "0"])
+
+
+def test_verify_and_bench_usage_errors(worked_file, tmp_path, capsys):
+    assert_usage_error(capsys, ["verify", "--input-path", worked_file, "--epsilon", "0.3",
+                                "--budget", "-1"])
+    assert_usage_error(capsys, ["verify", "--input-path", worked_file, "--epsilon", "0"])
+    out_dir = tmp_path / "r"
+    for extra in (["--epsilons", ","], ["--epsilons", "0.3,abc"], ["--seed", "-1"]):
+        assert_usage_error(capsys, ["bench", "--preset", "desk", "--out-dir", str(out_dir),
+                                    *extra])
+    assert_usage_error(capsys, ["bench", "--preset", "nope", "--out-dir", str(out_dir)])
+    assert not out_dir.exists()
 
 
 def test_solve_budget_exceeded(tmp_path, capsys):
@@ -195,7 +222,7 @@ def test_bench_exit_fail_when_everything_fails(tmp_path, monkeypatch, capsys):
         raise RuntimeError("synthetic failure")
 
     monkeypatch.setattr(cli.bench, "solve_exact", always_raise)
-    monkeypatch.setattr(cli.bench, "desk_families", lambda seed: [
+    monkeypatch.setattr(cli.bench, "preset_families", lambda name, seed: [
         GenSpec((3, 4), (1, 5), (1, 5), seed, 2)
     ])
     assert main(["bench", "--preset", "desk", "--seed", "1",

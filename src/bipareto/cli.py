@@ -16,7 +16,9 @@ LO:HI, every --epsilon/--epsilons value passes parse_epsilon, and
 exits 2.  The library checks the values: GenSpec rejects ranges with
 LO < 1 or HI < LO and seeds outside 64 bits, generate_instance rejects
 a negative index or an instance too large for exact arithmetic, and
-`gen` and `bench` turn that ValueError into a usage error.
+`gen` and `bench` turn that ValueError into a usage error.  `bench`
+creates --out-dir before it runs the suite, so a directory that cannot
+be made is a usage error before any work is done.
 """
 
 from __future__ import annotations
@@ -296,6 +298,10 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         families = bench.preset_families(args.preset, args.seed)
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
+    try:
+        Path(args.out_dir).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise _UsageError(f"cannot create {args.out_dir}: {exc}") from None
 
     def progress(done: int, total: int, record: bench.RunRecord) -> None:
         if record.error is not None:

@@ -165,6 +165,17 @@ def test_verify_skips_oracle_beyond_cap(tmp_path, capsys):
                  "--cap", "40"]) == EXIT_USAGE
 
 
+def test_verify_runs_oracle_at_cap(tmp_path, capsys):
+    path = str(tmp_path / "n20.txt")
+    assert main(["gen", "--n", "20", "--p", "1:20", "--q", "1:20", "--seed", "5",
+                 "--out-path", path]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["verify", "--input-path", path, "--epsilon", "0.3"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "PASS oracle-equality" in out
+    assert "FAIL" not in out
+
+
 def test_verify_reports_corrupted_front(worked_file, monkeypatch, capsys):
     def corrupted(inst, eps, **kwargs):
         result = solve_fptas(inst, eps, **kwargs)
@@ -228,6 +239,17 @@ def test_bench_exit_fail_when_everything_fails(tmp_path, monkeypatch, capsys):
     assert main(["bench", "--preset", "desk", "--seed", "1",
                  "--out-dir", str(tmp_path / "r")]) == EXIT_FAIL
     assert "2/2 instances failed" in capsys.readouterr().err
+
+
+def test_bench_unusable_out_dir_fails_before_the_suite(tmp_path, monkeypatch, capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("the suite ran before --out-dir was checked")
+
+    monkeypatch.setattr(cli.bench, "run_suite", never)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert_usage_error(capsys, ["bench", "--preset", "desk",
+                                "--out-dir", str(blocker / "report")])
 
 
 def test_usage_and_help():

@@ -1,7 +1,31 @@
-import pytest
+import tracemalloc
 
-from bipareto import ParetoPoint, enumerate_front, normalize, solve_exact
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bipareto import (
+    ParetoPoint,
+    enumerate_front,
+    evaluate_schedule,
+    normalize,
+    pareto_filter,
+    solve_exact,
+)
 from conftest import make_instances
+
+
+def reference_enumerate_front(inst):
+    """The oracle as a plain loop: score each assignment with job 1 on
+    flag 1 through evaluate_schedule, then filter dominated points."""
+    n = inst.n
+    flags = [1] * n
+    points = []
+    for bits in range(1 << (n - 1)):
+        for j in range(1, n):
+            flags[j] = (bits >> (j - 1)) & 1
+        points.append(evaluate_schedule(inst, flags))
+    return pareto_filter(points)
 
 
 def test_worked_instance():
@@ -24,3 +48,48 @@ def test_cap():
 def test_matches_solver_on_random_instances():
     for inst in make_instances(7, 40, (2, 9)):
         assert enumerate_front(inst).points == solve_exact(inst).front.points
+
+
+@st.composite
+def oracle_jobs(draw, kind):
+    """Job lists of up to 12 jobs at the edges of the int64 enumeration."""
+    n = 1 if kind == "single" else draw(st.integers(2, 12))
+    if kind == "near_cap":
+        # p near 2^59/n and q up to 2^59: P + q_max reaches the 2^60 cap
+        hi = 2**59 // n
+        ps = [draw(st.integers(hi - 2**20, hi)) for _ in range(n)]
+        return [(p, draw(st.integers(0, 2**59))) for p in ps]
+    if kind == "equal_p":
+        p = draw(st.integers(1, 30))
+        return [(p, draw(st.integers(0, 50))) for _ in range(n)]
+    q_hi = 0 if kind == "zero_q" else 50
+    return [(draw(st.integers(1, 30)), draw(st.integers(0, q_hi))) for _ in range(n)]
+
+
+@pytest.mark.parametrize("kind", ["single", "mixed", "equal_p", "zero_q", "near_cap"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_matches_reference_enumeration(kind, data):
+    inst = normalize(data.draw(oracle_jobs(kind)))
+    assert enumerate_front(inst) == reference_enumerate_front(inst)
+
+
+@pytest.fixture(scope="module")
+def at_cap():
+    return make_instances(11, 1, (20, 20), p_range=(1, 10**6))[0]
+
+
+def test_matches_solver_at_cap(at_cap):
+    assert enumerate_front(at_cap) == solve_exact(at_cap).front
+
+
+def test_memory_at_cap(at_cap):
+    # three int64 columns of 2^19 rows are 12.6 MB; sorting and
+    # filtering them must stay within about three times that
+    tracemalloc.start()
+    try:
+        enumerate_front(at_cap)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 10**6

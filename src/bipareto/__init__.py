@@ -9,9 +9,7 @@ reconstruct a witness schedule per front point.
 """
 
 from .bench import (
-    EpsResult,
     GenSpec,
-    RunRecord,
     generate_instance,
     preset_families,
     quality_metrics,
@@ -68,8 +66,6 @@ __all__ = [
     "GridParams",
     "ClosenessViolation",
     "GenSpec",
-    "RunRecord",
-    "EpsResult",
     "normalize",
     "evaluate_schedule",
     "dominates",

@@ -24,15 +24,17 @@ be made is a usage error before any work is done.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence, TypeVar
 
 from . import bench, io
 from .exact import DEFAULT_STATE_BUDGET, StateBudgetError, solve_exact
 from .fptas import (
+    ClosenessViolation,
     find_closeness_violation,
     find_coverage_violation,
     grid_params,
@@ -46,6 +48,8 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+
+_T = TypeVar("_T")
 
 
 class _UsageError(Exception):
@@ -137,6 +141,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# main's parser, built once per process: parse_args does not change it.
+_parser = functools.cache(build_parser)
+
+
 def _load_instance(path: str) -> Instance:
     try:
         return io.load_instance(path)
@@ -204,81 +212,60 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _check(
+    name: str, found: Optional[_T], passed: str, failed: Callable[[_T], str]
+) -> tuple[str, str, str]:
+    """PASS with ``passed`` if the check ``found`` nothing, else FAIL with
+    ``failed(found)``."""
+    return ("PASS", name, passed) if found is None else ("FAIL", name, failed(found))
+
+
 def _run_verify_checks(
     inst: Instance, eps: Fraction, budget: int
 ) -> list[tuple[str, str, str]]:
     """Returns (status, name, detail) per check; statuses PASS/FAIL/SKIP."""
-    checks: list[tuple[str, str, str]] = []
     exact_result = solve_exact(inst, budget=budget, keep_layers=True)
     approx_result = solve_fptas(inst, eps, budget=budget, keep_layers=True)
     exact_front = exact_result.front
 
     if inst.n > ORACLE_CAP:
-        checks.append(
-            ("SKIP", "oracle-equality", f"n={inst.n} exceeds oracle cap {ORACLE_CAP}")
-        )
+        oracle = ("SKIP", "oracle-equality", f"n={inst.n} exceeds oracle cap {ORACLE_CAP}")
     else:
         oracle_front = enumerate_front(inst)
-        if exact_front.points == oracle_front.points:
-            checks.append(
-                ("PASS", "oracle-equality", f"{len(exact_front)} points match enumeration")
-            )
-        else:
-            checks.append(
-                (
-                    "FAIL",
-                    "oracle-equality",
-                    f"dp front {list(exact_front.points)} != "
-                    f"oracle front {list(oracle_front.points)}",
-                )
-            )
-
-    violation = find_coverage_violation(exact_front, approx_result.front, eps)
-    if violation is None:
-        checks.append(
-            (
-                "PASS",
-                "coverage",
-                f"{len(exact_front)} exact points covered within 1+{eps}",
-            )
-        )
-    else:
-        checks.append(
-            (
-                "FAIL",
-                "coverage",
-                f"exact point (cmax={violation.cmax}, lmax={violation.lmax}) has no "
-                f"approximate point with cmax <= (1+{eps})*{violation.cmax} and "
-                f"lmax <= (1+{eps})*{violation.lmax}",
-            )
+        oracle = _check(
+            "oracle-equality",
+            None if exact_front.points == oracle_front.points else oracle_front,
+            f"{len(exact_front)} points match enumeration",
+            lambda other: f"dp front {list(exact_front.points)} != "
+            f"oracle front {list(other.points)}",
         )
 
-    grid = grid_params(inst, eps)
-    witness = find_closeness_violation(
-        exact_result.layers, approx_result.layers, grid
+    coverage = _check(
+        "coverage",
+        find_coverage_violation(exact_front, approx_result.front, eps),
+        f"{len(exact_front)} exact points covered within 1+{eps}",
+        lambda pt: f"exact point (cmax={pt.cmax}, lmax={pt.lmax}) has no "
+        f"approximate point with cmax <= (1+{eps})*{pt.cmax} and "
+        f"lmax <= (1+{eps})*{pt.lmax}",
     )
-    if witness is None:
-        checks.append(
-            (
-                "PASS",
-                "trim-closeness",
-                f"all {len(exact_result.layers)} layers within drift bounds",
-            )
+
+    def far_state(witness: ClosenessViolation) -> str:
+        pt, drift = witness.point, f"{witness.layer - 1}*delta1"
+        return (
+            f"layer {witness.layer} state (lmax={pt.lmax}, cmax={pt.cmax}) has no "
+            f"trimmed state with lmax <= {pt.lmax} + {drift} and "
+            f"cmax within {pt.cmax} +- {drift}"
         )
-    else:
-        point = witness.point
-        drift = f"{witness.layer - 1}*delta1"
-        checks.append(
-            (
-                "FAIL",
-                "trim-closeness",
-                f"layer {witness.layer} state (lmax={point.lmax}, "
-                f"cmax={point.cmax}) has no trimmed state with "
-                f"lmax <= {point.lmax} + {drift} and "
-                f"cmax within {point.cmax} +- {drift}",
-            )
-        )
-    return checks
+
+    closeness = _check(
+        "trim-closeness",
+        find_closeness_violation(
+            exact_result.layers, approx_result.layers, grid_params(inst, eps)
+        ),
+        f"all {len(exact_result.layers)} layers within drift bounds",
+        far_state,
+    )
+    return [oracle, coverage, closeness]
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -339,9 +326,8 @@ _COMMANDS = {
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors; normalize other codes too.
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK

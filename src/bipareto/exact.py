@@ -26,12 +26,17 @@ smallest parent load, then the same-machine choice.  Winners are kept in
 ascending box order, so every layer either solver builds is in strictly
 ascending load order.
 
-A `Layer` is the engine's own representation: parallel int64 arrays
-``lmax``, ``cmax`` and ``origin``.  ``origin[j]`` is the index in the
-layer's successor pool that state ``j`` won from, so its parent is
-state ``origin[j] >> 1`` of the previous layer and its choice
-``origin[j] & 1``.  With ``keep_layers=True`` the solver keeps a
-reference to every layer it builds, 24 bytes per state.
+The engine is one loop over plain int64 arrays: a layer is ``lmax``,
+``cmax`` and ``origin``.  ``origin[j]`` is the index in the layer's
+successor pool that state ``j`` won from, so its parent is state
+``origin[j] >> 1`` of the previous layer and its choice ``origin[j] & 1``
+(0: same machine, 1: other machine).  The list of ``origin`` arrays is
+the only parent chain, 8 bytes per retained state.  The box key (the
+load itself for width 1, otherwise ``floor(C / width)`` in int64, or in
+exact Python integers when the scaled loads could pass int64) depends
+only on the width and ``P``, so it is chosen once per solve; one reducer
+serves all three kinds.  With ``keep_layers=True`` the solver also wraps
+each layer's arrays in a `Layer` and keeps it, 24 bytes per state.
 
 This engine is the only copy of the recurrence in the package.  The
 test suite checks its layers, parents and tie-breaks against a
@@ -43,15 +48,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .model import Front, Instance, ParetoPoint, Schedule, build_schedule
-
-# The values are also the parity of a child's successor-pool index.
-CHOICE_SAME = 0
-CHOICE_OTHER = 1
 
 # Live retained states across all layers (parent chains keep them alive).
 DEFAULT_STATE_BUDGET = 50_000_000
@@ -103,42 +104,43 @@ class SolveResult:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _Successors:
-    """All children of one layer, in generation order.
+def _expand(
+    lmax: np.ndarray, cmax: np.ndarray, p: int, q: int, prefix_total: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(lmax, cmax)`` of all children of a layer, in generation order.
 
     Child 2j is the same-machine child of parent j, child 2j+1 its
-    other-machine child.  A child's pool index is therefore its generation
-    rank, ``index >> 1`` its parent and ``index & 1`` its choice
-    (CHOICE_SAME / CHOICE_OTHER).
+    other-machine child, so a child's pool index is its generation rank,
+    ``index >> 1`` its parent and ``index & 1`` its choice.
     """
+    m = len(cmax)
+    child_lmax = np.empty(2 * m, dtype=np.int64)
+    child_cmax = np.empty(2 * m, dtype=np.int64)
 
-    lmax: np.ndarray
-    cmax: np.ndarray
+    np.maximum(lmax, cmax + (p + q), out=child_lmax[0::2])
+    np.add(cmax, p, out=child_cmax[0::2])
 
-
-def _initial_arrays(inst: Instance) -> Layer:
-    first = inst.jobs[0]
-    return Layer(
-        i=1,
-        lmax=np.array([first.p + first.q], dtype=np.int64),
-        cmax=np.array([first.p], dtype=np.int64),
-        origin=np.array([-1], dtype=np.int64),
-    )
+    other_load = prefix_total - cmax
+    np.maximum(lmax, other_load + q, out=child_lmax[1::2])
+    np.maximum(cmax, other_load, out=child_cmax[1::2])
+    return child_lmax, child_cmax
 
 
-def _expand(layer: Layer, p: int, q: int, prefix_total: int) -> _Successors:
-    m = len(layer)
-    lmax = np.empty(2 * m, dtype=np.int64)
-    cmax = np.empty(2 * m, dtype=np.int64)
+def _box_key(width: Fraction, total_p: int) -> Callable[[np.ndarray], np.ndarray]:
+    """The load-box key ``floor(C / width)`` of a solve, as a function of
+    the children's loads.
 
-    np.maximum(layer.lmax, layer.cmax + (p + q), out=lmax[0::2])
-    np.add(layer.cmax, p, out=cmax[0::2])
-
-    other_load = prefix_total - layer.cmax
-    np.maximum(layer.lmax, other_load + q, out=lmax[1::2])
-    np.maximum(layer.cmax, other_load, out=cmax[1::2])
-    return _Successors(lmax=lmax, cmax=cmax)
+    A width of at most 1 gives every integer load its own box, so the load
+    itself is the key.  Wider boxes are keyed in int64 when the scaled
+    loads (at most ``total_p * den``) fit, and otherwise in object arrays
+    of exact Python integers; all three run the same sort.
+    """
+    num, den = width.numerator, width.denominator
+    if num <= den:
+        return lambda cmax: cmax
+    if num > _INT64_MAX or total_p * den > _INT64_MAX:
+        return lambda cmax: cmax.astype(object) * den // num
+    return lambda cmax: cmax * den // num
 
 
 def _min_lmax_per_key(key: np.ndarray, lmax: np.ndarray) -> np.ndarray:
@@ -156,72 +158,24 @@ def _min_lmax_per_key(key: np.ndarray, lmax: np.ndarray) -> np.ndarray:
     return order[is_first]
 
 
-def _take(pool: _Successors, winners: np.ndarray, i: int) -> Layer:
-    return Layer(i=i, lmax=pool.lmax[winners], cmax=pool.cmax[winners], origin=winners)
-
-
-def _load_box_winners(pool: _Successors, width: Fraction, total_p: int) -> np.ndarray:
-    """Pool indices of the states kept from ``pool``: per load box
-    floor(C / width), the smallest ``lmax``, ties to the earliest
-    generated, in ascending box order.
-
-    A width of at most 1 gives every integer load its own box, so the load
-    itself is the key.  Wider boxes are keyed in int64 when the scaled
-    loads (at most ``total_p * den``) fit, and otherwise in object arrays
-    of exact Python integers; both dtypes run the same sort.
-    """
-    num, den = width.numerator, width.denominator
-    key = pool.cmax
-    if num > den:
-        if num > _INT64_MAX or total_p * den > _INT64_MAX:
-            key = key.astype(object)
-        key = key * den // num
-    return _min_lmax_per_key(key, pool.lmax)
-
-
 def _replay_choices(inst: Instance, choices: Sequence[int]) -> tuple[int, ...]:
     """Turn a per-job choice chain into absolute machine flags.
 
-    ``choices[i-2]`` says whether sorted job ``i`` went onto the currently
-    most-loaded machine or the other one; replaying the loads forward
-    resolves those relative choices into flags, with job 1 on flag 1.
+    ``choices[i-2]`` is 0 if sorted job ``i`` went onto the currently
+    most-loaded machine and 1 if onto the other one; replaying the loads
+    forward resolves those relative choices into flags, with job 1 on
+    flag 1.
     """
-    loads = [0, 0]
-    loads[1] = inst.jobs[0].p
-    current_k = 1
+    loads = [0, inst.jobs[0].p]
+    current = 1
     flags = [1]
-    for i, choice in enumerate(choices, start=2):
-        p = inst.jobs[i - 1].p
-        if choice == CHOICE_SAME:
-            flags.append(current_k)
-            loads[current_k] += p
-        else:
-            target = 1 - current_k
-            flags.append(target)
-            new_load = loads[target] + p
-            if loads[current_k] < new_load:
-                current_k = target
-            loads[target] = new_load
+    for job, choice in zip(inst.jobs[1:], choices):
+        target = current ^ choice
+        flags.append(target)
+        loads[target] += job.p
+        if loads[target] > loads[current]:
+            current = target
     return tuple(flags)
-
-
-def _pareto_of_final(layer: Layer) -> tuple[list[ParetoPoint], list[int]]:
-    """Non-dominated (cmax, lmax) points of the final layer.
-
-    Returns the points sorted by increasing cmax and, per point, the index
-    of its witness state.
-    """
-    # The layer holds one state per load, in ascending load, so a state is
-    # non-dominated iff its lmax is below that of every smaller load.
-    keep = np.empty(len(layer), dtype=bool)
-    keep[0] = True
-    np.less(layer.lmax[1:], np.minimum.accumulate(layer.lmax)[:-1], out=keep[1:])
-    witnesses = np.flatnonzero(keep)
-    points = [
-        ParetoPoint(c, l)
-        for c, l in zip(layer.cmax[witnesses].tolist(), layer.lmax[witnesses].tolist())
-    ]
-    return points, witnesses.tolist()
 
 
 def _solve_layered(
@@ -235,45 +189,51 @@ def _solve_layered(
     if budget < 1:
         raise ValueError("state budget must be positive")
 
-    current = _initial_arrays(inst)
-    chain: list[np.ndarray] = [current.origin]
-    layer_sizes = [1]
+    box_key = _box_key(width, inst.total_p)
+    first = inst.jobs[0]
+    lmax = np.array([first.p + first.q], dtype=np.int64)
+    cmax = np.array([first.p], dtype=np.int64)
+    origins = [np.array([-1], dtype=np.int64)]
     retained = 1
-
-    kept_layers: Optional[list[Layer]] = [current] if keep_layers else None
+    layers = [Layer(1, lmax, cmax, origins[0])] if keep_layers else None
 
     for i in range(2, inst.n + 1):
-        if retained + 2 * len(current) > budget:
+        if retained + 2 * len(cmax) > budget:
             raise StateBudgetError(
                 f"state budget exceeded: layer {i} needs up to "
-                f"{retained + 2 * len(current)} live states (budget {budget})"
+                f"{retained + 2 * len(cmax)} live states (budget {budget})"
             )
         job = inst.jobs[i - 1]
-        pool = _expand(current, job.p, job.q, inst.prefix[i])
-        current = _take(pool, _load_box_winners(pool, width, inst.total_p), i)
-        chain.append(current.origin)
-        layer_sizes.append(len(current))
-        retained += len(current)
-        if kept_layers is not None:
-            kept_layers.append(current)
+        pool_lmax, pool_cmax = _expand(lmax, cmax, job.p, job.q, inst.prefix[i])
+        origin = _min_lmax_per_key(box_key(pool_cmax), pool_lmax)
+        lmax, cmax = pool_lmax[origin], pool_cmax[origin]
+        origins.append(origin)
+        retained += len(origin)
+        if layers is not None:
+            layers.append(Layer(i, lmax, cmax, origin))
 
-    points, witnesses = _pareto_of_final(current)
+    # The final layer holds one state per load box, in ascending load, so
+    # a state is non-dominated iff its lmax is below that of every smaller
+    # load.
+    keep = np.empty(len(cmax), dtype=bool)
+    keep[0] = True
+    np.less(lmax[1:], np.minimum.accumulate(lmax)[:-1], out=keep[1:])
+    witnesses = np.flatnonzero(keep)
+    points = map(ParetoPoint, cmax[witnesses].tolist(), lmax[witnesses].tolist())
     schedules = []
-    for w in witnesses:
-        choices: list[int] = []
-        idx = w
-        for layer_idx in range(inst.n - 1, 0, -1):
-            origin = int(chain[layer_idx][idx])
-            choices.append(origin & 1)
-            idx = origin >> 1
-        choices.reverse()
-        schedules.append(build_schedule(inst, _replay_choices(inst, choices)))
+    for idx in witnesses.tolist():
+        choices = []
+        for origin in reversed(origins[1:]):
+            idx = int(origin[idx])
+            choices.append(idx & 1)
+            idx >>= 1
+        schedules.append(build_schedule(inst, _replay_choices(inst, choices[::-1])))
 
     return SolveResult(
         front=Front(tuple(points)),
         schedules=tuple(schedules),
-        layer_sizes=tuple(layer_sizes),
-        layers=tuple(kept_layers) if kept_layers is not None else None,
+        layer_sizes=tuple(len(origin) for origin in origins),
+        layers=tuple(layers) if layers is not None else None,
     )
 
 

@@ -1,7 +1,6 @@
 import numpy as np
 
 from bipareto import GenSpec, generate_instance
-from bipareto.exact import _Successors
 
 
 def make_instances(seed, count, n_range, p_range=(1, 20), q_range=(1, 20)):
@@ -11,8 +10,8 @@ def make_instances(seed, count, n_range, p_range=(1, 20), q_range=(1, 20)):
 
 
 def successor_pool(pairs):
-    """A successor pool holding the given (lmax, cmax) children in pool order."""
-    return _Successors(
-        lmax=np.array([l for l, _ in pairs], dtype=np.int64),
-        cmax=np.array([c for _, c in pairs], dtype=np.int64),
+    """``(lmax, cmax)`` int64 arrays of the given children in pool order."""
+    return (
+        np.array([l for l, _ in pairs], dtype=np.int64),
+        np.array([c for _, c in pairs], dtype=np.int64),
     )

@@ -5,7 +5,6 @@ import bipareto
 PUBLIC_API = [
     "ClosenessViolation",
     "DEFAULT_STATE_BUDGET",
-    "EpsResult",
     "Front",
     "GenSpec",
     "GridParams",
@@ -15,7 +14,6 @@ PUBLIC_API = [
     "MAX_MAGNITUDE",
     "ORACLE_CAP",
     "ParetoPoint",
-    "RunRecord",
     "Schedule",
     "SolveResult",
     "StateBudgetError",

@@ -143,11 +143,26 @@ def test_solve_budget_exceeded(tmp_path, capsys):
 
 def test_verify_all_pass(worked_file, capsys):
     assert main(["verify", "--input-path", worked_file, "--epsilon", "0.3"]) == EXIT_OK
-    out = capsys.readouterr().out
-    assert "PASS oracle-equality" in out
-    assert "PASS coverage" in out
-    assert "PASS trim-closeness" in out
-    assert "FAIL" not in out
+    assert capsys.readouterr().out == (
+        "PASS oracle-equality: 2 points match enumeration\n"
+        "PASS coverage: 2 exact points covered within 1+3/10\n"
+        "PASS trim-closeness: all 3 layers within drift bounds\n"
+    )
+
+
+def test_verify_reports_oracle_mismatch(worked_file, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "enumerate_front", lambda inst: Front((ParetoPoint(5, 9),)))
+    assert main(["verify", "--input-path", worked_file, "--epsilon", "0.3"]) == EXIT_FAIL
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[0] == (
+        "FAIL oracle-equality: dp front [ParetoPoint(cmax=5, lmax=9), "
+        "ParetoPoint(cmax=6, lmax=7)] != oracle front [ParetoPoint(cmax=5, lmax=9)]"
+    )
+    assert captured.out.splitlines()[1:] == [
+        "PASS coverage: 2 exact points covered within 1+3/10",
+        "PASS trim-closeness: all 3 layers within drift bounds",
+    ]
+    assert "1 check(s) failed" in captured.err
 
 
 def test_verify_skips_oracle_beyond_cap(tmp_path, capsys):

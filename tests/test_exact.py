@@ -1,5 +1,4 @@
 import math
-from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -8,14 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bipareto import (
-    Layer,
     ParetoPoint,
     StateBudgetError,
     evaluate_schedule,
     normalize,
     solve_exact,
 )
-from bipareto.exact import CHOICE_OTHER, CHOICE_SAME, _expand, _load_box_winners
+from bipareto.exact import _expand, _min_lmax_per_key
 from bipareto.oracle import enumerate_front
 from conftest import make_instances, successor_pool
 
@@ -36,15 +34,12 @@ def test_initial_layer():
 
 
 def expand_pairs(pairs, p, q, prefix_total):
-    states = successor_pool(pairs)
-    layer = Layer(1, states.lmax, states.cmax, origin=np.full(len(pairs), -1, dtype=np.int64))
-    pool = _expand(layer, p, q, prefix_total)
-    return list(zip(pool.lmax.tolist(), pool.cmax.tolist()))
+    lmax, cmax = _expand(*successor_pool(pairs), p, q, prefix_total)
+    return list(zip(lmax.tolist(), cmax.tolist()))
 
 
 def test_successors_worked_transitions():
     # child 2j is parent j's same-machine child, 2j+1 its other-machine child
-    assert CHOICE_SAME == 0 and CHOICE_OTHER == 1
     # other machine's load 3 exceeds 2 and becomes the lead
     assert expand_pairs([(7, 2)], 3, 4, 5) == [(9, 5), (7, 3)]
     assert expand_pairs([(7, 3)], 4, 1, 9) == [(8, 7), (7, 6)]
@@ -57,8 +52,8 @@ def test_successors_worked_transitions():
 def prune_winners(pairs):
     """Pool indices the exact solver keeps (load boxes of width 1) from a
     pool of (lmax, cmax) children."""
-    pool = successor_pool(pairs)
-    return _load_box_winners(pool, Fraction(1), int(pool.cmax.max())).tolist()
+    lmax, cmax = successor_pool(pairs)
+    return _min_lmax_per_key(cmax, lmax).tolist()
 
 
 def test_prune_keeps_minimal_lateness_per_load():
@@ -120,6 +115,13 @@ def test_budget_guard():
     inst = make_instances(5, 1, (30, 30))[0]
     with pytest.raises(StateBudgetError, match="state budget exceeded"):
         solve_exact(inst, budget=10)
+    # layers 1 and 2 retain 1 + 2 states; layer 3 would add up to 4 more
+    with pytest.raises(StateBudgetError) as info:
+        solve_exact(normalize(WORKED), budget=6)
+    assert str(info.value) == (
+        "state budget exceeded: layer 3 needs up to 7 live states (budget 6)"
+    )
+    assert solve_exact(normalize(WORKED), budget=7).layer_sizes == (1, 2, 4)
     with pytest.raises(ValueError):
         solve_exact(inst, budget=0)
 

@@ -26,7 +26,7 @@ from bipareto import (
     solve_fptas,
 )
 from bipareto import exact as exact_module
-from bipareto.exact import _load_box_winners
+from bipareto.exact import _box_key, _min_lmax_per_key
 from conftest import make_instances, successor_pool
 
 WORKED = [(2, 5), (3, 4), (4, 1)]
@@ -78,12 +78,12 @@ def trim_winners(pairs, grid):
     """Pool indices kept from a pool of (lmax, cmax) children on the
     grid's load boxes, with the grid's own box keys and with object keys
     wherever delta1 > 1."""
-    pool = successor_pool(pairs)
-    winners = [_load_box_winners(pool, grid.delta1, grid.cmax_bound).tolist()]
+    lmax, cmax = successor_pool(pairs)
+    keys = [_box_key(grid.delta1, grid.cmax_bound)]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(exact_module, "_INT64_MAX", 0)  # force object box keys
-        winners.append(_load_box_winners(pool, grid.delta1, grid.cmax_bound).tolist())
-    return winners
+        keys.append(_box_key(grid.delta1, grid.cmax_bound))
+    return [_min_lmax_per_key(key(cmax), lmax).tolist() for key in keys]
 
 
 def reference_trim_winners(pairs, grid):
@@ -451,6 +451,25 @@ def test_python_fallback_reducer_matches_vectorized(monkeypatch):
         assert fal.front.points == vec.front.points
         assert fal.layer_sizes == vec.layer_sizes
         assert [s.flags for s in fal.schedules] == [s.flags for s in vec.schedules]
+
+
+@pytest.mark.parametrize("fallback", [False, True], ids=["int64", "python-int"])
+def test_keep_layers_changes_only_layers(monkeypatch, fallback):
+    if fallback:
+        monkeypatch.setattr(exact_module, "_INT64_MAX", 0)  # force object box keys
+    solvers = [solve_exact] + [
+        lambda inst, eps=eps, **kw: solve_fptas(inst, eps, **kw)
+        for eps in (Fraction(3, 10), Fraction(9, 10), Fraction(2))
+    ]
+    for inst in make_instances(43, 8, (1, 14)) + make_instances(47, 3, (20, 30), (1, 1000)):
+        for solve in solvers:
+            lean, kept = solve(inst), solve(inst, keep_layers=True)
+            assert lean.layers is None
+            assert kept.front == lean.front
+            assert kept.layer_sizes == lean.layer_sizes
+            assert [s.flags for s in kept.schedules] == [s.flags for s in lean.schedules]
+            assert [len(layer) for layer in kept.layers] == list(kept.layer_sizes)
+            assert [layer.i for layer in kept.layers] == list(range(1, inst.n + 1))
 
 
 def test_huge_epsilon_denominator_uses_exact_arithmetic():

@@ -21,14 +21,14 @@ print("\nexact Pareto front (makespan, max lateness):")
 for point in result.front:
     print(f"  C_max={point.cmax}  L_max={point.lmax}")
 
-# Every front point comes with a schedule that achieves it.  Machine
-# flags are positional over inst.jobs; evaluate_schedule recomputes the
-# objectives from scratch.
+# Every front point comes with a schedule that achieves it: a tuple of
+# machine flags, positional over inst.jobs, with flag 1 as machine 1;
+# evaluate_schedule recomputes the objectives from scratch.
 print("\nschedules behind the front:")
 for point, sched in zip(result.front, result.schedules):
-    m1 = [job.id for job, flag in zip(inst.jobs, sched.flags) if flag == 1]
-    m2 = [job.id for job, flag in zip(inst.jobs, sched.flags) if flag == 0]
-    check = evaluate_schedule(inst, sched.flags)
+    m1 = [job.id for job, flag in zip(inst.jobs, sched) if flag == 1]
+    m2 = [job.id for job, flag in zip(inst.jobs, sched) if flag == 0]
+    check = evaluate_schedule(inst, sched)
     assert check == point
     print(f"  ({point.cmax}, {point.lmax}): machine 1 runs {m1}, machine 2 runs {m2}")
 

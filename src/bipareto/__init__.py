@@ -40,8 +40,6 @@ from .model import (
     Instance,
     Job,
     ParetoPoint,
-    Schedule,
-    build_schedule,
     dominates,
     evaluate_schedule,
     normalize,
@@ -59,7 +57,6 @@ __all__ = [
     "ParetoPoint",
     "Instance",
     "Front",
-    "Schedule",
     "Layer",
     "SolveResult",
     "StateBudgetError",
@@ -70,7 +67,6 @@ __all__ = [
     "evaluate_schedule",
     "dominates",
     "pareto_filter",
-    "build_schedule",
     "solve_exact",
     "grid_params",
     "box_index",

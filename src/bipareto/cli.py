@@ -164,17 +164,15 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         f"seed {args.seed} index {args.index} n {args.n} "
         f"p {args.p[0]}:{args.p[1]} q {args.q[0]}:{args.q[1]}",
     )
-    summary = f"n={inst.n} P={inst.total_p} q_max={inst.q_max}"
     if args.out_path:
         try:
             io.save_instance(inst, args.out_path, header)
         except OSError as exc:
             raise _UsageError(f"cannot write {args.out_path}: {exc}") from None
         print(args.out_path)
-        print(summary, file=sys.stderr)
     else:
         sys.stdout.write(io.format_instance(inst, header))
-        print(summary, file=sys.stderr)
+    print(f"n={inst.n} P={inst.total_p} q_max={inst.q_max}", file=sys.stderr)
     return EXIT_OK
 
 
@@ -199,7 +197,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             out_path.write_text(front_text)
             if args.schedules:
                 io.save_schedules_csv(
-                    result.schedules, out_path.with_suffix(".schedules.csv")
+                    inst, result.schedules, out_path.with_suffix(".schedules.csv")
                 )
         except OSError as exc:
             raise _UsageError(f"cannot write {args.out_path}: {exc}") from None

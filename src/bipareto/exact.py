@@ -52,7 +52,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .model import Front, Instance, ParetoPoint, Schedule, build_schedule
+from .model import Front, Instance, ParetoPoint
 
 # Live retained states across all layers (parent chains keep them alive).
 DEFAULT_STATE_BUDGET = 50_000_000
@@ -87,14 +87,16 @@ class Layer:
 class SolveResult:
     """A Pareto front plus one realizing schedule per front point.
 
-    ``schedules[j]`` evaluates exactly to ``front.points[j]``.
+    ``schedules[j]`` is a tuple of machine flags, ``schedules[j][k]`` the
+    flag (0 or 1) of ``inst.jobs[k]``, with the first job on flag 1; it
+    evaluates exactly to ``front.points[j]``.
     ``layer_sizes[i-1]`` is the retained state count of layer ``i``;
     ``layers`` carries every layer's arrays only when the solver ran with
     ``keep_layers=True`` (about 24 bytes per retained state).
     """
 
     front: Front
-    schedules: tuple[Schedule, ...]
+    schedules: tuple[tuple[int, ...], ...]
     layer_sizes: tuple[int, ...]
     layers: Optional[tuple[Layer, ...]] = None
 
@@ -227,7 +229,7 @@ def _solve_layered(
             idx = int(origin[idx])
             choices.append(idx & 1)
             idx >>= 1
-        schedules.append(build_schedule(inst, _replay_choices(inst, choices[::-1])))
+        schedules.append(_replay_choices(inst, choices[::-1]))
 
     return SolveResult(
         front=Front(tuple(points)),

@@ -143,8 +143,6 @@ def find_coverage_violation(
     eps = Fraction(eps)
     num, den = eps.numerator, eps.denominator
     scale = den + num
-    if len(approx) == 0:
-        return exact.points[0] if len(exact) else None
     scaled_cmax = [pt.cmax * den for pt in approx.points]
     for pt in exact:
         # Within the C-eligible prefix of the approximate front, the last
@@ -172,15 +170,13 @@ class ClosenessViolation:
 def _first_uncovered(ex_layer: Layer, ap_layer: Layer, window: int) -> Optional[int]:
     """Index of the first exact state with no trimmed state (L#, C#) such
     that |C# - C| <= window and L# - L <= window."""
-    order = np.argsort(ap_layer.cmax)
-    ap_cmax = ap_layer.cmax[order]
-    lo = np.searchsorted(ap_cmax, ex_layer.cmax - window, side="left")
-    hi = np.searchsorted(ap_cmax, ex_layer.cmax + window, side="right")
+    lo = np.searchsorted(ap_layer.cmax, ex_layer.cmax - window, side="left")
+    hi = np.searchsorted(ap_layer.cmax, ex_layer.cmax + window, side="right")
     # Range minimum of the trimmed lmax over each window [lo, hi): reduceat
     # over interleaved bounds reduces ap_lmax[lo:hi] at even positions.
     # The sentinel keeps lo == len(ap_layer) a valid index; empty windows
     # (lo == hi) reduce to a single element, so they are flagged apart.
-    ap_lmax = np.append(ap_layer.lmax[order], np.int64(_INT64_MAX))
+    ap_lmax = np.append(ap_layer.lmax, np.int64(_INT64_MAX))
     bounds = np.empty(2 * len(lo), dtype=np.int64)
     bounds[0::2] = lo
     bounds[1::2] = hi
@@ -206,7 +202,9 @@ def find_closeness_violation(
     Returns the first uncovered exact state (first layer, then first in
     layer order, which is ascending load), or None when all layers pass.
     Both solvers must have run with ``keep_layers=True``; every load and
-    lateness must lie in [0, MAX_MAGNITUDE].
+    lateness must lie in [0, MAX_MAGNITUDE].  Each approximate layer must
+    be sorted by load, as both solvers emit it (strictly ascending): the
+    windows are found by binary search on ``cmax``.
     """
     if len(exact_layers) != len(approx_layers):
         raise ValueError("layer sequences differ in length")

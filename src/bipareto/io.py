@@ -10,20 +10,24 @@ the (p, q) sequence and all derived quantities never change.
 
 Front CSVs carry ``cmax,lmax`` rows in increasing cmax order.  Schedule
 CSVs carry one ``point_index,job_id,machine`` row per job per front
-point, with 0-based point indices and machines numbered 1 and 2.
+point, in job-id order, with 0-based point indices and machines numbered
+1 and 2.  The solvers' schedules are flag tuples over solver order; this
+module alone maps positions to job ids and flags to machines (machine 1
+is flag 1, machine 2 flag 0).
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
-from .model import Front, Instance, ParetoPoint, Schedule, normalize
+from .model import Front, Instance, ParetoPoint, normalize
 
 PathLike = Union[str, Path]
 
 FRONT_HEADER = "cmax,lmax"
 SCHEDULES_HEADER = "point_index,job_id,machine"
+_COUNTS = {2: "two", 3: "three"}
 
 
 def _data_lines(text: str) -> list[tuple[int, str]]:
@@ -33,6 +37,34 @@ def _data_lines(text: str) -> list[tuple[int, str]]:
         if line and not line.startswith("#"):
             out.append((lineno, line))
     return out
+
+
+def _int_rows(
+    lines: Iterable[tuple[int, str]], fields: str, sep: Optional[str]
+) -> Iterator[tuple[int, list[int]]]:
+    """``(lineno, values)`` per data line holding the integers named by
+    ``fields``, split on ``sep`` (None: whitespace)."""
+    width = len(fields.split(sep))
+    for lineno, line in lines:
+        parts = line.split(sep)
+        if len(parts) != width:
+            raise ValueError(f"line {lineno}: expected {fields!r}, got {line!r}")
+        try:
+            values = [int(part) for part in parts]
+        except ValueError:
+            raise ValueError(
+                f"line {lineno}: expected {_COUNTS[width]} integers, got {line!r}"
+            ) from None
+        yield lineno, values
+
+
+def _csv_rows(text: str, header: str, kind: str) -> Iterator[tuple[int, list[int]]]:
+    """Rows of a CSV whose first data line is ``header``, which also names
+    the integer fields of every later line."""
+    lines = _data_lines(text)
+    if not lines or lines[0][1] != header:
+        raise ValueError(f"{kind} CSV must start with header {header!r}")
+    return _int_rows(lines[1:], header, ",")
 
 
 def parse_instance(text: str) -> Instance:
@@ -49,16 +81,7 @@ def parse_instance(text: str) -> Instance:
         raise ValueError(f"line {lineno}: job count must be >= 1, got {n}")
     if len(lines) - 1 != n:
         raise ValueError(f"expected {n} job lines, found {len(lines) - 1}")
-    raw_jobs = []
-    for lineno, line in lines[1:]:
-        parts = line.split()
-        if len(parts) != 2:
-            raise ValueError(f"line {lineno}: expected 'p q', got {line!r}")
-        try:
-            p, q = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ValueError(f"line {lineno}: expected two integers, got {line!r}") from None
-        raw_jobs.append((p, q))
+    raw_jobs = [values for _, values in _int_rows(lines[1:], "p q", None)]
     try:
         return normalize(raw_jobs)
     except ValueError as exc:
@@ -88,47 +111,29 @@ def format_front_csv(front: Front) -> str:
 
 
 def parse_front_csv(text: str) -> Front:
-    lines = _data_lines(text)
-    if not lines or lines[0][1] != FRONT_HEADER:
-        raise ValueError(f"front CSV must start with header {FRONT_HEADER!r}")
-    points = []
-    for lineno, line in lines[1:]:
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise ValueError(f"line {lineno}: expected 'cmax,lmax', got {line!r}")
-        try:
-            points.append(ParetoPoint(int(parts[0]), int(parts[1])))
-        except ValueError:
-            raise ValueError(f"line {lineno}: expected two integers, got {line!r}") from None
-    return Front(tuple(points))
+    rows = _csv_rows(text, FRONT_HEADER, "front")
+    return Front(tuple(ParetoPoint(*values) for _, values in rows))
 
 
-def format_schedules_csv(schedules: Iterable[Schedule]) -> str:
-    """One row per (front point, job); machine 1 is flag 1, machine 2 flag 0."""
+def format_schedules_csv(inst: Instance, schedules: Iterable[Sequence[int]]) -> str:
+    """One row per (front point, job), jobs in id order.
+
+    ``schedules`` are flag tuples over the instance's sorted order
+    (``flags[k]`` is the flag of ``inst.jobs[k]``); machine 1 is flag 1,
+    machine 2 flag 0.
+    """
+    by_id = sorted(range(inst.n), key=lambda k: inst.jobs[k].id)
     rows = [SCHEDULES_HEADER]
-    for index, sched in enumerate(schedules):
-        for job_id in sorted(sched.assignment):
-            machine = 1 if sched.assignment[job_id] == 1 else 2
-            rows.append(f"{index},{job_id},{machine}")
+    for index, flags in enumerate(schedules):
+        for k in by_id:
+            rows.append(f"{index},{inst.jobs[k].id},{1 if flags[k] == 1 else 2}")
     return "\n".join(rows) + "\n"
 
 
 def parse_schedules_csv(text: str) -> dict[int, dict[int, int]]:
     """Map point_index -> {job_id: machine} from schedule CSV text."""
-    lines = _data_lines(text)
-    if not lines or lines[0][1] != SCHEDULES_HEADER:
-        raise ValueError(f"schedules CSV must start with header {SCHEDULES_HEADER!r}")
     out: dict[int, dict[int, int]] = {}
-    for lineno, line in lines[1:]:
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise ValueError(
-                f"line {lineno}: expected 'point_index,job_id,machine', got {line!r}"
-            )
-        try:
-            index, job_id, machine = (int(part) for part in parts)
-        except ValueError:
-            raise ValueError(f"line {lineno}: expected three integers, got {line!r}") from None
+    for lineno, (index, job_id, machine) in _csv_rows(text, SCHEDULES_HEADER, "schedules"):
         if machine not in (1, 2):
             raise ValueError(f"line {lineno}: machine must be 1 or 2, got {machine}")
         if job_id in out.setdefault(index, {}):
@@ -137,8 +142,10 @@ def parse_schedules_csv(text: str) -> dict[int, dict[int, int]]:
     return out
 
 
-def save_schedules_csv(schedules: Iterable[Schedule], path: PathLike) -> None:
-    Path(path).write_text(format_schedules_csv(schedules))
+def save_schedules_csv(
+    inst: Instance, schedules: Iterable[Sequence[int]], path: PathLike
+) -> None:
+    Path(path).write_text(format_schedules_csv(inst, schedules))
 
 
 def assignment_to_flags(inst: Instance, machines: Mapping[int, int]) -> list[int]:

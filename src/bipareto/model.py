@@ -9,6 +9,11 @@ maximum lateness).  The two objectives, both minimized, are
 * makespan ``cmax``: the larger of the two machine loads, and
 * maximum lateness ``lmax``: the largest ``completion + q`` over all jobs.
 
+A schedule is a plain tuple of machine flags, one per job in the
+instance's sorted order, which is also the order each machine runs its
+jobs in.  Flag 1 is the machine the first sorted job is pinned to; only
+`io` maps flags to machine numbers and positions to job ids.
+
 Everything here is an immutable value type; all operations are pure.
 The solvers' dynamic-programming states are not model types: they live
 in `exact.Layer` as int64 arrays.
@@ -88,21 +93,6 @@ class Front:
     @property
     def min_lmax(self) -> int:
         return self.points[-1].lmax
-
-
-@dataclass(frozen=True)
-class Schedule:
-    """A concrete job-to-machine assignment realizing one front point.
-
-    ``flags`` holds one machine flag per job in the instance's sorted
-    order, which is also the order each machine runs its jobs in;
-    ``assignment`` maps original job ids to the same flags.  Flag 1 is
-    the machine the first sorted job is pinned to; reports name it
-    machine 1 and flag 0 machine 2.
-    """
-
-    flags: tuple[int, ...]
-    assignment: dict[int, int]
 
 
 def normalize(raw_jobs: Iterable[tuple[int, int]]) -> Instance:
@@ -186,12 +176,3 @@ def pareto_filter(points: Iterable[ParetoPoint]) -> Front:
             kept.append(ParetoPoint(*point))
             best_lmax = point.lmax
     return Front(tuple(kept))
-
-
-def build_schedule(inst: Instance, flags: Sequence[int]) -> Schedule:
-    """Package positional machine flags into a Schedule."""
-    flags = tuple(int(f) for f in flags)
-    if len(flags) != inst.n or any(f not in (0, 1) for f in flags):
-        raise ValueError("flags must assign 0 or 1 to every job")
-    assignment = {job.id: flag for job, flag in zip(inst.jobs, flags)}
-    return Schedule(flags=flags, assignment=assignment)

@@ -158,7 +158,7 @@ def test_criterion_4_feasibility_round_trip(
         for inst, result in zip(instances, results):
             for sched, point in zip(result.schedules, result.front):
                 points += 1
-                if evaluate_schedule(inst, sched.flags) != point:
+                if evaluate_schedule(inst, sched) != point:
                     bad += 1
     ok = bad == 0
     announce(

@@ -14,12 +14,10 @@ PUBLIC_API = [
     "MAX_MAGNITUDE",
     "ORACLE_CAP",
     "ParetoPoint",
-    "Schedule",
     "SolveResult",
     "StateBudgetError",
     "__version__",
     "box_index",
-    "build_schedule",
     "coverage_check",
     "dominates",
     "enumerate_front",

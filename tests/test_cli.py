@@ -45,7 +45,7 @@ def test_gen_writes_deterministic_file(tmp_path, capsys):
     assert main(argv) == EXIT_OK
     captured = capsys.readouterr()
     assert captured.out.strip() == str(out)
-    assert "n=5" in captured.err
+    assert captured.err == "n=5 P=47 q_max=19\n"
     first = out.read_bytes()
     assert main(argv) == EXIT_OK
     assert out.read_bytes() == first
@@ -59,6 +59,7 @@ def test_gen_stdout_when_no_out_path(capsys):
     captured = capsys.readouterr()
     inst = parse_instance(captured.out)
     assert inst.n == 3
+    assert captured.err == "n=3 P=7 q_max=5\n"
 
 
 def test_gen_usage_errors(tmp_path, capsys):

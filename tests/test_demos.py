@@ -25,3 +25,23 @@ def test_demo_runs(demo, tmp_path):
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+
+
+def test_readme_quick_start_prints_its_comments():
+    # The "Library quick start" block annotates each print with its output.
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Library quick start", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    expected = [
+        line.rsplit("#", 1)[1].strip()
+        for line in block.splitlines()
+        if line.startswith("print(")
+    ]
+    assert expected == ["[(5, 9), (6, 7)]", "(1, 1, 0)", "True"]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", block], cwd=ROOT, env=env,
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.splitlines() == expected

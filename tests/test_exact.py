@@ -85,9 +85,9 @@ def test_solve_exact_worked_instance():
     assert array_pairs(result.layers[2]) == [(9, 5), (7, 6), (8, 7), (10, 9)]
     # parents (origin >> 1) and choices (origin & 1) of the kept states
     assert result.layers[2].origin.tolist() == [3, 1, 0, 2]
-    assert [s.flags for s in result.schedules] == [(1, 1, 0), (1, 0, 1)]
+    assert result.schedules == ((1, 1, 0), (1, 0, 1))
     for sched, point in zip(result.schedules, result.front):
-        assert evaluate_schedule(inst, sched.flags) == point
+        assert evaluate_schedule(inst, sched) == point
 
 
 def test_solve_exact_degenerate_instances():
@@ -99,16 +99,15 @@ def test_solve_exact_degenerate_instances():
 def test_reconstruct_worked_instance():
     inst = normalize(WORKED)
     result = solve_exact(inst)
-    sched = result.schedules[1]  # point (6, 7)
-    assert sched.assignment == {1: 1, 2: 0, 3: 1}
+    assert result.schedules[1] == (1, 0, 1)  # point (6, 7)
 
     two = normalize(WORKED[:2])
     res2 = solve_exact(two)
     assert res2.front.points == (ParetoPoint(3, 7),)
-    assert res2.schedules[0].assignment == {1: 1, 2: 0}
+    assert res2.schedules[0] == (1, 0)
 
     single = solve_exact(normalize([(7, 3)]))
-    assert single.schedules[0].assignment == {1: 1}
+    assert single.schedules[0] == (1,)
 
 
 def test_budget_guard():
@@ -238,7 +237,7 @@ def test_schedules_realize_front_points():
         result = solve_exact(inst)
         assert len(result.schedules) == len(result.front)
         for sched, point in zip(result.schedules, result.front):
-            assert evaluate_schedule(inst, sched.flags) == point
+            assert evaluate_schedule(inst, sched) == point
 
 
 def assert_exact_front_is_oracle_front(jobs):
@@ -247,7 +246,7 @@ def assert_exact_front_is_oracle_front(jobs):
     assert result.front.points == enumerate_front(inst).points
     assert len(result.schedules) == len(result.front)
     for sched, point in zip(result.schedules, result.front):
-        assert evaluate_schedule(inst, sched.flags) == point
+        assert evaluate_schedule(inst, sched) == point
 
 
 @st.composite

@@ -136,7 +136,7 @@ def test_solve_fptas_worked_instance():
     # exact point (5, 9) needs an approximate point at most (6.5, 11.7)
     assert any(pt.cmax * 10 <= 65 and pt.lmax * 10 <= 117 for pt in approx.front)
     for sched, point in zip(approx.schedules, approx.front):
-        assert evaluate_schedule(inst, sched.flags) == point
+        assert evaluate_schedule(inst, sched) == point
 
 
 def test_solve_fptas_degenerate():
@@ -161,7 +161,7 @@ def test_solve_fptas_tiny_epsilon_degenerates_to_exact():
             assert np.array_equal(ap_layer.lmax, ex_layer.lmax)
             assert np.array_equal(ap_layer.cmax, ex_layer.cmax)
             assert np.array_equal(ap_layer.origin, ex_layer.origin)
-        assert [s.flags for s in approx.schedules] == [s.flags for s in exact.schedules]
+        assert approx.schedules == exact.schedules
 
 
 def test_fptas_layers_ascend_in_load_and_box():
@@ -193,6 +193,7 @@ def test_find_coverage_violation_witness():
     assert violation == ParetoPoint(6, 7)  # 8 > (1+eps) * 7
     assert find_coverage_violation(exact, exact, eps) is None
     assert find_coverage_violation(exact, Front(()), eps) == ParetoPoint(5, 9)
+    assert find_coverage_violation(Front(()), Front(()), eps) is None
 
 
 def test_closeness_base_case_and_identity():
@@ -352,7 +353,8 @@ def jitter(rng, w, size):
 
 def perturbed_layers(layers, grid, rng, subsample, shift):
     """Trimmed layers with states dropped and values moved about their
-    drift window, clipped to [0, MAX_MAGNITUDE]."""
+    drift window, clipped to [0, MAX_MAGNITUDE], each sorted by load as
+    `find_closeness_violation` requires."""
     out = []
     for layer in layers:
         lmax, cmax = layer.lmax, layer.cmax
@@ -363,6 +365,8 @@ def perturbed_layers(layers, grid, rng, subsample, shift):
             w = min(int((layer.i - 1) * grid.delta1), MAX_MAGNITUDE)
             cmax = np.clip(cmax + jitter(rng, w, len(cmax)), 0, MAX_MAGNITUDE)
             lmax = np.clip(lmax + jitter(rng, w, len(lmax)), 0, MAX_MAGNITUDE)
+            order = np.argsort(cmax, kind="stable")
+            lmax, cmax = lmax[order], cmax[order]
         out.append(Layer(layer.i, lmax=lmax, cmax=cmax, origin=np.full(len(cmax), -1)))
     return out
 
@@ -450,7 +454,7 @@ def test_python_fallback_reducer_matches_vectorized(monkeypatch):
         fal = solve_fptas(inst, eps)
         assert fal.front.points == vec.front.points
         assert fal.layer_sizes == vec.layer_sizes
-        assert [s.flags for s in fal.schedules] == [s.flags for s in vec.schedules]
+        assert fal.schedules == vec.schedules
 
 
 @pytest.mark.parametrize("fallback", [False, True], ids=["int64", "python-int"])
@@ -467,7 +471,7 @@ def test_keep_layers_changes_only_layers(monkeypatch, fallback):
             assert lean.layers is None
             assert kept.front == lean.front
             assert kept.layer_sizes == lean.layer_sizes
-            assert [s.flags for s in kept.schedules] == [s.flags for s in lean.schedules]
+            assert kept.schedules == lean.schedules
             assert [len(layer) for layer in kept.layers] == list(kept.layer_sizes)
             assert [layer.i for layer in kept.layers] == list(range(1, inst.n + 1))
 
@@ -508,4 +512,4 @@ def test_solve_fptas_matches_golden_record(monkeypatch, fallback):
         result = solve_fptas(inst, Fraction(case["eps"]))
         assert [list(pt) for pt in result.front] == case["front"]
         assert list(result.layer_sizes) == case["layer_sizes"]
-        assert ["".join(map(str, s.flags)) for s in result.schedules] == case["flags"]
+        assert ["".join(map(str, s)) for s in result.schedules] == case["flags"]

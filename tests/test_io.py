@@ -94,13 +94,26 @@ def test_parse_front_csv_errors():
 def test_schedules_csv_round_trip():
     inst = normalize(WORKED)
     result = solve_exact(inst)
-    text = format_schedules_csv(result.schedules)
+    text = format_schedules_csv(inst, result.schedules)
     assert text.splitlines()[0] == "point_index,job_id,machine"
     parsed = parse_schedules_csv(text)
     assert sorted(parsed) == list(range(len(result.front)))
     for index, point in enumerate(result.front):
         flags = assignment_to_flags(inst, parsed[index])
         assert evaluate_schedule(inst, flags) == point
+
+
+def test_schedules_csv_maps_positions_to_job_ids():
+    # input order differs from solver order: job 1 is sorted last
+    inst = normalize([(4, 1), (2, 5), (3, 4)])
+    result = solve_exact(inst)
+    assert [job.id for job in inst.jobs] == [2, 3, 1]
+    assert result.schedules == ((1, 1, 0), (1, 0, 1))
+    assert format_schedules_csv(inst, result.schedules) == (
+        "point_index,job_id,machine\n"
+        "0,1,2\n0,2,1\n0,3,1\n"
+        "1,1,1\n1,2,1\n1,3,2\n"
+    )
 
 
 def test_parse_schedules_csv_errors():

@@ -7,7 +7,6 @@ from bipareto import (
     Front,
     Job,
     ParetoPoint,
-    build_schedule,
     dominates,
     evaluate_schedule,
     normalize,
@@ -110,17 +109,6 @@ def test_front_accessors():
     assert list(front) == [ParetoPoint(5, 9), ParetoPoint(6, 7)]
     assert front.min_cmax == 5
     assert front.min_lmax == 7
-
-
-def test_build_schedule():
-    inst = normalize([(2, 5), (3, 4), (4, 1)])
-    sched = build_schedule(inst, (1, 0, 1))
-    assert sched.flags == (1, 0, 1)
-    assert sched.assignment == {1: 1, 2: 0, 3: 1}
-    with pytest.raises(ValueError):
-        build_schedule(inst, (1, 0))
-    with pytest.raises(ValueError):
-        build_schedule(inst, (1, 0, 2))
 
 
 points_st = st.lists(

@@ -26,7 +26,7 @@ smallest parent load, then the same-machine choice.  Winners are kept in
 ascending box order, so every layer either solver builds is in strictly
 ascending load order.
 
-The engine is one loop over plain int64 arrays: a layer is ``lmax``,
+The sorted engine is one loop over plain int64 arrays: a layer is ``lmax``,
 ``cmax`` and ``origin``.  ``origin[j]`` is the index in the layer's
 successor pool that state ``j`` won from, so its parent is state
 ``origin[j] >> 1`` of the previous layer and its choice ``origin[j] & 1``
@@ -38,10 +38,35 @@ only on the width and ``P``, so it is chosen once per solve; one reducer
 serves all three kinds.  With ``keep_layers=True`` the solver also wraps
 each layer's arrays in a `Layer` and keeps it, 24 bytes per state.
 
-This engine is the only copy of the recurrence in the package.  The
-test suite checks its layers, parents and tie-breaks against a
-plain-integer reference, and for small ``n`` each layer against brute
-force over the assignments of the job prefix.
+On dense instances `solve_exact` runs the same recurrence as a table
+instead: cell ``a`` holds the smallest ``L`` with load ``a`` on machine
+flag 1, for ``a`` in ``[p_1, S_i]``, and _UNREACHED where no assignment
+reaches it.  Job ``i`` writes two contiguous slices: its flag-0
+children stay in place with ``L' = max(L, S_i - a + q)``, and its flag-1
+children move to ``a + p`` with ``L' = max(L, a + p + q)``.  A flag-1
+child replaces its cell only when strictly smaller, so ties stay on
+flag 0.  One bit per cell records which child won; walking the bits
+back from a final cell (``a -= p`` where set) gives absolute flags
+directly.  The front folds the last table onto ``C = max(a, P - a)``;
+when the two mirrored cells tie, the witness has ``a = C``.  The table
+has no sort, and no 8-byte parent per state, but its cells span both
+mirrors of each makespan, so it pays only when loads are dense.
+`solve_exact` takes it iff ``keep_layers`` is False and its cell count
+``sum_i (S_i - p_1 + 1)`` is at most four times the sorted engine's
+worst-case state count ``sum_i min(2^(i-1), floor(S_i / 2) + 1)`` and
+at most the budget, counting a cell as one state.  Dense loads give a
+ratio near 2 (the two mirrors), on either side of it, so a factor of 2
+would send some of them to the sorted engine; the table measured
+faster up to a ratio of about 10.  Every other exact solve, every
+`solve_fptas` call and `verify` run the sorted engine.
+Both paths give the same front and layer sizes; their witnesses may
+differ where ties allow.
+
+The test suite checks the sorted engine's layers, parents and
+tie-breaks against a plain-integer reference, for small ``n`` each layer
+against brute force over the assignments of the job prefix, and the
+dense table against the sorted engine: fronts, layer sizes and
+witnesses.
 """
 
 from __future__ import annotations
@@ -58,6 +83,10 @@ from .model import Front, Instance, ParetoPoint
 DEFAULT_STATE_BUDGET = 50_000_000
 
 _INT64_MAX = 2**63 - 1
+
+# Lateness of an unreached dense cell: above every reachable value, and
+# kept apart from _INT64_MAX, which only sizes the box keys.
+_UNREACHED = np.iinfo(np.int64).max
 
 
 class StateBudgetError(RuntimeError):
@@ -90,9 +119,12 @@ class SolveResult:
     ``schedules[j]`` is a tuple of machine flags, ``schedules[j][k]`` the
     flag (0 or 1) of ``inst.jobs[k]``, with the first job on flag 1; it
     evaluates exactly to ``front.points[j]``.
-    ``layer_sizes[i-1]`` is the retained state count of layer ``i``;
-    ``layers`` carries every layer's arrays only when the solver ran with
-    ``keep_layers=True`` (about 24 bytes per retained state).
+    ``layer_sizes[i-1]`` is the retained state count of layer ``i``: on
+    the sorted engine the states kept, and on the dense path of
+    `solve_exact` the number of distinct makespans over reached cells,
+    which is the same count.  ``layers`` carries every layer's arrays
+    only when the solver ran with ``keep_layers=True`` (about 24 bytes
+    per retained state).
     """
 
     front: Front
@@ -160,6 +192,16 @@ def _min_lmax_per_key(key: np.ndarray, lmax: np.ndarray) -> np.ndarray:
     return order[is_first]
 
 
+def _pareto_indices(lmax: np.ndarray) -> np.ndarray:
+    """Indices, in a final layer listed in ascending load, of the states
+    whose lateness is below that of every smaller load: the front.
+    Unreached cells hold _UNREACHED and never qualify."""
+    prior = np.empty_like(lmax)
+    prior[0] = _UNREACHED
+    np.minimum.accumulate(lmax[:-1], out=prior[1:])
+    return np.flatnonzero(lmax < prior)
+
+
 def _replay_choices(inst: Instance, choices: Sequence[int]) -> tuple[int, ...]:
     """Turn a per-job choice chain into absolute machine flags.
 
@@ -214,13 +256,7 @@ def _solve_layered(
         if layers is not None:
             layers.append(Layer(i, lmax, cmax, origin))
 
-    # The final layer holds one state per load box, in ascending load, so
-    # a state is non-dominated iff its lmax is below that of every smaller
-    # load.
-    keep = np.empty(len(cmax), dtype=bool)
-    keep[0] = True
-    np.less(lmax[1:], np.minimum.accumulate(lmax)[:-1], out=keep[1:])
-    witnesses = np.flatnonzero(keep)
+    witnesses = _pareto_indices(lmax)
     points = map(ParetoPoint, cmax[witnesses].tolist(), lmax[witnesses].tolist())
     schedules = []
     for idx in witnesses.tolist():
@@ -239,6 +275,97 @@ def _solve_layered(
     )
 
 
+# ---------------------------------------------------------------------------
+# Dense exact path: a table over the flag-1 load
+# ---------------------------------------------------------------------------
+
+
+def _dense_cells(inst: Instance) -> int:
+    """Cells the dense path fills: layer ``i`` spans flag-1 loads
+    ``[p_1, S_i]``."""
+    return sum(inst.prefix[1:]) - inst.n * (inst.jobs[0].p - 1)
+
+
+def _sorted_state_bound(inst: Instance) -> int:
+    """Most states the sorted path can keep: layer ``i`` has at most
+    ``2^(i-1)`` assignments and ``floor(S_i / 2) + 1`` makespans.
+    ``S_i <= 2^60``, so capping the power at ``2^61`` changes no term."""
+    return sum(
+        min(1 << min(i - 1, 61), s // 2 + 1) for i, s in enumerate(inst.prefix[1:], start=1)
+    )
+
+
+def _solve_dense(inst: Instance) -> SolveResult:
+    """The exact front from a table of the smallest lateness per flag-1
+    load (see the module docstring)."""
+    first = inst.jobs[0]
+    base, total = first.p, inst.total_p
+    # table[k]: smallest lateness with flag-1 load base + k
+    table = np.full(total - base + 1, _UNREACHED, dtype=np.int64)
+    table[0] = first.p + first.q
+    loads = np.arange(base, total + 1, dtype=np.int64)
+    moved = np.empty_like(table)
+    stayed = np.empty_like(table)
+    takes = []  # per job i >= 2: packed bits, bit k set iff load base + k + p moved onto flag 1
+    # bit t: some subset of the jobs 2..i placed so far sums to t, so
+    # flag 1 can carry base + t and flag 0 can carry t
+    reach = 1
+    sizes = [1]
+    for job, prefix in zip(inst.jobs[1:], inst.prefix[2:]):
+        m = prefix - job.p - base + 1  # loads reached before this job
+        parents = table[:m]
+        # flag-1 children: load a + p, lateness max(L, a + p + q)
+        up = np.add(loads[:m], job.p + job.q, out=moved[:m])
+        np.maximum(up, parents, out=up)
+        # flag-0 children in place: max(L, S_i - a + q); the sentinel stays
+        np.subtract(prefix + job.q, loads[:m], out=stayed[:m])
+        np.maximum(parents, stayed[:m], out=parents)
+        # a flag-1 child replaces its cell only when strictly smaller
+        cells = table[job.p : job.p + m]
+        take = up < cells
+        np.minimum(cells, up, out=cells)
+        takes.append(np.packbits(take).tobytes())
+        # The sorted engine keeps one state per makespan max(a, S_i - a):
+        # the upper half of the loads either machine can carry, a set
+        # symmetric about S_i / 2 of size 2 |reach| - |reach & (reach + base)|.
+        reach |= reach << job.p
+        union = 2 * reach.bit_count() - (reach & reach >> base).bit_count()
+        sizes.append((union + 1) // 2)
+
+    # Fold onto the makespan C = max(a, P - a), C from ceil(P / 2) to P:
+    # first a = C (for C >= base), then the mirror a = P - C (for
+    # C <= P - base), read backwards from a = P // 2.
+    low = (total + 1) // 2
+    start = max(low, base)
+    folded = np.empty(total - low + 1, dtype=np.int64)
+    folded[: start - low] = _UNREACHED
+    folded[start - low :] = table[start - base :]
+    span = total // 2 - base + 1
+    if span > 0:
+        np.minimum(folded[:span], table[span - 1 :: -1], out=folded[:span])
+
+    witnesses = _pareto_indices(folded)
+    points = [ParetoPoint(low + w, int(folded[w])) for w in witnesses.tolist()]
+    schedules = []
+    for cmax, lmax in points:
+        # ties between the two mirrors go to flag 1 carrying the makespan
+        a = cmax if cmax >= base and table[cmax - base] == lmax else total - cmax
+        flags = []
+        for job, packed in zip(reversed(inst.jobs[1:]), reversed(takes)):
+            k = a - base - job.p
+            bit = (packed[k >> 3] >> (7 - (k & 7))) & 1 if k >= 0 else 0
+            flags.append(bit)
+            a -= job.p * bit
+        flags.append(1)
+        schedules.append(tuple(flags[::-1]))
+
+    return SolveResult(
+        front=Front(tuple(points)),
+        schedules=tuple(schedules),
+        layer_sizes=tuple(sizes),
+    )
+
+
 def solve_exact(
     inst: Instance,
     *,
@@ -247,10 +374,16 @@ def solve_exact(
 ) -> SolveResult:
     """Exact Pareto front of (makespan, maximum lateness).
 
-    Runs the layered recurrence keeping one state per load (load boxes
-    of width 1) and returns every non-dominated objective pair together
-    with a schedule realizing it.
+    Runs the paper's recurrence exactly and returns every non-dominated
+    objective pair together with a schedule realizing it.  Dense
+    instances go through the table over the flag-1 load; sparse ones,
+    and every call with ``keep_layers=True``, through the sorted engine
+    (see the module docstring for the rule).
     Raises StateBudgetError instead of exhausting memory when the
     retained state count would exceed ``budget``.
     """
+    if not keep_layers:
+        cells = _dense_cells(inst)
+        if cells <= budget and cells <= 4 * _sorted_state_bound(inst):
+            return _solve_dense(inst)
     return _solve_layered(inst, Fraction(1), budget, keep_layers)

@@ -13,7 +13,8 @@ from bipareto import (
     normalize,
     solve_exact,
 )
-from bipareto.exact import _expand, _min_lmax_per_key
+from bipareto import exact as exact_module
+from bipareto.exact import _dense_cells, _expand, _min_lmax_per_key
 from bipareto.oracle import enumerate_front
 from conftest import make_instances, successor_pool
 
@@ -275,3 +276,69 @@ def edge_instances(draw, kind):
 @given(data=st.data())
 def test_exact_front_equals_enumeration_at_edges(kind, data):
     assert_exact_front_is_oracle_front(data.draw(edge_instances(kind)))
+
+
+def assert_witnesses_realize_front(inst, result):
+    for sched, point in zip(result.schedules, result.front, strict=True):
+        assert evaluate_schedule(inst, sched) == point
+
+
+def assert_paths_agree(inst, dense, ranked):
+    """The dense table and the sorted engine give one front, one layer
+    size per layer and witnesses that realize their points."""
+    assert dense.front == ranked.front
+    assert dense.layer_sizes == ranked.layer_sizes
+    assert_witnesses_realize_front(inst, dense)
+    assert_witnesses_realize_front(inst, ranked)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    jobs=st.lists(
+        st.tuples(st.integers(1, 8), st.integers(0, 60)), min_size=1, max_size=200
+    )
+)
+def test_dense_and_sorted_paths_agree(jobs):
+    inst = normalize(jobs)
+    # keep_layers=True always runs the sorted engine
+    assert_paths_agree(inst, solve_exact(inst), solve_exact(inst, keep_layers=True))
+
+
+def test_dense_path_is_taken_on_dense_instances(monkeypatch):
+    instances = [normalize(WORKED)] + make_instances(23, 12, (20, 200), (1, 8), (1, 60))
+    ranked = [solve_exact(inst, keep_layers=True) for inst in instances]
+
+    def sorted_engine(*args, **kwargs):
+        raise AssertionError("solve_exact took the sorted path")
+
+    monkeypatch.setattr(exact_module, "_solve_layered", sorted_engine)
+    for inst, reference in zip(instances, ranked):
+        assert_paths_agree(inst, solve_exact(inst), reference)
+    # Ties stay on flag 0 in the table, and the fold picks the cell whose
+    # flag-1 load is the makespan: the sorted engine's witness is (1, 0, 1).
+    assert solve_exact(normalize([(1, 0)] * 3)).schedules == ((1, 1, 0),)
+
+
+def test_dense_cells_over_budget_use_the_sorted_path(monkeypatch):
+    inst = make_instances(29, 1, (60, 60), (1, 6))[0]
+    reference = solve_exact(inst)
+    sizes = reference.layer_sizes
+    # the sorted engine's largest check: retained states plus the next pool
+    needs = [sum(sizes[:i]) + 2 * sizes[i - 1] for i in range(1, inst.n)]
+    need = max(needs)
+    layer = needs.index(need) + 2
+    assert _dense_cells(inst) > need
+
+    def dense_table(*args, **kwargs):
+        raise AssertionError("solve_exact took the dense path")
+
+    monkeypatch.setattr(exact_module, "_solve_dense", dense_table)
+    result = solve_exact(inst, budget=need)
+    assert (result.front, result.layer_sizes) == (reference.front, sizes)
+    assert_witnesses_realize_front(inst, result)
+    with pytest.raises(StateBudgetError) as info:
+        solve_exact(inst, budget=need - 1)
+    assert str(info.value) == (
+        f"state budget exceeded: layer {layer} needs up to {need} live states "
+        f"(budget {need - 1})"
+    )

@@ -48,9 +48,12 @@ child replaces its cell only when strictly smaller, so ties stay on
 flag 0.  One bit per cell records which child won; walking the bits
 back from a final cell (``a -= p`` where set) gives absolute flags
 directly.  The front folds the last table onto ``C = max(a, P - a)``;
-when the two mirrored cells tie, the witness has ``a = C``.  The table
-has no sort, and no 8-byte parent per state, but its cells span both
-mirrors of each makespan, so it pays only when loads are dense.
+when the two mirrored cells tie, the witness has ``a = C``.  The
+table, the fold and the scratch arrays each span at most the last
+layer's ``P - p_1 + 1`` cells, so memory follows the cell count that
+the budget bounds.  The table has no sort, and no 8-byte parent per
+state, but its cells span both mirrors of each makespan, so it pays
+only when loads are dense.
 `solve_exact` takes it iff ``keep_layers`` is False and its cell count
 ``sum_i (S_i - p_1 + 1)`` is at most four times the sorted engine's
 worst-case state count ``sum_i min(2^(i-1), floor(S_i / 2) + 1)`` and
@@ -303,9 +306,11 @@ def _solve_dense(inst: Instance) -> SolveResult:
     # table[k]: smallest lateness with flag-1 load base + k
     table = np.full(total - base + 1, _UNREACHED, dtype=np.int64)
     table[0] = first.p + first.q
-    loads = np.arange(base, total + 1, dtype=np.int64)
-    moved = np.empty_like(table)
-    stayed = np.empty_like(table)
+    # scratch for one job's parents: at most the S_(n-1) - p_1 + 1 loads
+    # reached before the last job
+    loads = np.arange(base, inst.prefix[-2] + 1, dtype=np.int64)
+    moved = np.empty_like(loads)
+    stayed = np.empty_like(loads)
     takes = []  # per job i >= 2: packed bits, bit k set iff load base + k + p moved onto flag 1
     # bit t: some subset of the jobs 2..i placed so far sums to t, so
     # flag 1 can carry base + t and flag 0 can carry t
@@ -332,24 +337,22 @@ def _solve_dense(inst: Instance) -> SolveResult:
         union = 2 * reach.bit_count() - (reach & reach >> base).bit_count()
         sizes.append((union + 1) // 2)
 
-    # Fold onto the makespan C = max(a, P - a), C from ceil(P / 2) to P:
-    # first a = C (for C >= base), then the mirror a = P - C (for
-    # C <= P - base), read backwards from a = P // 2.
-    low = (total + 1) // 2
-    start = max(low, base)
-    folded = np.empty(total - low + 1, dtype=np.int64)
-    folded[: start - low] = _UNREACHED
-    folded[start - low :] = table[start - base :]
+    # Fold onto the makespan C = max(a, P - a), C from max(ceil(P / 2), p_1)
+    # to P, so the fold is never longer than the table: first a = C, then,
+    # where p_1 <= P / 2 (and so C starts at ceil(P / 2)), the mirror
+    # a = P - C for C <= P - p_1, read backwards from a = P // 2.
+    start = max((total + 1) // 2, base)
+    folded = table[start - base :].copy()
     span = total // 2 - base + 1
     if span > 0:
         np.minimum(folded[:span], table[span - 1 :: -1], out=folded[:span])
 
     witnesses = _pareto_indices(folded)
-    points = [ParetoPoint(low + w, int(folded[w])) for w in witnesses.tolist()]
+    points = [ParetoPoint(start + w, int(folded[w])) for w in witnesses.tolist()]
     schedules = []
     for cmax, lmax in points:
         # ties between the two mirrors go to flag 1 carrying the makespan
-        a = cmax if cmax >= base and table[cmax - base] == lmax else total - cmax
+        a = cmax if table[cmax - base] == lmax else total - cmax
         flags = []
         for job, packed in zip(reversed(inst.jobs[1:]), reversed(takes)):
             k = a - base - job.p

@@ -243,11 +243,14 @@ def test_schedules_realize_front_points():
 
 def assert_exact_front_is_oracle_front(jobs):
     inst = normalize(jobs)
-    result = assert_matches_scalar_reference(inst)
-    assert result.front.points == enumerate_front(inst).points
-    assert len(result.schedules) == len(result.front)
-    for sched, point in zip(result.schedules, result.front):
-        assert evaluate_schedule(inst, sched) == point
+    front = enumerate_front(inst).points
+    # keep_layers=True runs the sorted engine; the lean solve may take
+    # the dense table
+    for result in (assert_matches_scalar_reference(inst), solve_exact(inst)):
+        assert result.front.points == front
+        assert len(result.schedules) == len(result.front)
+        for sched, point in zip(result.schedules, result.front):
+            assert evaluate_schedule(inst, sched) == point
 
 
 @st.composite
@@ -317,6 +320,24 @@ def test_dense_path_is_taken_on_dense_instances(monkeypatch):
     # Ties stay on flag 0 in the table, and the fold picks the cell whose
     # flag-1 load is the makespan: the sorted engine's witness is (1, 0, 1).
     assert solve_exact(normalize([(1, 0)] * 3)).schedules == ((1, 1, 0),)
+
+
+@pytest.mark.parametrize(
+    "jobs", [[(10**12, 10)], [(10**12, 10), (1, 0)], [(2**59, 7), (3, 2), (2, 0)]]
+)
+def test_dense_path_with_a_first_job_over_half_the_load(monkeypatch, jobs):
+    # The table spans only [p_1, P]; its fold onto max(a, P - a) must too,
+    # not the whole range from P / 2.
+    inst = normalize(jobs)
+    front = enumerate_front(inst)
+
+    def sorted_engine(*args, **kwargs):
+        raise AssertionError("solve_exact took the sorted path")
+
+    monkeypatch.setattr(exact_module, "_solve_layered", sorted_engine)
+    result = solve_exact(inst)
+    assert result.front == front
+    assert_witnesses_realize_front(inst, result)
 
 
 def test_dense_cells_over_budget_use_the_sorted_path(monkeypatch):

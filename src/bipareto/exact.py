@@ -55,13 +55,15 @@ the budget bounds.  The table has no sort, and no 8-byte parent per
 state, but its cells span both mirrors of each makespan, so it pays
 only when loads are dense.
 `solve_exact` takes it iff ``keep_layers`` is False and its cell count
-``sum_i (S_i - p_1 + 1)`` is at most four times the sorted engine's
-worst-case state count ``sum_i min(2^(i-1), floor(S_i / 2) + 1)`` and
-at most the budget, counting a cell as one state.  Dense loads give a
-ratio near 2 (the two mirrors), on either side of it, so a factor of 2
-would send some of them to the sorted engine; the table measured
-faster up to a ratio of about 10.  Every other exact solve, every
-`solve_fptas` call and `verify` run the sorted engine.
+``sum_i (S_i - p_1 + 1)`` is at most the budget and at most four times
+the sorted engine's state count, counted from subset sums
+(`_layer_sizes`), a cell counting as one state.  The count runs only
+once the cells fit the budget, which bounds its bitset, and the table
+reports it as its layer sizes.  Dense loads give a ratio near 2 (the
+two mirrors), on either side of it, so a factor of 2 would send some
+of them to the sorted engine; the table measured faster up to a ratio
+of about 10.  Every other exact solve, every `solve_fptas` call and
+`verify` run the sorted engine.
 Both paths give the same front and layer sizes; their witnesses may
 differ where ties allow.
 
@@ -124,8 +126,9 @@ class SolveResult:
     evaluates exactly to ``front.points[j]``.
     ``layer_sizes[i-1]`` is the retained state count of layer ``i``: on
     the sorted engine the states kept, and on the dense path of
-    `solve_exact` the number of distinct makespans over reached cells,
-    which is the same count.  ``layers`` carries every layer's arrays
+    `solve_exact` the same count made from subset sums, the one that
+    routed the solve there (cells <= budget and <= 4 x the sorted
+    engine's state count).  ``layers`` carries every layer's arrays
     only when the solver ran with ``keep_layers=True`` (about 24 bytes
     per retained state).
     """
@@ -289,18 +292,30 @@ def _dense_cells(inst: Instance) -> int:
     return sum(inst.prefix[1:]) - inst.n * (inst.jobs[0].p - 1)
 
 
-def _sorted_state_bound(inst: Instance) -> int:
-    """Most states the sorted path can keep: layer ``i`` has at most
-    ``2^(i-1)`` assignments and ``floor(S_i / 2) + 1`` makespans.
-    ``S_i <= 2^60``, so capping the power at ``2^61`` changes no term."""
-    return sum(
-        min(1 << min(i - 1, 61), s // 2 + 1) for i, s in enumerate(inst.prefix[1:], start=1)
-    )
+def _layer_sizes(inst: Instance) -> list[int]:
+    """States the sorted engine keeps per layer: one per makespan
+    ``max(a, S_i - a)`` over the reachable flag-1 loads ``a``.
+
+    Bit ``t`` of ``reach`` is set when some subset of the jobs 2..i sums
+    to ``t``, so flag 1 can carry ``p_1 + t`` and flag 0 can carry ``t``.
+    The loads either machine can carry form a set symmetric about
+    ``S_i / 2`` of size ``2 |reach| - |reach & (reach + p_1)|``; the
+    makespans are its upper half.  The bitset spans ``S_n - p_1 + 1``
+    bits, at most the dense path's cell count.
+    """
+    base = inst.jobs[0].p
+    reach = 1
+    sizes = [1]
+    for job in inst.jobs[1:]:
+        reach |= reach << job.p
+        union = 2 * reach.bit_count() - (reach & reach >> base).bit_count()
+        sizes.append((union + 1) // 2)
+    return sizes
 
 
-def _solve_dense(inst: Instance) -> SolveResult:
+def _solve_dense(inst: Instance, sizes: Sequence[int]) -> SolveResult:
     """The exact front from a table of the smallest lateness per flag-1
-    load (see the module docstring)."""
+    load (see the module docstring); ``sizes`` is `_layer_sizes`."""
     first = inst.jobs[0]
     base, total = first.p, inst.total_p
     # table[k]: smallest lateness with flag-1 load base + k
@@ -312,10 +327,6 @@ def _solve_dense(inst: Instance) -> SolveResult:
     moved = np.empty_like(loads)
     stayed = np.empty_like(loads)
     takes = []  # per job i >= 2: packed bits, bit k set iff load base + k + p moved onto flag 1
-    # bit t: some subset of the jobs 2..i placed so far sums to t, so
-    # flag 1 can carry base + t and flag 0 can carry t
-    reach = 1
-    sizes = [1]
     for job, prefix in zip(inst.jobs[1:], inst.prefix[2:]):
         m = prefix - job.p - base + 1  # loads reached before this job
         parents = table[:m]
@@ -330,12 +341,6 @@ def _solve_dense(inst: Instance) -> SolveResult:
         take = up < cells
         np.minimum(cells, up, out=cells)
         takes.append(np.packbits(take).tobytes())
-        # The sorted engine keeps one state per makespan max(a, S_i - a):
-        # the upper half of the loads either machine can carry, a set
-        # symmetric about S_i / 2 of size 2 |reach| - |reach & (reach + base)|.
-        reach |= reach << job.p
-        union = 2 * reach.bit_count() - (reach & reach >> base).bit_count()
-        sizes.append((union + 1) // 2)
 
     # Fold onto the makespan C = max(a, P - a), C from max(ceil(P / 2), p_1)
     # to P, so the fold is never longer than the table: first a = C, then,
@@ -385,8 +390,10 @@ def solve_exact(
     Raises StateBudgetError instead of exhausting memory when the
     retained state count would exceed ``budget``.
     """
-    if not keep_layers:
-        cells = _dense_cells(inst)
-        if cells <= budget and cells <= 4 * _sorted_state_bound(inst):
-            return _solve_dense(inst)
+    # count the sorted engine's states only once the cells, which bound
+    # the bitset, fit the budget
+    if not keep_layers and (cells := _dense_cells(inst)) <= budget:
+        sizes = _layer_sizes(inst)
+        if cells <= 4 * sum(sizes):
+            return _solve_dense(inst, sizes)
     return _solve_layered(inst, Fraction(1), budget, keep_layers)

@@ -203,11 +203,15 @@ def find_closeness_violation(
     layer order, which is ascending load), or None when all layers pass.
     Both solvers must have run with ``keep_layers=True``; every load and
     lateness must lie in [0, MAX_MAGNITUDE].  Each approximate layer must
-    be sorted by load, as both solvers emit it (strictly ascending): the
-    windows are found by binary search on ``cmax``.
+    be sorted by load (both solvers emit strictly ascending loads): the
+    windows are found by binary search on ``cmax``, so any layer whose
+    loads decrease raises ValueError before the search starts.
     """
     if len(exact_layers) != len(approx_layers):
         raise ValueError("layer sequences differ in length")
+    for ap_layer in approx_layers:
+        if (ap_layer.cmax[1:] < ap_layer.cmax[:-1]).any():
+            raise ValueError(f"approximate layer {ap_layer.i} is not sorted by load")
     num, den = grid.delta1.numerator, grid.delta1.denominator
     for ex_layer, ap_layer in zip(exact_layers, approx_layers):
         if ex_layer.i != ap_layer.i:

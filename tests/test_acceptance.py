@@ -198,23 +198,25 @@ def test_criterion_6_complexity_behavior(
             if any(size > bound for size in result.layer_sizes):
                 bound_violations += 1
 
+    def seconds(solve, *args):
+        # the best of five solves, so one stall cannot reorder two timings
+        times = []
+        for _ in range(5):
+            start = time.perf_counter()
+            solve(*args)
+            times.append(time.perf_counter() - start)
+        return min(times)
+
     # directional timing: big instance, fptas fast, dp slower
-    eps = Fraction(3, 10)
     big = generate_instance(GenSpec((200, 200), (1, 1000), (1, 1000), 404, 1), 0)
-    start = time.perf_counter()
-    solve_fptas(big, eps)
-    fptas_s = time.perf_counter() - start
-    start = time.perf_counter()
-    solve_exact(big)
-    dp_s = time.perf_counter() - start
+    fptas_s = seconds(solve_fptas, big, Fraction(3, 10))
+    dp_s = seconds(solve_exact, big)
 
     # dp time grows with the processing-time range
     dp_series = []
     for p_hi in (20, 100, 1000):
         inst = generate_instance(GenSpec((200, 200), (1, p_hi), (1, 1000), 404, 1), 0)
-        start = time.perf_counter()
-        solve_exact(inst)
-        dp_series.append(time.perf_counter() - start)
+        dp_series.append(seconds(solve_exact, inst))
 
     ok = (
         bound_violations == 0
@@ -225,9 +227,9 @@ def test_criterion_6_complexity_behavior(
     announce(
         ok,
         f"criterion-6 complexity behavior: layer sizes within load-box bound "
-        f"({bound_violations} violations); n=200 fptas {fptas_s:.2f} s (limit 10 s); "
-        f"dp {dp_s:.2f} s = {dp_s / fptas_s:.1f}x fptas; dp seconds over p-ranges "
-        f"{dp_series[0]:.3f} < {dp_series[1]:.3f} < {dp_series[2]:.3f}",
+        f"({bound_violations} violations); n=200 fptas {fptas_s:.4f} s (limit 10 s); "
+        f"dp {dp_s:.4f} s = {dp_s / fptas_s:.1f}x fptas; dp seconds over p-ranges "
+        f"{dp_series[0]:.4f} < {dp_series[1]:.4f} < {dp_series[2]:.4f} (best of 5 each)",
     )
 
 

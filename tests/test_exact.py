@@ -363,3 +363,19 @@ def test_dense_cells_over_budget_use_the_sorted_path(monkeypatch):
         f"state budget exceeded: layer {layer} needs up to {need} live states "
         f"(budget {need - 1})"
     )
+
+
+def test_sparse_instance_under_the_cell_count_takes_the_sorted_path(monkeypatch):
+    # sparse loads: 1.0M cells fit the budget but are far over four
+    # times the 129 states the sorted engine keeps
+    inst = normalize([(1, 100)] * 19 + [(1_000_000, 0)])
+
+    def dense_table(*args, **kwargs):
+        raise AssertionError("solve_exact took the dense path")
+
+    monkeypatch.setattr(exact_module, "_solve_dense", dense_table)
+    result = solve_exact(inst)
+    assert result.front == enumerate_front(inst)
+    assert_witnesses_realize_front(inst, result)
+    assert tuple(exact_module._layer_sizes(inst)) == result.layer_sizes
+    assert sum(result.layer_sizes) == 129

@@ -311,6 +311,12 @@ def test_closeness_rejects_misaligned_layers():
     swapped = (exact.layers[1], exact.layers[0], exact.layers[2])
     with pytest.raises(ValueError, match="misaligned"):
         find_closeness_violation(exact.layers, swapped, worked_grid())
+    # the windows are binary searches on cmax: unsorted loads are refused
+    unsorted = Layer(2, np.array([9, 9]), np.array([5, 3]), np.array([0, 1]))
+    with pytest.raises(ValueError, match="not sorted"):
+        find_closeness_violation(
+            exact.layers, (exact.layers[0], unsorted, exact.layers[2]), worked_grid()
+        )
 
 
 @st.composite

@@ -27,7 +27,7 @@ from numpy.random import Philox
 
 from .exact import DEFAULT_STATE_BUDGET, solve_exact
 from .fptas import solve_fptas
-from .io import PathLike
+from .io import PathLike, write_text
 from .model import Front, Instance, normalize
 
 RECORDS_HEADER = (
@@ -336,6 +336,6 @@ def write_report(records: Sequence[RunRecord], out_dir: PathLike) -> list[Path]:
     paths = []
     for name, text in tables:
         path = out / name
-        path.write_text(text)
+        write_text(path, text)
         paths.append(path)
     return paths

@@ -194,7 +194,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     if args.out_path:
         out_path = Path(args.out_path)
         try:
-            out_path.write_text(front_text)
+            io.write_text(out_path, front_text)
             if args.schedules:
                 io.save_schedules_csv(
                     inst, result.schedules, out_path.with_suffix(".schedules.csv")

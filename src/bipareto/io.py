@@ -18,6 +18,7 @@ is flag 1, machine 2 flag 0).
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
@@ -96,12 +97,27 @@ def format_instance(inst: Instance, header: Sequence[str] = ()) -> str:
     return "\n".join(out) + "\n"
 
 
+def write_text(path: PathLike, text: str) -> None:
+    """Write ``text`` to ``path`` in place, like `Path.write_text`.
+
+    An existing file keeps its inode and mode, and links to it are
+    followed, but it is not emptied first: the new bytes go over the old
+    ones and the file is then cut to their length.  ext4
+    (``auto_da_alloc``) flushes a file on close after a truncate to zero
+    and on a rename over it, which turned each rewrite into a disk wait.
+    Nothing is fsync'd.
+    """
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as file:
+        file.write(text.encode())
+        file.truncate()
+
+
 def load_instance(path: PathLike) -> Instance:
     return parse_instance(Path(path).read_text())
 
 
 def save_instance(inst: Instance, path: PathLike, header: Sequence[str] = ()) -> None:
-    Path(path).write_text(format_instance(inst, header))
+    write_text(path, format_instance(inst, header))
 
 
 def format_front_csv(front: Front) -> str:
@@ -145,7 +161,7 @@ def parse_schedules_csv(text: str) -> dict[int, dict[int, int]]:
 def save_schedules_csv(
     inst: Instance, schedules: Iterable[Sequence[int]], path: PathLike
 ) -> None:
-    Path(path).write_text(format_schedules_csv(inst, schedules))
+    write_text(path, format_schedules_csv(inst, schedules))
 
 
 def assignment_to_flags(inst: Instance, machines: Mapping[int, int]) -> list[int]:

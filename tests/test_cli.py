@@ -94,6 +94,43 @@ def test_solve_dp_worked_instance(worked_file, tmp_path, capsys):
     assert "dp front size 2" in capsys.readouterr().err
 
 
+def test_solve_rewrites_out_path_in_place(tmp_path, capsys):
+    out = tmp_path / "front.csv"
+    files = (out, out.with_suffix(".schedules.csv"))
+
+    def solve(n, seed, out_path):
+        inst = tmp_path / f"inst{n}.txt"
+        assert main(["gen", "--n", str(n), "--p", "1:50", "--q", "1:50",
+                     "--seed", str(seed), "--out-path", str(inst)]) == EXIT_OK
+        assert main(["solve", "--input-path", str(inst), "--algo", "dp",
+                     "--out-path", str(out_path), "--schedules"]) == EXIT_OK
+        return [(path.stat().st_ino, path.read_bytes()) for path in files]
+
+    first = solve(12, 5, out)
+    assert solve(12, 5, out) == first
+    # a smaller front over the same files keeps their inodes and leaves
+    # no stale tail: it matches a solve into a fresh path
+    smaller = solve(4, 6, out)
+    fresh = tmp_path / "fresh.csv"
+    solve(4, 6, fresh)
+    assert [ino for ino, _ in smaller] == [ino for ino, _ in first]
+    assert [data for _, data in smaller] == [
+        fresh.read_bytes(), fresh.with_suffix(".schedules.csv").read_bytes()
+    ]
+    assert len(smaller[1][1]) < len(first[1][1])
+    capsys.readouterr()
+
+
+def test_solve_unwritable_out_path(worked_file, tmp_path, capsys):
+    for out in (tmp_path, tmp_path / "nope" / "front.csv"):
+        assert main(["solve", "--input-path", worked_file, "--algo", "dp",
+                     "--out-path", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"error: cannot write {out}" in err
+        assert "Traceback" not in err
+    assert not (tmp_path / "nope").exists()
+
+
 def test_solve_fptas_covers_dp(worked_file, capsys):
     assert main(["solve", "--input-path", worked_file, "--algo", "dp"]) == EXIT_OK
     dp_front = parse_front_csv(capsys.readouterr().out)

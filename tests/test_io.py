@@ -1,3 +1,6 @@
+import os
+import stat
+
 import pytest
 
 from bipareto import Front, ParetoPoint, evaluate_schedule, normalize, solve_exact
@@ -11,6 +14,7 @@ from bipareto.io import (
     parse_instance,
     parse_schedules_csv,
     save_instance,
+    write_text,
 )
 from conftest import make_instances
 
@@ -70,6 +74,32 @@ def test_save_and_load(tmp_path):
     path = tmp_path / "inst.txt"
     save_instance(inst, path, header=("generated for tests",))
     assert load_instance(path) == inst
+
+
+def test_write_text_rewrites_in_place(tmp_path):
+    path = tmp_path / "out.csv"
+    write_text(path, "a fairly long first text\n")
+    path.chmod(0o640)
+    before = path.stat()
+    # shorter text leaves no stale tail, longer text is written whole
+    for text in ("short\n", "x" * 10_000 + "\n", "mid\n"):
+        write_text(path, text)
+        assert path.read_text() == text
+    after = path.stat()
+    assert after.st_ino == before.st_ino
+    assert stat.S_IMODE(after.st_mode) == 0o640
+
+
+def test_write_text_follows_links(tmp_path):
+    target = tmp_path / "target.csv"
+    write_text(target, "old target text\n")
+    link = tmp_path / "link.csv"
+    link.symlink_to(target)
+    hard = tmp_path / "hard.csv"
+    os.link(target, hard)
+    write_text(link, "new\n")
+    assert link.is_symlink()
+    assert target.read_text() == hard.read_text() == "new\n"
 
 
 def test_front_csv_round_trip():

@@ -58,13 +58,11 @@ only when loads are dense.
 ``sum_i (S_i - p_1 + 1)`` is at most the budget and at most four times
 the sorted engine's state count, counted from subset sums
 (`_layer_sizes`), a cell counting as one state.  The count runs only
-once the cells fit the budget, which bounds its bitset, and are at most
-four times an O(n) upper bound on it (`_sorted_state_bound`), which
-sends sparse instances to the sorted engine without counting; the table
-reports the count as its layer sizes.  Dense loads give a ratio near 2
-(the two mirrors), on either side of it, so a factor of 2 would send
-some of them to the sorted engine; the table measured faster up to a
-ratio of about 10.  Every other exact solve, every `solve_fptas` call and
+once the cells fit the budget, which bounds its bitset, and the table
+reports it as its layer sizes.  Dense loads give a ratio near 2 (the
+two mirrors), on either side of it, so a factor of 2 would send some
+of them to the sorted engine; the table measured faster up to a ratio
+of about 10.  Every other exact solve, every `solve_fptas` call and
 `verify` run the sorted engine.
 Both paths give the same front and layer sizes; their witnesses may
 differ where ties allow.
@@ -294,17 +292,6 @@ def _dense_cells(inst: Instance) -> int:
     return sum(inst.prefix[1:]) - inst.n * (inst.jobs[0].p - 1)
 
 
-def _sorted_state_bound(inst: Instance) -> int:
-    """An upper bound on ``sum(_layer_sizes(inst))`` in O(n): a layer keeps
-    at most two states per state of the one before and at most one per
-    makespan, ``floor(S_i / 2) + 1``."""
-    bound = total = 1
-    for prefix in inst.prefix[2:]:
-        bound = min(2 * bound, prefix // 2 + 1)
-        total += bound
-    return total
-
-
 def _layer_sizes(inst: Instance) -> list[int]:
     """States the sorted engine keeps per layer: one per makespan
     ``max(a, S_i - a)`` over the reachable flag-1 loads ``a``.
@@ -403,10 +390,9 @@ def solve_exact(
     Raises StateBudgetError instead of exhausting memory when the
     retained state count would exceed ``budget``.
     """
-    # count the sorted engine's states only once the cells fit the budget,
-    # which bounds the bitset, and four times an O(n) bound on the count
-    cells = _dense_cells(inst)
-    if not keep_layers and cells <= min(budget, 4 * _sorted_state_bound(inst)):
+    # count the sorted engine's states only once the cells, which bound
+    # the bitset, fit the budget
+    if not keep_layers and (cells := _dense_cells(inst)) <= budget:
         sizes = _layer_sizes(inst)
         if cells <= 4 * sum(sizes):
             return _solve_dense(inst, sizes)

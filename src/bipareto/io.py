@@ -19,6 +19,7 @@ is flag 1, machine 2 flag 0).
 from __future__ import annotations
 
 import os
+import stat
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
@@ -102,14 +103,25 @@ def write_text(path: PathLike, text: str) -> None:
 
     An existing file keeps its inode and mode, and links to it are
     followed, but it is not emptied first: the new bytes go over the old
-    ones and the file is then cut to their length.  ext4
+    ones and a regular file is then cut to their length.  ext4
     (``auto_da_alloc``) flushes a file on close after a truncate to zero
     and on a rename over it, which turned each rewrite into a disk wait.
+    Other files (``/dev/null``, a pipe, a terminal) are written, not cut.
+    A write that fails or is interrupted still cuts the file where it
+    stopped, so it leaves a prefix of ``text`` and none of the old bytes.
     Nothing is fsync'd.
     """
-    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as file:
-        file.write(text.encode())
-        file.truncate()
+    data = memoryview(text.encode())
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "wb", buffering=0) as file:
+        regular = stat.S_ISREG(os.fstat(fd).st_mode)
+        written = 0
+        try:
+            while written < len(data):
+                written += file.write(data[written:])
+        finally:
+            if regular:
+                file.truncate(written)
 
 
 def load_instance(path: PathLike) -> Instance:

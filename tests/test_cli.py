@@ -131,6 +131,15 @@ def test_solve_unwritable_out_path(worked_file, tmp_path, capsys):
     assert not (tmp_path / "nope").exists()
 
 
+def test_out_path_may_be_a_device(worked_file, capsys):
+    # a file that cannot be truncated is written, not cut
+    assert main(["gen", "--n", "5", "--p", "1:20", "--q", "1:20", "--seed", "7",
+                 "--out-path", os.devnull]) == EXIT_OK
+    assert main(["solve", "--input-path", worked_file, "--algo", "dp",
+                 "--out-path", os.devnull]) == EXIT_OK
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_solve_fptas_covers_dp(worked_file, capsys):
     assert main(["solve", "--input-path", worked_file, "--algo", "dp"]) == EXIT_OK
     dp_front = parse_front_csv(capsys.readouterr().out)

@@ -379,53 +379,3 @@ def test_sparse_instance_under_the_cell_count_takes_the_sorted_path(monkeypatch)
     assert_witnesses_realize_front(inst, result)
     assert tuple(exact_module._layer_sizes(inst)) == result.layer_sizes
     assert sum(result.layer_sizes) == 129
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    jobs=st.lists(
-        st.tuples(st.integers(1, 10**4), st.integers(0, 60)), min_size=1, max_size=30
-    )
-)
-def test_sorted_state_bound_is_an_upper_bound(jobs):
-    # the route skips the count only when this bound already rules the
-    # table out, so it must never be below the count
-    inst = normalize(jobs)
-    assert sum(exact_module._layer_sizes(inst)) <= exact_module._sorted_state_bound(inst)
-
-
-@pytest.mark.parametrize(
-    "jobs, counted",
-    [
-        # 40M cells, but at most 2 x 15 states in the last layer: the
-        # O(n) bound settles the route, no bitset is built
-        ([(1, 100)] * 29 + [(40_000_000, 0)], False),
-        # loads in steps of 1000: the bound allows the table, and only
-        # the count (one state per multiple of 1000) rules it out
-        ([(1000, q) for q in range(20)], True),
-    ],
-)
-def test_sorted_route_counts_states_only_when_the_bound_allows_the_table(
-    monkeypatch, jobs, counted
-):
-    inst = normalize(jobs)
-    reference = solve_exact(inst, keep_layers=True)
-    assert sum(reference.layer_sizes) <= exact_module._sorted_state_bound(inst)
-    calls = []
-    count = exact_module._layer_sizes
-
-    def layer_sizes(*args, **kwargs):
-        if not counted:
-            raise AssertionError("solve_exact counted the sorted engine's states")
-        calls.append(args)
-        return count(*args, **kwargs)
-
-    def dense_table(*args, **kwargs):
-        raise AssertionError("solve_exact took the dense path")
-
-    monkeypatch.setattr(exact_module, "_layer_sizes", layer_sizes)
-    monkeypatch.setattr(exact_module, "_solve_dense", dense_table)
-    result = solve_exact(inst)
-    assert (result.front, result.layer_sizes) == (reference.front, reference.layer_sizes)
-    assert_witnesses_realize_front(inst, result)
-    assert len(calls) == counted

@@ -1,9 +1,12 @@
 import os
 import stat
+import threading
+from io import FileIO
 
 import pytest
 
 from bipareto import Front, ParetoPoint, evaluate_schedule, normalize, solve_exact
+from bipareto import io as io_module
 from bipareto.io import (
     assignment_to_flags,
     format_front_csv,
@@ -100,6 +103,37 @@ def test_write_text_follows_links(tmp_path):
     write_text(link, "new\n")
     assert link.is_symlink()
     assert target.read_text() == hard.read_text() == "new\n"
+
+
+def test_write_text_to_a_pipe(tmp_path):
+    # a pipe cannot be truncated: the text is written and nothing raises
+    pipe = tmp_path / "pipe"
+    os.mkfifo(pipe)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(pipe.read_text()), daemon=True)
+    reader.start()
+    write_text(pipe, "through a pipe\n")
+    reader.join(timeout=10)
+    assert got == ["through a pipe\n"]
+
+
+def test_interrupted_write_text_leaves_no_old_bytes(tmp_path, monkeypatch):
+    path = tmp_path / "out.csv"
+    write_text(path, "old text, longer than the new one\n")
+
+    class Interrupted(FileIO):
+        # writes four bytes, then is interrupted
+        def write(self, data):
+            if self.tell():
+                raise KeyboardInterrupt
+            return super().write(data[:4])
+
+    monkeypatch.setattr(
+        io_module, "open", lambda fd, *args, **kwargs: Interrupted(fd, "w"), raising=False
+    )
+    with pytest.raises(KeyboardInterrupt):
+        write_text(path, "new text\n")
+    assert path.read_text() == "new "
 
 
 def test_front_csv_round_trip():

@@ -52,14 +52,16 @@ for eps in (Fraction(1, 10), Fraction(3, 10), Fraction(9, 10), Fraction(2)):
 # With eps small enough that the load box width delta1 falls below 1,
 # every integer load is its own box: the exact solver is trimming with
 # boxes of width 1, so the trimmed solver builds the exact solver's
-# layers, state for state, and the approximate front is exact.
+# layers, state for state, and the approximate front is exact.  (This
+# dense instance's exact layers come from the table over the flag-1
+# load, which keeps no parents, so the states are compared, not origins.)
 small = generate_instance(GenSpec((30, 30), (1, 50), (1, 50), 20, 1), 0)
 tiny = solve_fptas(small, Fraction(1, small.total_p + small.q_max), keep_layers=True)
 small_exact = solve_exact(small, keep_layers=True)
-same_layers = all(
+same_layers = len(tiny.layers) == len(small_exact.layers) and all(
     np.array_equal(getattr(a, name), getattr(b, name))
     for a, b in zip(tiny.layers, small_exact.layers)
-    for name in ("lmax", "cmax", "origin")
+    for name in ("lmax", "cmax")
 )
 print(f"\ndegenerate grid (delta1 < 1) reproduces the exact front: "
       f"{tiny.front.points == small_exact.front.points}, the exact layers: {same_layers}")

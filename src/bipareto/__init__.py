@@ -43,7 +43,6 @@ from .model import (
     dominates,
     evaluate_schedule,
     normalize,
-    pareto_filter,
 )
 from .oracle import ORACLE_CAP, enumerate_front
 
@@ -66,7 +65,6 @@ __all__ = [
     "normalize",
     "evaluate_schedule",
     "dominates",
-    "pareto_filter",
     "solve_exact",
     "grid_params",
     "box_index",

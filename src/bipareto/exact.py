@@ -53,8 +53,14 @@ table, the fold and the scratch arrays each span at most the last
 layer's ``P - p_1 + 1`` cells, so memory follows the cell count that
 the budget bounds.  The table has no sort, and no 8-byte parent per
 state, but its cells span both mirrors of each makespan, so it pays
-only when loads are dense.
-`solve_exact` takes it iff ``keep_layers`` is False and its cell count
+only when loads are dense.  With ``keep_layers=True`` the table is
+also folded after every job, onto ``C = max(a, S_i - a)``, and its
+reached cells become layer ``i``: per makespan the smallest ``L`` over
+both mirrors, which is the sorted engine's layer, state for state.  The
+kept layers are views into one array of ``2 * sum(layer_sizes)``
+int64s, 16 bytes per state, with no ``origin``: the table's parent
+chain is its bits.
+`solve_exact` takes the table iff its cell count
 ``sum_i (S_i - p_1 + 1)`` is at most the budget and at most four times
 the sorted engine's state count, counted from subset sums
 (`_layer_sizes`), a cell counting as one state.  The count runs only
@@ -62,16 +68,17 @@ once the cells fit the budget, which bounds its bitset, and the table
 reports it as its layer sizes.  Dense loads give a ratio near 2 (the
 two mirrors), on either side of it, so a factor of 2 would send some
 of them to the sorted engine; the table measured faster up to a ratio
-of about 10.  Every other exact solve, every `solve_fptas` call and
-`verify` run the sorted engine.
-Both paths give the same front and layer sizes; their witnesses may
-differ where ties allow.
+of about 10; ``keep_layers`` does not change the route, and the kept
+states, at most the cells, stay under the budget.  Every other exact
+solve and every `solve_fptas` call run the sorted engine.
+Both paths give the same front, layer sizes and kept layers' states;
+their witnesses may differ where ties allow.
 
 The test suite checks the sorted engine's layers, parents and
 tie-breaks against a plain-integer reference, for small ``n`` each layer
 against brute force over the assignments of the job prefix, and the
-dense table against the sorted engine: fronts, layer sizes and
-witnesses.
+dense table against the sorted engine: fronts, layer sizes, kept
+layers and witnesses.
 """
 
 from __future__ import annotations
@@ -103,15 +110,17 @@ class Layer:
     """States kept after processing the first ``i`` jobs, as int64 arrays.
 
     State ``j`` has lateness ``lmax[j]`` and most-loaded machine load
-    ``cmax[j]``; ``origin[j]`` is the successor-pool index it won from
-    (parent ``origin[j] >> 1``, choice ``origin[j] & 1``), -1 at layer 1.
-    Both solvers keep states in strictly ascending ``cmax``.
+    ``cmax[j]``; both solvers keep states in strictly ascending ``cmax``.
+    ``origin`` is the sorted engine's parent chain: ``origin[j]`` is the
+    successor-pool index state ``j`` won from (parent ``origin[j] >> 1``,
+    choice ``origin[j] & 1``), -1 at layer 1.  Layers folded from the
+    dense table of `solve_exact` have no pool, and ``origin`` is None.
     """
 
     i: int
     lmax: np.ndarray
     cmax: np.ndarray
-    origin: np.ndarray
+    origin: Optional[np.ndarray] = None
 
     def __len__(self) -> int:
         return len(self.cmax)
@@ -129,8 +138,9 @@ class SolveResult:
     `solve_exact` the same count made from subset sums, the one that
     routed the solve there (cells <= budget and <= 4 x the sorted
     engine's state count).  ``layers`` carries every layer's arrays
-    only when the solver ran with ``keep_layers=True`` (about 24 bytes
-    per retained state).
+    only when the solver ran with ``keep_layers=True``: 24 bytes per
+    retained state on the sorted engine, 16 on the dense path, whose
+    layers are the table folded after each job and carry no ``origin``.
     """
 
     front: Front
@@ -313,21 +323,74 @@ def _layer_sizes(inst: Instance) -> list[int]:
     return sizes
 
 
-def _solve_dense(inst: Instance, sizes: Sequence[int]) -> SolveResult:
+def _fold(
+    table: np.ndarray, base: int, total: int, out: np.ndarray
+) -> tuple[int, np.ndarray]:
+    """Smallest lateness per makespan ``C = max(a, total - a)`` over the
+    flag-1 loads ``a`` in ``[base, total]`` of ``table`` (cell ``a - base``),
+    written to the front of ``out``: ``(start, folded)``, ``folded[k]`` for
+    ``C = start + k``.
+
+    C runs from ``start = max(ceil(total / 2), base)`` to ``total``, so
+    the fold is never longer than the table: first a = C, then, where
+    ``base <= total / 2`` (and so C starts at ``ceil(total / 2)``), the
+    mirror a = total - C for C <= total - base, read backwards from
+    a = total // 2.
+    """
+    start = max((total + 1) // 2, base)
+    folded = out[: total - start + 1]
+    np.copyto(folded, table[start - base : total - base + 1])
+    span = total // 2 - base + 1
+    if span > 0:
+        np.minimum(folded[:span], table[span - 1 :: -1], out=folded[:span])
+    return start, folded
+
+
+def _table_layer(
+    i: int,
+    table: np.ndarray,
+    base: int,
+    total: int,
+    ramp: np.ndarray,
+    fold: np.ndarray,
+    out: np.ndarray,
+) -> Layer:
+    """Layer ``i``, whose loads sum to ``total``, from the table folded
+    into the scratch ``fold``: its reached makespans, written to the two
+    rows of ``out``, one column each.  ``ramp[k]`` is ``base + k``."""
+    start, folded = _fold(table, base, total, fold)
+    reached = folded != _UNREACHED
+    lmax, cmax = out
+    lmax[:], cmax[:] = folded[reached], ramp[start - base : total - base + 1][reached]
+    return Layer(i, lmax, cmax)
+
+
+def _solve_dense(inst: Instance, sizes: Sequence[int], keep_layers: bool) -> SolveResult:
     """The exact front from a table of the smallest lateness per flag-1
-    load (see the module docstring); ``sizes`` is `_layer_sizes`."""
+    load (see the module docstring); ``sizes`` is `_layer_sizes`.
+
+    With ``keep_layers`` every layer is the table folded after its job,
+    and the layers are views into one array of ``2 * sum(sizes)``
+    int64s."""
     first = inst.jobs[0]
     base, total = first.p, inst.total_p
     # table[k]: smallest lateness with flag-1 load base + k
     table = np.full(total - base + 1, _UNREACHED, dtype=np.int64)
     table[0] = first.p + first.q
+    fold = np.empty_like(table)
+    layers = None
+    if keep_layers:
+        ramp = np.arange(base, total + 1, dtype=np.int64)
+        kept = np.empty((2, sum(sizes)), dtype=np.int64)
+        ends = np.cumsum(sizes).tolist()
+        layers = [_table_layer(1, table, base, base, ramp, fold, kept[:, :1])]
     # scratch for one job's parents: at most the S_(n-1) - p_1 + 1 loads
     # reached before the last job
     loads = np.arange(base, inst.prefix[-2] + 1, dtype=np.int64)
     moved = np.empty_like(loads)
     stayed = np.empty_like(loads)
     takes = []  # per job i >= 2: packed bits, bit k set iff load base + k + p moved onto flag 1
-    for job, prefix in zip(inst.jobs[1:], inst.prefix[2:]):
+    for i, job, prefix in zip(range(2, inst.n + 1), inst.jobs[1:], inst.prefix[2:]):
         m = prefix - job.p - base + 1  # loads reached before this job
         parents = table[:m]
         # flag-1 children: load a + p, lateness max(L, a + p + q)
@@ -341,17 +404,11 @@ def _solve_dense(inst: Instance, sizes: Sequence[int]) -> SolveResult:
         take = up < cells
         np.minimum(cells, up, out=cells)
         takes.append(np.packbits(take).tobytes())
+        if layers is not None:
+            out = kept[:, ends[i - 2] : ends[i - 1]]
+            layers.append(_table_layer(i, table, base, prefix, ramp, fold, out))
 
-    # Fold onto the makespan C = max(a, P - a), C from max(ceil(P / 2), p_1)
-    # to P, so the fold is never longer than the table: first a = C, then,
-    # where p_1 <= P / 2 (and so C starts at ceil(P / 2)), the mirror
-    # a = P - C for C <= P - p_1, read backwards from a = P // 2.
-    start = max((total + 1) // 2, base)
-    folded = table[start - base :].copy()
-    span = total // 2 - base + 1
-    if span > 0:
-        np.minimum(folded[:span], table[span - 1 :: -1], out=folded[:span])
-
+    start, folded = _fold(table, base, total, fold)
     witnesses = _pareto_indices(folded)
     points = [ParetoPoint(start + w, int(folded[w])) for w in witnesses.tolist()]
     schedules = []
@@ -371,6 +428,7 @@ def _solve_dense(inst: Instance, sizes: Sequence[int]) -> SolveResult:
         front=Front(tuple(points)),
         schedules=tuple(schedules),
         layer_sizes=tuple(sizes),
+        layers=tuple(layers) if layers is not None else None,
     )
 
 
@@ -384,16 +442,16 @@ def solve_exact(
 
     Runs the paper's recurrence exactly and returns every non-dominated
     objective pair together with a schedule realizing it.  Dense
-    instances go through the table over the flag-1 load; sparse ones,
-    and every call with ``keep_layers=True``, through the sorted engine
-    (see the module docstring for the rule).
+    instances go through the table over the flag-1 load and sparse ones
+    through the sorted engine, with or without ``keep_layers`` (see the
+    module docstring for the rule).
     Raises StateBudgetError instead of exhausting memory when the
     retained state count would exceed ``budget``.
     """
     # count the sorted engine's states only once the cells, which bound
     # the bitset, fit the budget
-    if not keep_layers and (cells := _dense_cells(inst)) <= budget:
+    if (cells := _dense_cells(inst)) <= budget:
         sizes = _layer_sizes(inst)
         if cells <= 4 * sum(sizes):
-            return _solve_dense(inst, sizes)
+            return _solve_dense(inst, sizes, keep_layers)
     return _solve_layered(inst, Fraction(1), budget, keep_layers)

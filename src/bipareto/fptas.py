@@ -169,19 +169,39 @@ class ClosenessViolation:
 
 def _first_uncovered(ex_layer: Layer, ap_layer: Layer, window: int) -> Optional[int]:
     """Index of the first exact state with no trimmed state (L#, C#) such
-    that |C# - C| <= window and L# - L <= window."""
-    lo = np.searchsorted(ap_layer.cmax, ex_layer.cmax - window, side="left")
-    hi = np.searchsorted(ap_layer.cmax, ex_layer.cmax + window, side="right")
-    # Range minimum of the trimmed lmax over each window [lo, hi): reduceat
-    # over interleaved bounds reduces ap_lmax[lo:hi] at even positions.
-    # The sentinel keeps lo == len(ap_layer) a valid index; empty windows
-    # (lo == hi) reduce to a single element, so they are flagged apart.
+    that |C# - C| <= window and L# - L <= window.
+
+    Trimmed state j covers the loads ``[C#_j - window, C#_j + window]``,
+    so the smallest trimmed lateness within the window of a load, as a
+    function of the load, is a step function whose steps start at the
+    ``2m`` points ``C#_j - window`` and ``C#_j + window + 1``.  On the
+    step from point ``b`` it is the minimum over the trimmed states with
+    ``|C# - b| <= window``, a contiguous run of the sorted loads; each
+    exact load then finds its step with one binary search.  Loads lie in
+    [0, 2^60] and the window is at most 2^61, so every run bound, at
+    most ``C# + 2 * window + 2`` and at least ``C# - 2 * window``, fits in
+    int64.
+    """
+    ap_cmax = ap_layer.cmax
+    steps = np.concatenate((ap_cmax - window, ap_cmax + (window + 1)))
+    steps.sort(kind="stable")  # two ascending runs: one merge
+    # Run [lo, hi) of each step, interleaved: loads are integers, so the
+    # last load <= b + window is the last one < b + window + 1.
+    bounds = np.empty(2 * len(steps), dtype=np.int64)
+    np.subtract(steps, window, out=bounds[0::2])
+    np.add(steps, window + 1, out=bounds[1::2])
+    bounds = np.searchsorted(ap_cmax, bounds, side="left")
+    # Range minimum of the trimmed lmax over each run: reduceat over the
+    # interleaved bounds reduces ap_lmax[lo:hi] at even positions.  The
+    # sentinel keeps lo == len(ap_layer) a valid index; empty runs
+    # (lo == hi) reduce to a single element, so they are set apart.
     ap_lmax = np.append(ap_layer.lmax, np.int64(_INT64_MAX))
-    bounds = np.empty(2 * len(lo), dtype=np.int64)
-    bounds[0::2] = lo
-    bounds[1::2] = hi
-    window_min = np.minimum.reduceat(ap_lmax, bounds)[0::2]
-    uncovered = (lo >= hi) | (window_min > ex_layer.lmax + window)
+    run_min = np.minimum.reduceat(ap_lmax, bounds)[0::2]
+    # need[k + 1]: the smallest exact lateness the step from steps[k]
+    # covers; need[0] is the step below the first point, which covers none
+    need = np.full(len(steps) + 1, _INT64_MAX, dtype=np.int64)
+    np.copyto(need[1:], run_min - window, where=bounds[0::2] < bounds[1::2])
+    uncovered = need[np.searchsorted(steps, ex_layer.cmax, side="right")] > ex_layer.lmax
     hits = np.flatnonzero(uncovered)
     return int(hits[0]) if len(hits) else None
 
@@ -201,11 +221,17 @@ def find_closeness_violation(
 
     Returns the first uncovered exact state (first layer, then first in
     layer order, which is ascending load), or None when all layers pass.
-    Both solvers must have run with ``keep_layers=True``; every load and
-    lateness must lie in [0, MAX_MAGNITUDE].  Each approximate layer must
-    be sorted by load (both solvers emit strictly ascending loads): the
-    windows are found by binary search on ``cmax``, so any layer whose
-    loads decrease raises ValueError before the search starts.
+    Both solvers must have run with ``keep_layers=True``; only ``i``,
+    ``lmax`` and ``cmax`` are read, so exact layers folded from the dense
+    table (``origin`` None) serve as well as the sorted engine's.  Every
+    load and lateness must lie in [0, MAX_MAGNITUDE].  Each approximate
+    layer must be sorted by load (both solvers emit strictly ascending
+    loads): per layer, the smallest trimmed lateness within the window of
+    a load is built as a step function over the sorted trimmed loads, at
+    most ``2m`` steps for ``m`` trimmed states, and each exact load finds
+    its step by binary search, so any layer whose loads decrease raises
+    ValueError before the search starts.  Exact layers may be in any
+    order.
     """
     if len(exact_layers) != len(approx_layers):
         raise ValueError("layer sequences differ in length")

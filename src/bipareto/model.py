@@ -22,7 +22,7 @@ in `exact.Layer` as int64 arrays.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 # Loads, lateness values and prefix sums stay well inside int64 (the solver
 # engine uses int64 arrays), so the sum of all p plus the largest q is
@@ -162,17 +162,3 @@ def dominates(a: ParetoPoint, b: ParetoPoint) -> bool:
     """True iff a is no worse than b in both objectives and better in one."""
     return a.cmax <= b.cmax and a.lmax <= b.lmax and (a.cmax < b.cmax or a.lmax < b.lmax)
 
-
-def pareto_filter(points: Iterable[ParetoPoint]) -> Front:
-    """Reduce a point collection to its non-dominated subset.
-
-    Duplicates are dropped; the result is sorted by increasing makespan.
-    An empty input yields an empty front.
-    """
-    kept: list[ParetoPoint] = []
-    best_lmax: Optional[int] = None
-    for point in sorted(set(points)):
-        if best_lmax is None or point.lmax < best_lmax:
-            kept.append(ParetoPoint(*point))
-            best_lmax = point.lmax
-    return Front(tuple(kept))

@@ -1,6 +1,10 @@
+from fractions import Fraction
+from typing import Iterable, Optional
+
 import numpy as np
 
-from bipareto import GenSpec, generate_instance
+from bipareto import DEFAULT_STATE_BUDGET, Front, GenSpec, ParetoPoint, generate_instance
+from bipareto.exact import _solve_layered
 
 
 def make_instances(seed, count, n_range, p_range=(1, 20), q_range=(1, 20)):
@@ -15,3 +19,24 @@ def successor_pool(pairs):
         np.array([l for l, _ in pairs], dtype=np.int64),
         np.array([c for _, c in pairs], dtype=np.int64),
     )
+
+
+def sorted_solve(inst, keep_layers=True):
+    """The exact solve on the sorted engine, whatever route `solve_exact`
+    would take; with ``keep_layers`` its layers carry their parents."""
+    return _solve_layered(inst, Fraction(1), DEFAULT_STATE_BUDGET, keep_layers)
+
+
+def pareto_filter(points: Iterable[ParetoPoint]) -> Front:
+    """Reduce a point collection to its non-dominated subset.
+
+    Duplicates are dropped; the result is sorted by increasing makespan.
+    An empty input yields an empty front.
+    """
+    kept: list[ParetoPoint] = []
+    best_lmax: Optional[int] = None
+    for point in sorted(set(points)):
+        if best_lmax is None or point.lmax < best_lmax:
+            kept.append(ParetoPoint(*point))
+            best_lmax = point.lmax
+    return Front(tuple(kept))

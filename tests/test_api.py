@@ -27,7 +27,6 @@ PUBLIC_API = [
     "generate_instance",
     "grid_params",
     "normalize",
-    "pareto_filter",
     "parse_epsilon",
     "preset_families",
     "quality_metrics",

@@ -16,7 +16,7 @@ from bipareto import (
 from bipareto import exact as exact_module
 from bipareto.exact import _dense_cells, _expand, _min_lmax_per_key
 from bipareto.oracle import enumerate_front
-from conftest import make_instances, successor_pool
+from conftest import make_instances, sorted_solve, successor_pool
 
 WORKED = [(2, 5), (3, 4), (4, 1)]
 
@@ -26,11 +26,11 @@ def array_pairs(layer):
 
 
 def test_initial_layer():
-    first = solve_exact(normalize(WORKED), keep_layers=True).layers[0]
+    first = sorted_solve(normalize(WORKED)).layers[0]
     assert (first.i, array_pairs(first), first.origin.tolist()) == (1, [(7, 2)], [-1])
-    assert array_pairs(solve_exact(normalize([(1, 0)]), keep_layers=True).layers[0]) == [(1, 1)]
+    assert array_pairs(sorted_solve(normalize([(1, 0)])).layers[0]) == [(1, 1)]
     # the first job in sorted order (largest q), not in input order
-    first = solve_exact(normalize([(1, 0), (10, 10)]), keep_layers=True).layers[0]
+    first = sorted_solve(normalize([(1, 0), (10, 10)])).layers[0]
     assert array_pairs(first) == [(20, 10)]
 
 
@@ -78,7 +78,7 @@ def test_prune_tie_keeps_earliest_generated():
 
 def test_solve_exact_worked_instance():
     inst = normalize(WORKED)
-    result = solve_exact(inst, keep_layers=True)
+    result = sorted_solve(inst)
     assert result.front.points == (ParetoPoint(5, 9), ParetoPoint(6, 7))
     assert result.layer_sizes == (1, 2, 4)
     assert [layer.i for layer in result.layers] == [1, 2, 3]
@@ -164,7 +164,7 @@ def array_layer_records(layers):
 
 
 def assert_matches_scalar_reference(inst):
-    result = solve_exact(inst, keep_layers=True)
+    result = sorted_solve(inst)
     assert [layer.i for layer in result.layers] == list(range(1, inst.n + 1))
     for layer in result.layers:
         assert layer.lmax.dtype == layer.cmax.dtype == layer.origin.dtype == np.int64
@@ -183,7 +183,7 @@ def test_vectorized_engine_matches_scalar_reference():
 
 def test_layer_invariants_on_random_instances():
     for inst in make_instances(13, 25, (2, 14)):
-        result = solve_exact(inst, keep_layers=True)
+        result = sorted_solve(inst)
         assert result.layers[0].origin.tolist() == [-1]
         for prev, layer in zip((None,) + result.layers, result.layers):
             s_i = inst.prefix[layer.i]
@@ -244,8 +244,8 @@ def test_schedules_realize_front_points():
 def assert_exact_front_is_oracle_front(jobs):
     inst = normalize(jobs)
     front = enumerate_front(inst).points
-    # keep_layers=True runs the sorted engine; the lean solve may take
-    # the dense table
+    # the sorted engine's layers and parents, and whatever route the
+    # lean solve takes
     for result in (assert_matches_scalar_reference(inst), solve_exact(inst)):
         assert result.front.points == front
         assert len(result.schedules) == len(result.front)
@@ -303,13 +303,12 @@ def assert_paths_agree(inst, dense, ranked):
 )
 def test_dense_and_sorted_paths_agree(jobs):
     inst = normalize(jobs)
-    # keep_layers=True always runs the sorted engine
-    assert_paths_agree(inst, solve_exact(inst), solve_exact(inst, keep_layers=True))
+    assert_paths_agree(inst, solve_exact(inst), sorted_solve(inst, keep_layers=False))
 
 
 def test_dense_path_is_taken_on_dense_instances(monkeypatch):
     instances = [normalize(WORKED)] + make_instances(23, 12, (20, 200), (1, 8), (1, 60))
-    ranked = [solve_exact(inst, keep_layers=True) for inst in instances]
+    ranked = [sorted_solve(inst, keep_layers=False) for inst in instances]
 
     def sorted_engine(*args, **kwargs):
         raise AssertionError("solve_exact took the sorted path")

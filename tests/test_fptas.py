@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bipareto import (
+    DEFAULT_STATE_BUDGET,
     MAX_MAGNITUDE,
     Front,
     GridParams,
@@ -26,8 +27,8 @@ from bipareto import (
     solve_fptas,
 )
 from bipareto import exact as exact_module
-from bipareto.exact import _box_key, _min_lmax_per_key
-from conftest import make_instances, successor_pool
+from bipareto.exact import _box_key, _dense_cells, _layer_sizes, _min_lmax_per_key
+from conftest import make_instances, sorted_solve, successor_pool
 
 WORKED = [(2, 5), (3, 4), (4, 1)]
 
@@ -152,7 +153,7 @@ def test_solve_fptas_tiny_epsilon_degenerates_to_exact():
         eps = Fraction(1, 6 * inst.n)
         grid = grid_params(inst, eps)
         assert grid.delta1 < 1 and grid.delta2 < 1
-        exact = solve_exact(inst, keep_layers=True)
+        exact = sorted_solve(inst)
         approx = solve_fptas(inst, eps, keep_layers=True)
         assert approx.front.points == exact.front.points
         assert len(approx.layers) == len(exact.layers)
@@ -320,9 +321,9 @@ def test_closeness_rejects_misaligned_layers():
 
 
 @st.composite
-def closeness_jobs(draw):
+def closeness_jobs(draw, kinds=("single", "small", "wide", "huge_p")):
     """Job lists for the drift check, at its edges."""
-    kind = draw(st.sampled_from(["single", "small", "wide", "huge_p"]))
+    kind = draw(st.sampled_from(kinds))
     if kind == "single":
         return [(draw(st.integers(1, 2**59)), draw(st.integers(0, 2**59)))]
     if kind == "huge_p":
@@ -333,8 +334,13 @@ def closeness_jobs(draw):
         ps += [draw(st.integers(1, 2**16)) for _ in range(n - big)]
         qs = [draw(st.integers(0, 2**16)) for _ in range(n)]
         return list(zip(draw(st.permutations(ps)), qs))
-    p_hi = 30 if kind == "small" else 10**12
     n = draw(st.integers(1, 9))
+    if kind == "ties":  # one job repeated: every layer collides on load and lateness
+        return [(draw(st.integers(1, 30)), draw(st.integers(0, 30)))] * n
+    if kind == "equal_p":
+        p = draw(st.integers(1, 30))
+        return [(p, draw(st.integers(0, 50))) for _ in range(n)]
+    p_hi = 30 if kind == "small" else 10**12
     return [(draw(st.integers(1, p_hi)), draw(st.integers(0, p_hi))) for _ in range(n)]
 
 
@@ -399,6 +405,76 @@ def test_vectorized_closeness_matches_reference(jobs, eps, mode, seed):
     found = closeness_witness(exact.layers, approx, grid)
     if mode in ("real", "identity"):
         assert found is None
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    jobs=closeness_jobs(("small", "ties", "equal_p", "huge_p")),
+    eps=EPSILONS,
+    mode=st.sampled_from(["real", "subsampled", "shifted", "both"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_table_layers_equal_sorted_layers(jobs, eps, mode, seed):
+    inst = normalize(jobs)
+    ranked = sorted_solve(inst)
+    kept = solve_exact(inst, keep_layers=True)
+    if _dense_cells(inst) <= DEFAULT_STATE_BUDGET:
+        # the table, whichever route solve_exact took
+        table = exact_module._solve_dense(inst, _layer_sizes(inst), True)
+        assert all(layer.origin is None for layer in table.layers)
+    else:
+        # loads near 2^59: the table would not fit, the sorted engine serves
+        table = kept
+        assert all(layer.origin is not None for layer in kept.layers)
+    for result in (table, kept):
+        assert result.layer_sizes == ranked.layer_sizes
+        assert [len(layer) for layer in result.layers] == list(result.layer_sizes)
+        for layer, reference in zip(result.layers, ranked.layers, strict=True):
+            assert layer.i == reference.i
+            assert np.array_equal(layer.lmax, reference.lmax)
+            assert np.array_equal(layer.cmax, reference.cmax)
+    # the drift check sees the same exact layers either way
+    grid = grid_params(inst, eps)
+    approx = perturbed_layers(
+        solve_fptas(inst, eps, keep_layers=True).layers,
+        grid,
+        np.random.default_rng(seed),
+        mode in ("subsampled", "both"),
+        mode in ("shifted", "both"),
+    )
+    found = find_closeness_violation(ranked.layers, approx, grid)
+    assert find_closeness_violation(table.layers, approx, grid) == found
+    assert find_closeness_violation(kept.layers, approx, grid) == found
+    if mode == "real":
+        assert found is None
+
+
+@pytest.mark.parametrize(
+    "i, delta1",
+    [(2, Fraction(5)), (4, Fraction(7, 3)), (3, Fraction(1, 3))],
+    ids=["w=5", "w=7", "w=0"],
+)
+def test_closeness_step_edges(i, delta1):
+    # one trimmed state (L#, C#) = (100, 100); window w = floor((i-1) * delta1)
+    w = (i - 1) * delta1.numerator // delta1.denominator
+    grid = GridParams(delta1=delta1, delta2=delta1, cmax_bound=400, lmax_bound=400)
+    trimmed = [array_layer(i, [(100, 100)])]
+
+    def uncovered(lmax, cmax):
+        found = closeness_witness([array_layer(i, [(lmax, cmax)])], trimmed, grid)
+        assert found in (None, (i, ParetoPoint(cmax, lmax)))
+        return found is not None
+
+    # an exact state exactly w from C# on either load side, or exactly w
+    # below L#, is covered; one step further is not
+    assert not uncovered(100, 100 - w) and uncovered(100, 100 - w - 1)
+    assert not uncovered(100, 100 + w) and uncovered(100, 100 + w + 1)
+    assert not uncovered(100 - w, 100) and uncovered(100 - w - 1, 100)
+    # in a layer, the first state past an edge is the one reported
+    states = [(100, 100 - w - 1), (100, 100 - w), (100 - w - 1, 100), (100, 100 + w + 1)]
+    first, later = [array_layer(i, states)], [array_layer(i, states[1:])]
+    assert closeness_witness(first, trimmed, grid) == (i, ParetoPoint(100 - w - 1, 100))
+    assert closeness_witness(later, trimmed, grid) == (i, ParetoPoint(100, 100 - w - 1))
 
 
 @st.composite

@@ -10,9 +10,9 @@ from bipareto import (
     dominates,
     evaluate_schedule,
     normalize,
-    pareto_filter,
 )
 from bipareto.model import MAX_MAGNITUDE
+from conftest import pareto_filter
 
 
 def test_normalize_sorts_by_delivery_time():

@@ -9,10 +9,9 @@ from bipareto import (
     enumerate_front,
     evaluate_schedule,
     normalize,
-    pareto_filter,
     solve_exact,
 )
-from conftest import make_instances
+from conftest import make_instances, pareto_filter
 
 
 def reference_enumerate_front(inst):

@@ -13,6 +13,15 @@ because `normalize` caps ``P + q_max`` at 2^60.  The three columns take
 about 3 * 8 * 2^(n-1) bytes, 12.6 MB at the cap.  Exponential by
 construction, so it refuses instances above ``ORACLE_CAP`` jobs; its
 only role is checking the solvers on small inputs.
+
+Only the rows inside the front's ideal-nadir box are sorted.  The front
+runs from ``(c_min, l_hi)`` to ``(c_hi, l_min)``: ``c_min`` is the
+smallest makespan and ``l_hi`` the smallest lateness among the rows that
+reach it, ``l_min`` the smallest lateness and ``c_hi`` the smallest
+makespan among the rows that reach that.  A row with ``cmax > c_hi`` is
+dominated by the end ``(c_hi, l_min)``, and one with ``lmax > l_hi`` by
+``(c_min, l_hi)``, so dropping both kinds leaves the front unchanged and
+replaces a sort of every row by a few linear passes.
 """
 
 from __future__ import annotations
@@ -50,11 +59,17 @@ def enumerate_front(inst: Instance) -> Front:
         m *= 2
 
     cmax = np.maximum(on_1, on_0, out=on_1)
+    # the front's ends (c_min, l_hi) and (c_hi, l_min) bound the box
+    c_min, l_min = cmax.min(), lmax.min()
+    l_hi = lmax[cmax == c_min].min()
+    c_hi = cmax[lmax == l_min].min()
+    box = (cmax <= c_hi) & (lmax <= l_hi)
+    cmax, lmax = cmax[box], lmax[box]
     order = np.lexsort((lmax, cmax))
     cmax, lmax = cmax[order], lmax[order]
     # sorted by (cmax, lmax): a row is on the front iff its lateness is
     # below every earlier row's, which also keeps one row per cmax
-    keep = np.ones(rows, dtype=bool)
+    keep = np.ones(cmax.size, dtype=bool)
     keep[1:] = lmax[1:] < np.minimum.accumulate(lmax)[:-1]
     return Front(
         tuple(

@@ -34,14 +34,24 @@ successor pool that state ``j`` won from, so its parent is state
 the only parent chain, 8 bytes per retained state.  The box key (the
 load itself for width 1, otherwise ``floor(C / width)`` in int64, or in
 exact Python integers when the scaled loads could pass int64) depends
-only on the width and ``P``, so it is chosen once per solve; one reducer
-serves all three kinds.  With ``keep_layers=True`` the solver also wraps
-each layer's arrays in a `Layer` and keeps it, 24 bytes per state.
+only on the width and ``P``, so it is chosen once per solve.  Two
+reducers apply the rule.  A stable ``lexsort`` by box, then ``L``,
+keeps the first state per box; it serves every key kind.  A scatter-min
+of ``L * pool + index`` into one slot per box keeps the smallest packed
+value, which is the same state, and reads the winners out in box order.
+It serves the layers of boxes wider than 1 with int64 keys where the
+pool has at least 512 children, the ``floor(P / width) + 1`` boxes are
+at most twice the pool and ``(P + q_max + 1) * pool`` fits in int64;
+its slots are allocated at the first such layer.  With
+``keep_layers=True`` the solver also wraps each layer's arrays in a
+`Layer` and keeps it, 24 bytes per state.
 
 On dense instances `solve_exact` runs the same recurrence as a table
 instead: cell ``a`` holds the smallest ``L`` with load ``a`` on machine
-flag 1, for ``a`` in ``[p_1, S_i]``, and _UNREACHED where no assignment
-reaches it.  Job ``i`` writes two contiguous slices: its flag-0
+flag 1, for ``a`` in ``[p_1, S_i]``, and the cell dtype's maximum where
+no assignment reaches it.  The cells are int32 when ``P + q_max <
+2**31 - 1``, so that every lateness and load stays below that sentinel,
+and int64 otherwise.  Job ``i`` writes two contiguous slices: its flag-0
 children stay in place with ``L' = max(L, S_i - a + q)``, and its flag-1
 children move to ``a + p`` with ``L' = max(L, a + p + q)``.  A flag-1
 child replaces its cell only when strictly smaller, so ties stay on
@@ -58,8 +68,8 @@ also folded after every job, onto ``C = max(a, S_i - a)``, and its
 reached cells become layer ``i``: per makespan the smallest ``L`` over
 both mirrors, which is the sorted engine's layer, state for state.  The
 kept layers are views into one array of ``2 * sum(layer_sizes)``
-int64s, 16 bytes per state, with no ``origin``: the table's parent
-chain is its bits.
+int64s, whatever the cell dtype, 16 bytes per state, with no
+``origin``: the table's parent chain is its bits.
 `solve_exact` takes the table iff its cell count
 ``sum_i (S_i - p_1 + 1)`` is at most the budget and at most four times
 the sorted engine's state count, counted from subset sums
@@ -96,9 +106,12 @@ DEFAULT_STATE_BUDGET = 50_000_000
 
 _INT64_MAX = 2**63 - 1
 
-# Lateness of an unreached dense cell: above every reachable value, and
-# kept apart from _INT64_MAX, which only sizes the box keys.
-_UNREACHED = np.iinfo(np.int64).max
+# The trimmed solver reduces a layer by scatter-min when its pool holds at
+# least _SCATTER_MIN_POOL children and at most _SCATTER_BOXES_PER_CHILD
+# load boxes per child, and sorts otherwise.  Children come nearly sorted
+# by box, and on such pools the sort was faster below about 500.
+_SCATTER_MIN_POOL = 512
+_SCATTER_BOXES_PER_CHILD = 2
 
 
 class StateBudgetError(RuntimeError):
@@ -208,12 +221,32 @@ def _min_lmax_per_key(key: np.ndarray, lmax: np.ndarray) -> np.ndarray:
     return order[is_first]
 
 
+def _scatter_min_per_key(
+    key: np.ndarray, lmax: np.ndarray, best: np.ndarray, ranks: np.ndarray
+) -> np.ndarray:
+    """`_min_lmax_per_key` for int64 keys in ``[0, len(best))``, by one
+    scatter-min of ``lmax * pool + index`` per key: the smallest packed
+    value has the smallest ``lmax``, then the smallest index.
+
+    ``best`` is scratch holding _INT64_MAX and is left so; ``ranks[k]``
+    is ``k``.  Every packed value must be below _INT64_MAX, that is
+    ``max(lmax) + 1`` times the pool must fit in int64.
+    """
+    pool = len(key)
+    packed = lmax * pool
+    packed += ranks[:pool]
+    np.minimum.at(best, key, packed)
+    won = best[best != _INT64_MAX]
+    best.fill(_INT64_MAX)
+    return won % pool
+
+
 def _pareto_indices(lmax: np.ndarray) -> np.ndarray:
     """Indices, in a final layer listed in ascending load, of the states
     whose lateness is below that of every smaller load: the front.
-    Unreached cells hold _UNREACHED and never qualify."""
+    Unreached cells hold their dtype's maximum and never qualify."""
     prior = np.empty_like(lmax)
-    prior[0] = _UNREACHED
+    prior[0] = np.iinfo(lmax.dtype).max
     np.minimum.accumulate(lmax[:-1], out=prior[1:])
     return np.flatnonzero(lmax < prior)
 
@@ -250,6 +283,13 @@ def _solve_layered(
         raise ValueError("state budget must be positive")
 
     box_key = _box_key(width, inst.total_p)
+    # The scatter reducer takes int64 keys of boxes wider than 1 on large
+    # enough pools; its scratch is allocated at the first such layer.
+    # Packed values stay below stride * pool.
+    boxes = inst.total_p * width.denominator // width.numerator + 1
+    scatter = width > 1
+    stride = inst.total_p + inst.q_max + 1
+    best = ranks = None
     first = inst.jobs[0]
     lmax = np.array([first.p + first.q], dtype=np.int64)
     cmax = np.array([first.p], dtype=np.int64)
@@ -265,7 +305,23 @@ def _solve_layered(
             )
         job = inst.jobs[i - 1]
         pool_lmax, pool_cmax = _expand(lmax, cmax, job.p, job.q, inst.prefix[i])
-        origin = _min_lmax_per_key(box_key(pool_cmax), pool_lmax)
+        key = box_key(pool_cmax)
+        pool = len(key)
+        if (
+            scatter
+            and pool >= _SCATTER_MIN_POOL
+            and boxes <= _SCATTER_BOXES_PER_CHILD * pool
+            and key.dtype == np.int64
+            and stride * pool <= _INT64_MAX
+        ):
+            if best is None:
+                # a layer holds at most one state per box: pools stay
+                # within 2 * boxes
+                best = np.full(boxes, _INT64_MAX, dtype=np.int64)
+                ranks = np.arange(2 * boxes, dtype=np.int64)
+            origin = _scatter_min_per_key(key, pool_lmax, best, ranks)
+        else:
+            origin = _min_lmax_per_key(key, pool_lmax)
         lmax, cmax = pool_lmax[origin], pool_cmax[origin]
         origins.append(origin)
         retained += len(origin)
@@ -359,7 +415,7 @@ def _table_layer(
     into the scratch ``fold``: its reached makespans, written to the two
     rows of ``out``, one column each.  ``ramp[k]`` is ``base + k``."""
     start, folded = _fold(table, base, total, fold)
-    reached = folded != _UNREACHED
+    reached = folded != np.iinfo(folded.dtype).max
     lmax, cmax = out
     lmax[:], cmax[:] = folded[reached], ramp[start - base : total - base + 1][reached]
     return Layer(i, lmax, cmax)
@@ -374,8 +430,10 @@ def _solve_dense(inst: Instance, sizes: Sequence[int], keep_layers: bool) -> Sol
     int64s."""
     first = inst.jobs[0]
     base, total = first.p, inst.total_p
+    # every lateness and load is at most P + q_max, below the sentinel
+    dtype = np.int32 if total + inst.q_max < np.iinfo(np.int32).max else np.int64
     # table[k]: smallest lateness with flag-1 load base + k
-    table = np.full(total - base + 1, _UNREACHED, dtype=np.int64)
+    table = np.full(total - base + 1, np.iinfo(dtype).max, dtype=dtype)
     table[0] = first.p + first.q
     fold = np.empty_like(table)
     layers = None
@@ -386,7 +444,7 @@ def _solve_dense(inst: Instance, sizes: Sequence[int], keep_layers: bool) -> Sol
         layers = [_table_layer(1, table, base, base, ramp, fold, kept[:, :1])]
     # scratch for one job's parents: at most the S_(n-1) - p_1 + 1 loads
     # reached before the last job
-    loads = np.arange(base, inst.prefix[-2] + 1, dtype=np.int64)
+    loads = np.arange(base, inst.prefix[-2] + 1, dtype=dtype)
     moved = np.empty_like(loads)
     stayed = np.empty_like(loads)
     takes = []  # per job i >= 2: packed bits, bit k set iff load base + k + p moved onto flag 1

@@ -28,10 +28,12 @@ All grid arithmetic is exact: deltas are `fractions.Fraction`, box
 indices are integer floor divisions, and the coverage predicate
 cross-multiplies integers.  Box keys are the loads themselves when
 delta1 <= 1, int64 arrays when the scaled loads fit in int64, and object
-arrays of Python integers when they do not; one reducer in `exact`
-serves all three.  The drift check compares integers only: loads and
-latenesses are integers, so a difference is at most (i-1)*delta1 iff it
-is at most floor((i-1)*delta1).  That floor is one
+arrays of Python integers when they do not; the sort reducer in `exact`
+serves all three, and int64 keys of boxes wider than 1 take its
+scatter-min reducer on large layers (see `exact`).  The drift check
+compares integers only: loads and latenesses are integers, so a
+difference is at most (i-1)*delta1 iff it is at most
+floor((i-1)*delta1).  That floor is one
 Python-integer division per layer, clamped at 2^61: values lie in
 [0, MAX_MAGNITUDE = 2^60], so no difference can exceed the clamp, and
 every sum stays inside int64 whatever the epsilon's denominator.  No

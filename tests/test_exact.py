@@ -378,3 +378,44 @@ def test_sparse_instance_under_the_cell_count_takes_the_sorted_path(monkeypatch)
     assert_witnesses_realize_front(inst, result)
     assert tuple(exact_module._layer_sizes(inst)) == result.layer_sizes
     assert sum(result.layer_sizes) == 129
+
+
+DENSE_P = [5, 3, 8, 2, 7, 1, 4, 6, 2, 3]
+
+
+@pytest.mark.parametrize(
+    "jobs, dtype",
+    [
+        # equal q: the all-on-flag-1 cell holds exactly P + q_max, one
+        # below the int32 sentinel, and then equal to it
+        ([(p, 2**31 - 2 - sum(DENSE_P)) for p in DENSE_P], np.int32),
+        ([(p, 2**31 - 1 - sum(DENSE_P)) for p in DENSE_P], np.int64),
+        ([(p, 2**40 if p % 2 else p) for p in DENSE_P], np.int64),
+    ],
+    ids=["int32-max-minus-1", "int32-max", "q-2^40"],
+)
+def test_dense_cell_dtype_boundary(monkeypatch, jobs, dtype):
+    inst = normalize(jobs)
+    reference = sorted_solve(inst)
+    fold, tables = exact_module._fold, []
+
+    def spy(table, *args):
+        tables.append(table.dtype)
+        return fold(table, *args)
+
+    def sorted_engine(*args, **kwargs):
+        raise AssertionError("solve_exact took the sorted path")
+
+    monkeypatch.setattr(exact_module, "_fold", spy)
+    monkeypatch.setattr(exact_module, "_solve_layered", sorted_engine)
+    lean, kept = solve_exact(inst), solve_exact(inst, keep_layers=True)
+    assert set(tables) == {np.dtype(dtype)}
+    for result in (lean, kept):
+        assert_paths_agree(inst, result, reference)
+    for table_layer, layer in zip(kept.layers, reference.layers, strict=True):
+        assert table_layer.i == layer.i
+        assert table_layer.lmax.dtype == table_layer.cmax.dtype == np.int64
+        assert table_layer.lmax.tolist() == layer.lmax.tolist()
+        assert table_layer.cmax.tolist() == layer.cmax.tolist()
+    if len({job.q for job in inst.jobs}) == 1:
+        assert max(kept.layers[-1].lmax.tolist()) == inst.total_p + inst.q_max

@@ -27,7 +27,14 @@ from bipareto import (
     solve_fptas,
 )
 from bipareto import exact as exact_module
-from bipareto.exact import _box_key, _dense_cells, _layer_sizes, _min_lmax_per_key
+from bipareto.exact import (
+    _INT64_MAX,
+    _box_key,
+    _dense_cells,
+    _layer_sizes,
+    _min_lmax_per_key,
+    _scatter_min_per_key,
+)
 from conftest import make_instances, sorted_solve, successor_pool
 
 WORKED = [(2, 5), (3, 4), (4, 1)]
@@ -507,6 +514,34 @@ def test_trim_reducer_matches_reference(case):
     assert trim_winners(pairs, grid) == [reference_trim_winners(pairs, grid)] * 2
 
 
+@st.composite
+def tied_pools(draw):
+    """Int64 box keys and lateness values for the scatter reducer, drawn
+    from a few values each so (box, lmax) pairs repeat, with the largest
+    lateness that packs into int64 for the pool among the values."""
+    pool = draw(st.integers(1, 80))
+    # the solver scatters when boxes <= 2 * pool, and pools never pass
+    # two children per box
+    boxes = draw(st.integers((pool + 1) // 2, 2 * pool))
+    top = draw(st.sampled_from([3, _INT64_MAX // pool - 1]))
+    keys = draw(st.lists(st.integers(0, boxes - 1), min_size=1, max_size=4))
+    values = draw(st.lists(st.integers(max(0, top - 3), top), min_size=1, max_size=3))
+    key = draw(st.lists(st.sampled_from(keys), min_size=pool, max_size=pool))
+    lmax = draw(st.lists(st.sampled_from(values), min_size=pool, max_size=pool))
+    return boxes, np.array(key, dtype=np.int64), np.array(lmax, dtype=np.int64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=tied_pools())
+def test_scatter_reducer_matches_sort_reducer(case):
+    boxes, key, lmax = case
+    best = np.full(boxes, _INT64_MAX, dtype=np.int64)
+    ranks = np.arange(2 * boxes, dtype=np.int64)
+    won = _scatter_min_per_key(key, lmax, best, ranks)
+    assert won.tolist() == _min_lmax_per_key(key, lmax).tolist()
+    assert (best == _INT64_MAX).all()  # scratch left ready for the next layer
+
+
 def test_coverage_and_closeness_on_random_instances():
     instances = make_instances(29, 25, (2, 12)) + make_instances(41, 6, (20, 40), (1, 1000))
     for inst in instances:
@@ -588,13 +623,19 @@ def test_huge_epsilon_denominator_uses_exact_arithmetic():
 GOLDEN = Path(__file__).parent / "data" / "fptas_golden.json"
 
 
-@pytest.mark.parametrize("fallback", [False, True], ids=["int64", "python-int"])
-def test_solve_fptas_matches_golden_record(monkeypatch, fallback):
+@pytest.mark.parametrize("mode", ["int64", "python-int", "int64-scatter"])
+def test_solve_fptas_matches_golden_record(monkeypatch, mode):
     """Trimmed fronts, layer sizes and witness flags recorded with one
     state per load box; the trimmed solver must reproduce them exactly on
-    both box-key dtypes."""
-    if fallback:
+    both box-key dtypes, and with either reducer on int64 keys.  No
+    golden pool is large enough to scatter by default, so ``int64``
+    sorts every layer and ``int64-scatter`` scatters every layer of
+    boxes wider than 1."""
+    if mode == "python-int":
         monkeypatch.setattr(exact_module, "_INT64_MAX", 0)
+    if mode == "int64-scatter":
+        monkeypatch.setattr(exact_module, "_SCATTER_MIN_POOL", 1)
+        monkeypatch.setattr(exact_module, "_SCATTER_BOXES_PER_CHILD", 10**9)
     cases = json.loads(GOLDEN.read_text())["cases"]
     assert len(cases) == 20
     for case in cases:

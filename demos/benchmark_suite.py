@@ -19,21 +19,20 @@ specs = [
 ]
 epsilons = (Fraction(3, 10), Fraction(9, 10))
 
-print("running", sum(s.count for s in specs), "instances x",
-      len(epsilons), "epsilons ...")
-records = run_suite(
-    specs,
-    epsilons,
-    progress=lambda done, total, rec: print(
-        f"  {done}/{total} {rec.family} n={rec.n}"
-    ),
-)
+total = sum(s.count for s in specs)
+print("running", total, "instances x", len(epsilons), "epsilons ...")
+# run_suite yields each instance's rows (one per epsilon, or a single
+# error row) as soon as they are measured.
+rows = []
+for done, instance_rows in enumerate(run_suite(specs, epsilons), 1):
+    rows.extend(instance_rows)
+    print(f"  {done}/{total} {instance_rows[0].family} n={instance_rows[0].n}")
 
-failed = [rec for rec in records if rec.error is not None]
-print(f"done: {len(records)} records, {len(failed)} failures")
+failed = [row for row in rows if row.error is not None]
+print(f"done: {total} records, {len(failed)} failures")
 
 out_dir = Path(tempfile.mkdtemp(prefix="bipareto-bench-"))
-paths = write_report(records, out_dir)
+paths = write_report(rows, out_dir)
 print("\nreport files:")
 for path in paths:
     print(f"  {path}")

@@ -7,20 +7,22 @@ times the exact solver and the trimming solver per epsilon (median wall
 clock over a configurable number of repeats) and reports per-objective
 quality ratios as exact rationals.
 
-Report layout: one records CSV with a row per (instance, epsilon), plus
-aggregate tables keyed by job-count family, by processing-time range,
-and by delivery-time range.  Rationals are rendered as 6-digit decimals
-next to exact num/den columns.
+A measurement is a `Row`, whose fields are the columns of records.csv:
+`run_suite` yields each instance's rows, one per epsilon (or one error
+row), as soon as they are measured, and `write_report` writes them as
+records.csv plus aggregate tables keyed by job-count family, by
+processing-time range, and by delivery-time range.  Rationals are
+rendered as 6-digit decimals next to exact num/den columns.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from statistics import median
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 from numpy.random import Philox
@@ -38,6 +40,10 @@ RECORDS_HEADER = (
 # Range steps used by every preset: the published protocol crosses
 # processing-time and delivery-time ranges over these three intervals.
 RANGE_STEPS: tuple[tuple[int, int], ...] = ((1, 20), (1, 100), (1, 1000))
+
+# Largest job count a family may draw.  The paper stops at n = 200; the
+# cap keeps a mistyped count from allocating gigabytes before any check.
+_MAX_JOBS = 10**6
 
 
 class Preset(NamedTuple):
@@ -74,6 +80,10 @@ class GenSpec:
         ):
             if lo < 1 or hi < lo:
                 raise ValueError(f"invalid {name} range [{lo}, {hi}]")
+        if self.n_range[1] > _MAX_JOBS:
+            raise ValueError(
+                f"invalid n range {list(self.n_range)}: at most {_MAX_JOBS} jobs"
+            )
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must fit in 64 bits, got {self.seed}")
         if self.count < 1:
@@ -91,8 +101,8 @@ def generate_instance(spec: GenSpec, index: int) -> Instance:
     2n words consumed as interleaved (p, q) pairs, each value mapped
     into its range by modular reduction.
     """
-    if index < 0:
-        raise ValueError(f"index must be >= 0, got {index}")
+    if not 0 <= index < 2**64:
+        raise ValueError(f"index must fit in 64 bits, got {index}")
     stream = Philox(key=np.array([spec.seed, index], dtype=np.uint64))
     n_lo, n_hi = spec.n_range
     n = n_lo + int(stream.random_raw(1)[0]) % (n_hi - n_lo + 1)
@@ -123,20 +133,12 @@ def quality_metrics(exact: Front, approx: Front) -> tuple[Fraction, Fraction]:
     )
 
 
-@dataclass(frozen=True)
-class EpsResult:
-    """Trimming-solver outcome for one (instance, epsilon) pair."""
+class Row(NamedTuple):
+    """One records.csv row: an instance and one epsilon's measurements.
 
-    eps: Fraction
-    front_size: int
-    ms: float
-    ratio_c: Fraction
-    ratio_l: Fraction
-
-
-@dataclass(frozen=True)
-class RunRecord:
-    """Everything measured on one instance."""
+    An instance whose solve raised has a single row with ``error`` set
+    and every metric None.
+    """
 
     family: str
     seed: int
@@ -144,9 +146,13 @@ class RunRecord:
     n: int
     p_range: tuple[int, int]
     q_range: tuple[int, int]
-    dp_front_size: Optional[int] = None
+    dp_front: Optional[int] = None
     dp_ms: Optional[float] = None
-    eps_results: tuple[EpsResult, ...] = field(default_factory=tuple)
+    eps: Optional[Fraction] = None
+    fptas_front: Optional[int] = None
+    fptas_ms: Optional[float] = None
+    ratio_c: Optional[Fraction] = None
+    ratio_l: Optional[Fraction] = None
     error: Optional[str] = None
 
 
@@ -166,65 +172,45 @@ def run_suite(
     repeats: int = 3,
     *,
     budget: int = DEFAULT_STATE_BUDGET,
-    progress: Optional[Callable[[int, int, RunRecord], None]] = None,
-) -> list[RunRecord]:
+) -> Iterator[tuple[Row, ...]]:
     """Solve every family instance exactly and per epsilon, with timings.
 
-    Instance indices run globally across the suite so no two instances
-    share a Philox key.  A solver failure marks that instance's record
-    with the error and the suite continues.
+    Yields each instance's rows, one per epsilon, as soon as they are
+    measured.  Instance indices run globally across the suite so no two
+    instances share a Philox key.  A solver failure gives that instance
+    one error row and the suite continues.  The arguments are checked
+    at the call, before the first instance is drawn.
     """
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
     eps_list = [Fraction(e) for e in eps_list]
-    total = sum(spec.count for spec in families)
-    records: list[RunRecord] = []
+    if not eps_list:
+        raise ValueError("eps_list must hold at least one epsilon")
+    return _suite_rows(families, eps_list, repeats, budget)
+
+
+def _suite_rows(
+    families: Sequence[GenSpec], eps_list: list[Fraction], repeats: int, budget: int
+) -> Iterator[tuple[Row, ...]]:
     index = 0
     for spec in families:
         for _ in range(spec.count):
             inst = generate_instance(spec, index)
-            base = dict(
-                family=spec.family,
-                seed=spec.seed,
-                index=index,
-                n=inst.n,
-                p_range=spec.p_range,
-                q_range=spec.q_range,
-            )
+            base = (spec.family, spec.seed, index, inst.n, spec.p_range, spec.q_range)
             try:
-                exact_result, dp_ms = _timed(
-                    lambda: solve_exact(inst, budget=budget), repeats
-                )
-                eps_results = []
+                exact, dp_ms = _timed(lambda: solve_exact(inst, budget=budget), repeats)
+                dp = (*base, len(exact.front), dp_ms)
+                rows = []
                 for eps in eps_list:
-                    approx_result, fptas_ms = _timed(
+                    approx, fptas_ms = _timed(
                         lambda: solve_fptas(inst, eps, budget=budget), repeats
                     )
-                    ratio_c, ratio_l = quality_metrics(
-                        exact_result.front, approx_result.front
-                    )
-                    eps_results.append(
-                        EpsResult(
-                            eps=eps,
-                            front_size=len(approx_result.front),
-                            ms=fptas_ms,
-                            ratio_c=ratio_c,
-                            ratio_l=ratio_l,
-                        )
-                    )
-                record = RunRecord(
-                    **base,
-                    dp_front_size=len(exact_result.front),
-                    dp_ms=dp_ms,
-                    eps_results=tuple(eps_results),
-                )
+                    ratios = quality_metrics(exact.front, approx.front)
+                    rows.append(Row(*dp, eps, len(approx.front), fptas_ms, *ratios))
             except Exception as exc:
-                record = RunRecord(**base, error=f"{type(exc).__name__}: {exc}")
-            records.append(record)
+                rows = [Row(*base, error=f"{type(exc).__name__}: {exc}")]
+            yield tuple(rows)
             index += 1
-            if progress is not None:
-                progress(index, total, record)
-    return records
 
 
 def preset_families(name: str, seed: int) -> list[GenSpec]:
@@ -258,29 +244,22 @@ def _ratio_cells(ratio_c: Fraction, ratio_l: Fraction) -> str:
     )
 
 
-def _record_rows(record: RunRecord) -> list[str]:
-    prefix = (
-        f"{record.family},{record.seed},{record.index},{record.n},"
-        f"{record.p_range[0]},{record.p_range[1]},"
-        f"{record.q_range[0]},{record.q_range[1]}"
-    )
-    if record.error is not None or record.dp_front_size is None:
-        return [f"{prefix},,,,,,,,,"]
-    dp = f"{record.dp_front_size},{record.dp_ms:.3f}"
-    rows = []
-    for res in record.eps_results:
-        rows.append(
-            f"{prefix},{dp},{res.eps},{res.front_size},{res.ms:.3f},"
-            + _ratio_cells(res.ratio_c, res.ratio_l)
+def format_records_csv(rows: Iterable[Row]) -> str:
+    lines = [RECORDS_HEADER]
+    for row in rows:
+        prefix = (
+            f"{row.family},{row.seed},{row.index},{row.n},"
+            f"{row.p_range[0]},{row.p_range[1]},{row.q_range[0]},{row.q_range[1]}"
         )
-    return rows
-
-
-def format_records_csv(records: Sequence[RunRecord]) -> str:
-    rows = [RECORDS_HEADER]
-    for record in records:
-        rows.extend(_record_rows(record))
-    return "\n".join(rows) + "\n"
+        if row.error is not None:
+            lines.append(f"{prefix},,,,,,,,,")
+        else:
+            lines.append(
+                f"{prefix},{row.dp_front},{row.dp_ms:.3f},"
+                f"{row.eps},{row.fptas_front},{row.fptas_ms:.3f},"
+                + _ratio_cells(row.ratio_c, row.ratio_l)
+            )
+    return "\n".join(lines) + "\n"
 
 
 _AGG_COLUMNS = (
@@ -288,10 +267,10 @@ _AGG_COLUMNS = (
     "ratio_c_mean,ratio_l_mean,ratio_c_mean_exact,ratio_l_mean_exact"
 )
 
-# Aggregate tables: file name, key column, and the key a record groups under.
+# Aggregate tables: file name, key column, and the key a row groups under.
 # by_family.csv is the paper's computing-time table shape; the range tables
 # are its quality tables by processing-time and by delivery-time range.
-_AGGREGATES: tuple[tuple[str, str, Callable[[RunRecord], str]], ...] = (
+_AGGREGATES: tuple[tuple[str, str, Callable[[Row], str]], ...] = (
     ("by_family.csv", "family", lambda r: r.family),
     ("by_p_range.csv", "p_range", lambda r: f"{r.p_range[0]}-{r.p_range[1]}"),
     ("by_q_range.csv", "q_range", lambda r: f"{r.q_range[0]}-{r.q_range[1]}"),
@@ -299,38 +278,36 @@ _AGGREGATES: tuple[tuple[str, str, Callable[[RunRecord], str]], ...] = (
 
 
 def _aggregate_csv(
-    records: Sequence[RunRecord], key_name: str, key_of: Callable[[RunRecord], str]
+    rows: Iterable[Row], key_name: str, key_of: Callable[[Row], str]
 ) -> str:
-    """Means per (key, eps) over the successful records, in first-seen order."""
-    groups: dict[tuple[str, Fraction], list[tuple[RunRecord, EpsResult]]] = {}
-    for record in records:
-        if record.error is not None or record.dp_front_size is None:
-            continue
-        for res in record.eps_results:
-            groups.setdefault((key_of(record), res.eps), []).append((record, res))
-    rows = [f"{key_name},{_AGG_COLUMNS}"]
+    """Means per (key, eps) over the successful rows, in first-seen order."""
+    groups: dict[tuple[str, Fraction], list[Row]] = {}
+    for row in rows:
+        if row.error is None:
+            groups.setdefault((key_of(row), row.eps), []).append(row)
+    lines = [f"{key_name},{_AGG_COLUMNS}"]
     for (label, eps), cell in groups.items():
         k = len(cell)
-        dp_front = Fraction(sum(r.dp_front_size for r, _ in cell), k)
-        fptas_front = Fraction(sum(e.front_size for _, e in cell), k)
-        rows.append(
+        dp_front = Fraction(sum(r.dp_front for r in cell), k)
+        fptas_front = Fraction(sum(r.fptas_front for r in cell), k)
+        lines.append(
             f"{label},{eps},{k},{format_fraction_decimal(dp_front)},"
-            f"{sum(r.dp_ms for r, _ in cell) / k:.3f},"
+            f"{sum(r.dp_ms for r in cell) / k:.3f},"
             f"{format_fraction_decimal(fptas_front)},"
-            f"{sum(e.ms for _, e in cell) / k:.3f},"
+            f"{sum(r.fptas_ms for r in cell) / k:.3f},"
             + _ratio_cells(
-                sum(e.ratio_c for _, e in cell) / k, sum(e.ratio_l for _, e in cell) / k
+                sum(r.ratio_c for r in cell) / k, sum(r.ratio_l for r in cell) / k
             )
         )
-    return "\n".join(rows) + "\n"
+    return "\n".join(lines) + "\n"
 
 
-def write_report(records: Sequence[RunRecord], out_dir: PathLike) -> list[Path]:
+def write_report(rows: Sequence[Row], out_dir: PathLike) -> list[Path]:
     """Write records.csv and the three aggregate tables; returns paths."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    tables = [("records.csv", format_records_csv(records))] + [
-        (name, _aggregate_csv(records, key_name, key_of))
+    tables = [("records.csv", format_records_csv(rows))] + [
+        (name, _aggregate_csv(rows, key_name, key_of))
         for name, key_name, key_of in _AGGREGATES
     ]
     paths = []

@@ -14,9 +14,10 @@ text: --n and --budget are integers >= 1, --p/--q are integer pairs
 LO:HI, every --epsilon/--epsilons value passes parse_epsilon, and
 --preset names a key of bench.PRESETS; argparse reports a failure and
 exits 2.  The library checks the values: GenSpec rejects ranges with
-LO < 1 or HI < LO and seeds outside 64 bits, generate_instance rejects
-a negative index or an instance too large for exact arithmetic, and
-`gen` and `bench` turn that ValueError into a usage error.  `bench`
+LO < 1 or HI < LO, more than 10**6 jobs and seeds outside 64 bits,
+generate_instance rejects an index outside 64 bits or an instance too
+large for exact arithmetic, and `gen` and `bench` turn that ValueError
+into a usage error.  `bench`
 creates --out-dir before it runs the suite, so a directory that cannot
 be made is a usage error before any work is done.
 """
@@ -288,29 +289,29 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     except OSError as exc:
         raise _UsageError(f"cannot create {args.out_dir}: {exc}") from None
 
-    def progress(done: int, total: int, record: bench.RunRecord) -> None:
-        if record.error is not None:
+    suite = bench.run_suite(
+        families, args.epsilons, bench.PRESETS[args.preset].repeats, budget=args.budget
+    )
+    total = sum(spec.count for spec in families)
+    rows: list[bench.Row] = []
+    for done, instance_rows in enumerate(suite, 1):
+        rows.extend(instance_rows)
+        first = instance_rows[0]
+        if first.error is not None:
             print(
-                f"[{done}/{total}] index {record.index} FAILED: {record.error}",
+                f"[{done}/{total}] index {first.index} FAILED: {first.error}",
                 file=sys.stderr,
             )
         elif done % 25 == 0 or done == total:
-            print(f"[{done}/{total}] n={record.n} ok", file=sys.stderr)
-
-    records = bench.run_suite(
-        families,
-        args.epsilons,
-        bench.PRESETS[args.preset].repeats,
-        budget=args.budget,
-        progress=progress,
-    )
-    paths = bench.write_report(records, args.out_dir)
+            print(f"[{done}/{total}] n={first.n} ok", file=sys.stderr)
+    paths = bench.write_report(rows, args.out_dir)
     for path in paths:
         print(path)
-    failures = sum(1 for record in records if record.error is not None)
+    # a failed instance has exactly one row, its error row
+    failures = sum(1 for row in rows if row.error is not None)
     if failures:
-        print(f"warning: {failures}/{len(records)} instances failed", file=sys.stderr)
-        if failures == len(records):
+        print(f"warning: {failures}/{total} instances failed", file=sys.stderr)
+        if failures == total:
             return EXIT_FAIL
     return EXIT_OK
 

@@ -15,6 +15,7 @@ from bipareto import bench as bench_module
 from bipareto.bench import (
     PRESETS,
     RECORDS_HEADER,
+    Row,
     format_fraction_decimal,
     format_records_csv,
     write_report,
@@ -23,6 +24,11 @@ from bipareto.bench import (
 
 def tiny_families(seed=5, count=4):
     return [GenSpec((3, 6), (1, 9), (1, 9), seed, count)]
+
+
+def suite_rows(*args, **kwargs):
+    """Every row of a suite run, in order."""
+    return [row for rows in run_suite(*args, **kwargs) for row in rows]
 
 
 def test_genspec_validation():
@@ -36,6 +42,12 @@ def test_genspec_validation():
         GenSpec((1, 5), (1, 9), (1, 9), -1, 1)
     with pytest.raises(ValueError, match="count"):
         GenSpec((1, 5), (1, 9), (1, 9), 1, 0)
+    # at most 10**6 jobs: a family above it is refused before any draw
+    with pytest.raises(ValueError, match="n range"):
+        GenSpec((1, 10**6 + 1), (1, 9), (1, 9), 1, 1)
+    with pytest.raises(ValueError, match="n range"):
+        GenSpec((10**13, 10**13), (1, 9), (1, 9), 1, 1)
+    GenSpec((10**6, 10**6), (1, 9), (1, 9), 1, 1)
     assert GenSpec((5, 25), (1, 20), (1, 20), 1, 1).family == "n5-25"
 
 
@@ -48,6 +60,10 @@ def test_generate_instance_is_deterministic():
     assert len(drawn) == 6
     with pytest.raises(ValueError, match="index"):
         generate_instance(spec, -1)
+    # the index is half of a 64-bit Philox key
+    with pytest.raises(ValueError, match="index"):
+        generate_instance(spec, 2**64)
+    assert 5 <= generate_instance(spec, 2**64 - 1).n <= 25
 
 
 def test_generate_instance_respects_ranges():
@@ -77,33 +93,50 @@ def test_quality_metrics():
         quality_metrics(exact, Front(()))
 
 
-def test_run_suite_records():
+def test_run_suite_records(monkeypatch):
     eps_list = [Fraction(3, 10), Fraction(9, 10)]
-    records = run_suite(tiny_families(), eps_list, 1)
-    assert len(records) == 4
-    assert [r.index for r in records] == [0, 1, 2, 3]
-    for record in records:
-        assert record.error is None
-        assert record.family == "n3-6"
-        assert len(record.eps_results) == 2
-        for res, eps in zip(record.eps_results, eps_list):
-            assert res.eps == eps
-            assert res.ratio_c <= 1 + eps
-            assert res.ratio_l <= 1 + eps
+    solved = []
+    real = bench_module.solve_exact
+
+    def counting(inst, **kwargs):
+        solved.append(inst)
+        return real(inst, **kwargs)
+
+    monkeypatch.setattr(bench_module, "solve_exact", counting)
+    suite = run_suite(tiny_families(), eps_list, 1)
+    assert solved == []  # nothing runs before the first instance is asked for
+    first = next(suite)
+    assert len(solved) == 1  # each instance's rows arrive as soon as measured
+    instances = [first, *suite]
+    assert len(solved) == 4
+    assert [[row.index for row in rows] for rows in instances] == [
+        [i, i] for i in range(4)
+    ]
+    for rows in instances:
+        assert [row.eps for row in rows] == eps_list
+        for row in rows:
+            assert row.error is None
+            assert row.family == "n3-6"
+            assert row.n == rows[0].n and row.dp_front == rows[0].dp_front
+            assert row.ratio_c <= 1 + row.eps
+            assert row.ratio_l <= 1 + row.eps
+    # arguments are checked at the call, not at the first instance;
+    # with no epsilon an instance would have no row
     with pytest.raises(ValueError, match="repeats"):
         run_suite(tiny_families(), eps_list, 0)
+    with pytest.raises(ValueError, match="epsilon"):
+        run_suite(tiny_families(), [], 1)
 
 
 def test_run_suite_is_deterministic_outside_timings():
     eps_list = [Fraction(3, 10)]
-    a = run_suite(tiny_families(), eps_list, 1)
-    b = run_suite(tiny_families(), eps_list, 1)
-    strip = lambda r: (r.family, r.seed, r.index, r.n, r.dp_front_size, r.error,
-                       [(e.eps, e.front_size, e.ratio_c, e.ratio_l) for e in r.eps_results])
+    a = suite_rows(tiny_families(), eps_list, 1)
+    b = suite_rows(tiny_families(), eps_list, 1)
+    strip = lambda r: r._replace(dp_ms=None, fptas_ms=None)
     assert [strip(r) for r in a] == [strip(r) for r in b]
 
 
-def test_run_suite_records_failures_and_continues(monkeypatch):
+def test_run_suite_records_failures_and_continues(monkeypatch, tmp_path):
     calls = {"k": 0}
     real = bench_module.solve_exact
 
@@ -114,16 +147,25 @@ def test_run_suite_records_failures_and_continues(monkeypatch):
         return real(inst, **kwargs)
 
     monkeypatch.setattr(bench_module, "solve_exact", flaky)
-    records = run_suite(tiny_families(count=3), [Fraction(3, 10)], 1)
-    assert len(records) == 3
-    assert records[0].error == "RuntimeError: synthetic solver failure"
-    assert records[0].dp_front_size is None
-    assert records[1].error is None and records[2].error is None
+    eps_list = [Fraction(3, 10), Fraction(9, 10)]
+    instances = list(run_suite(tiny_families(count=3), eps_list, 1))
+    assert [len(rows) for rows in instances] == [1, 2, 2]
+    (failed,) = instances[0]
+    assert failed.error == "RuntimeError: synthetic solver failure"
+    assert failed[6:13] == (None,) * 7  # every metric field
+    assert all(row.error is None for rows in instances[1:] for row in rows)
+    # the aggregates average the two instances that were measured
+    write_report([row for rows in instances for row in rows], tmp_path)
+    lines = (tmp_path / "by_family.csv").read_text().splitlines()
+    assert [line.split(",")[:3] for line in lines[1:]] == [
+        ["n3-6", "3/10", "2"],
+        ["n3-6", "9/10", "2"],
+    ]
 
 
 def test_records_csv_shape():
-    records = run_suite(tiny_families(count=2), [Fraction(3, 10), Fraction(9, 10)], 1)
-    text = format_records_csv(records)
+    rows = suite_rows(tiny_families(count=2), [Fraction(3, 10), Fraction(9, 10)], 1)
+    text = format_records_csv(rows)
     lines = text.splitlines()
     assert lines[0] == RECORDS_HEADER
     assert lines[0].startswith(
@@ -143,11 +185,11 @@ def test_records_csv_shape():
 
 
 def test_failed_record_emits_blank_metric_columns():
-    record = bench_module.RunRecord(
+    row = Row(
         family="n3-6", seed=5, index=0, n=4,
         p_range=(1, 9), q_range=(1, 9), error="RuntimeError: boom",
     )
-    lines = format_records_csv([record]).splitlines()
+    lines = format_records_csv([row]).splitlines()
     cells = lines[1].split(",")
     assert len(cells) == len(RECORDS_HEADER.split(","))
     assert cells[:8] == ["n3-6", "5", "0", "4", "1", "9", "1", "9"]
@@ -164,7 +206,7 @@ def test_format_fraction_decimal():
 
 
 def test_aggregate_table_groups_by_key(tmp_path):
-    records = run_suite(
+    rows = suite_rows(
         [
             GenSpec((3, 5), (1, 9), (1, 9), 5, 2),
             GenSpec((3, 5), (1, 20), (1, 9), 5, 2),
@@ -172,7 +214,7 @@ def test_aggregate_table_groups_by_key(tmp_path):
         [Fraction(3, 10)],
         1,
     )
-    write_report(records, tmp_path)
+    write_report(rows, tmp_path)
     lines = (tmp_path / "by_p_range.csv").read_text().splitlines()
     assert lines[0].startswith("p_range,eps,instances,")
     assert [line.split(",")[:3] for line in lines[1:]] == [
@@ -182,8 +224,8 @@ def test_aggregate_table_groups_by_key(tmp_path):
 
 
 def test_write_report(tmp_path):
-    records = run_suite(tiny_families(count=2), [Fraction(3, 10)], 1)
-    paths = write_report(records, tmp_path / "report")
+    rows = suite_rows(tiny_families(count=2), [Fraction(3, 10)], 1)
+    paths = write_report(rows, tmp_path / "report")
     names = sorted(p.name for p in paths)
     assert names == ["by_family.csv", "by_p_range.csv", "by_q_range.csv", "records.csv"]
     for path in paths:

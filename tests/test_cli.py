@@ -14,6 +14,7 @@ from bipareto import (
     Layer,
     ParetoPoint,
     coverage_check,
+    generate_instance,
     normalize,
     solve_fptas,
 )
@@ -73,8 +74,10 @@ def test_gen_usage_errors(tmp_path, capsys):
     assert main(["gen", "--n", "3", "--p", "1:5", "--q", "1:5",
                  "--seed", "-1"]) == EXIT_USAGE
     # value rules the library enforces, reported as usage errors
-    for extra in (["--index", "-1"], ["--seed", str(2**64)]):
+    for extra in (["--index", "-1"], ["--index", str(2**64)], ["--seed", str(2**64)]):
         assert_usage_error(capsys, ["gen", "--n", "3", "--p", "1:5", "--q", "1:5", *extra])
+    # a job count above 10**6 is refused before its 2n words are drawn
+    assert_usage_error(capsys, ["gen", "--n", str(10**13), "--p", "1:5", "--q", "1:5"])
     assert_usage_error(capsys, ["gen", "--n", "3", "--p", "0:5", "--q", "1:5"])
     # P + q_max beyond the 2**60 magnitude cap
     assert_usage_error(capsys, ["gen", "--n", "20", "--p", f"1:{10**18}", "--q", "1:5"])
@@ -301,6 +304,35 @@ def test_bench_exit_fail_when_everything_fails(tmp_path, monkeypatch, capsys):
     assert main(["bench", "--preset", "desk", "--seed", "1",
                  "--out-dir", str(tmp_path / "r")]) == EXIT_FAIL
     assert "2/2 instances failed" in capsys.readouterr().err
+
+
+def test_bench_progress_lines_on_stderr(tmp_path, monkeypatch, capsys):
+    spec = GenSpec((3, 4), (1, 5), (1, 5), 1, 3)
+    real = cli.bench.solve_exact
+    calls = []
+
+    def first_raises(inst, **kwargs):
+        calls.append(inst)
+        if len(calls) == 1:
+            raise RuntimeError("synthetic failure")
+        return real(inst, **kwargs)
+
+    monkeypatch.setattr(cli.bench, "solve_exact", first_raises)
+    monkeypatch.setattr(cli.bench, "preset_families", lambda name, seed: [spec])
+    out_dir = tmp_path / "r"
+    assert main(["bench", "--preset", "desk", "--seed", "1",
+                 "--out-dir", str(out_dir)]) == EXIT_OK
+    captured = capsys.readouterr()
+    # failures always print; successes only every 25th instance and the last
+    assert captured.err.splitlines() == [
+        "[1/3] index 0 FAILED: RuntimeError: synthetic failure",
+        f"[3/3] n={generate_instance(spec, 2).n} ok",
+        "warning: 1/3 instances failed",
+    ]
+    assert captured.out.splitlines() == [
+        str(out_dir / name)
+        for name in ("records.csv", "by_family.csv", "by_p_range.csv", "by_q_range.csv")
+    ]
 
 
 def test_bench_unusable_out_dir_fails_before_the_suite(tmp_path, monkeypatch, capsys):

@@ -588,15 +588,9 @@ def test_keep_layers_changes_only_layers(monkeypatch, fallback):
             assert lean.layers is None
             assert kept.front == lean.front
             assert kept.layer_sizes == lean.layer_sizes
-            if solve is solve_exact:
-                # keep_layers selects the sorted path and the lean solve may
-                # take the dense one, whose tie-break can pick other
-                # witnesses of the same points
-                for result in (lean, kept):
-                    for sched, point in zip(result.schedules, result.front, strict=True):
-                        assert evaluate_schedule(inst, sched) == point
-            else:
-                assert kept.schedules == lean.schedules
+            # keep_layers only adds the layers: the solve takes the same route
+            # and reconstructs the same witnesses
+            assert kept.schedules == lean.schedules
             assert [len(layer) for layer in kept.layers] == list(kept.layer_sizes)
             assert [layer.i for layer in kept.layers] == list(range(1, inst.n + 1))
 

@@ -13,10 +13,12 @@ import numpy as np
 from bipareto import (
     GenSpec,
     coverage_check,
+    exact_layers,
     generate_instance,
     quality_metrics,
     solve_exact,
     solve_fptas,
+    trimmed_layers,
 )
 
 # One reproducible random instance: 120 jobs, wide value ranges so the
@@ -56,11 +58,11 @@ for eps in (Fraction(1, 10), Fraction(3, 10), Fraction(9, 10), Fraction(2)):
 # dense instance's exact layers come from the table over the flag-1
 # load, which keeps no parents, so the states are compared, not origins.)
 small = generate_instance(GenSpec((30, 30), (1, 50), (1, 50), 20, 1), 0)
-tiny = solve_fptas(small, Fraction(1, small.total_p + small.q_max), keep_layers=True)
-small_exact = solve_exact(small, keep_layers=True)
-same_layers = len(tiny.layers) == len(small_exact.layers) and all(
+tiny_eps = Fraction(1, small.total_p + small.q_max)
+tiny, small_exact = solve_fptas(small, tiny_eps), solve_exact(small)
+same_layers = all(
     np.array_equal(getattr(a, name), getattr(b, name))
-    for a, b in zip(tiny.layers, small_exact.layers)
+    for a, b in zip(trimmed_layers(small, tiny_eps), exact_layers(small), strict=True)
     for name in ("lmax", "cmax")
 )
 print(f"\ndegenerate grid (delta1 < 1) reproduces the exact front: "

@@ -5,7 +5,8 @@ identical parallel machines; the objectives are makespan and maximum
 lateness.  `solve_exact` enumerates the exact Pareto front by a layered
 dynamic program over job prefixes, `solve_fptas` trims each layer onto
 an exact rational grid for a (1+eps) coverage guarantee, and both
-reconstruct a witness schedule per front point.
+reconstruct a witness schedule per front point.  `exact_layers` and
+`trimmed_layers` yield the same solves' layers one at a time.
 """
 
 from .bench import (
@@ -21,6 +22,7 @@ from .exact import (
     Layer,
     SolveResult,
     StateBudgetError,
+    exact_layers,
     solve_exact,
 )
 from .fptas import (
@@ -33,6 +35,7 @@ from .fptas import (
     grid_params,
     parse_epsilon,
     solve_fptas,
+    trimmed_layers,
 )
 from .model import (
     MAX_MAGNITUDE,
@@ -66,9 +69,11 @@ __all__ = [
     "evaluate_schedule",
     "dominates",
     "solve_exact",
+    "exact_layers",
     "grid_params",
     "box_index",
     "solve_fptas",
+    "trimmed_layers",
     "parse_epsilon",
     "coverage_check",
     "find_coverage_violation",

@@ -42,9 +42,10 @@ value, which is the same state, and reads the winners out in box order.
 It serves the layers of boxes wider than 1 with int64 keys where the
 pool has at least 512 children, the ``floor(P / width) + 1`` boxes are
 at most twice the pool and ``(P + q_max + 1) * pool`` fits in int64;
-its slots are allocated at the first such layer.  With
-``keep_layers=True`` the solver also wraps each layer's arrays in a
-`Layer` and keeps it, 24 bytes per state.
+its slots are allocated at the first such layer.  The solves keep
+only the ``origin`` arrays.  `exact_layers` and `trimmed_layers` (in
+`fptas`) drain the same loop and wrap each layer's arrays in a `Layer`
+as they yield it, keeping none.
 
 On dense instances `solve_exact` runs the same recurrence as a table
 instead: cell ``a`` holds the smallest ``L`` with load ``a`` on machine
@@ -63,13 +64,12 @@ table, the fold and the scratch arrays each span at most the last
 layer's ``P - p_1 + 1`` cells, so memory follows the cell count that
 the budget bounds.  The table has no sort, and no 8-byte parent per
 state, but its cells span both mirrors of each makespan, so it pays
-only when loads are dense.  With ``keep_layers=True`` the table is
-also folded after every job, onto ``C = max(a, S_i - a)``, and its
-reached cells become layer ``i``: per makespan the smallest ``L`` over
-both mirrors, which is the sorted engine's layer, state for state.  The
-kept layers are views into one array of ``2 * sum(layer_sizes)``
-int64s, whatever the cell dtype, 16 bytes per state, with no
-``origin``: the table's parent chain is its bits.
+only when loads are dense.  On this path `exact_layers` folds the
+table after every job, onto ``C = max(a, S_i - a)``, and yields its
+reached cells as layer ``i``: per makespan the smallest ``L`` over both
+mirrors, which is the sorted engine's layer, state for state, as int64
+arrays whatever the cell dtype, with no ``origin``: the table's parent
+chain is its bits, which the stream does not keep.
 `solve_exact` takes the table iff its cell count
 ``sum_i (S_i - p_1 + 1)`` is at most the budget and at most four times
 the sorted engine's state count, counted from subset sums
@@ -78,16 +78,15 @@ once the cells fit the budget, which bounds its bitset, and the table
 reports it as its layer sizes.  Dense loads give a ratio near 2 (the
 two mirrors), on either side of it, so a factor of 2 would send some
 of them to the sorted engine; the table measured faster up to a ratio
-of about 10; ``keep_layers`` does not change the route, and the kept
-states, at most the cells, stay under the budget.  Every other exact
+of about 10.  `exact_layers` takes the same route.  Every other exact
 solve and every `solve_fptas` call run the sorted engine.
-Both paths give the same front, layer sizes and kept layers' states;
-their witnesses may differ where ties allow.
+Both paths give the same front, layer sizes and layers' states; their
+witnesses may differ where ties allow.
 
 The test suite checks the sorted engine's layers, parents and
 tie-breaks against a plain-integer reference, for small ``n`` each layer
 against brute force over the assignments of the job prefix, and the
-dense table against the sorted engine: fronts, layer sizes, kept
+dense table against the sorted engine: fronts, layer sizes, streamed
 layers and witnesses.
 """
 
@@ -95,7 +94,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from itertools import chain
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -120,11 +120,12 @@ class StateBudgetError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class Layer:
-    """States kept after processing the first ``i`` jobs, as int64 arrays.
+    """States kept after processing the first ``i`` jobs, as int64 arrays,
+    as `exact_layers` and `trimmed_layers` yield them.
 
     State ``j`` has lateness ``lmax[j]`` and most-loaded machine load
     ``cmax[j]``; both solvers keep states in strictly ascending ``cmax``.
-    ``origin`` is the sorted engine's parent chain: ``origin[j]`` is the
+    ``origin`` is the sorted engine's parent link: ``origin[j]`` is the
     successor-pool index state ``j`` won from (parent ``origin[j] >> 1``,
     choice ``origin[j] & 1``), -1 at layer 1.  Layers folded from the
     dense table of `solve_exact` have no pool, and ``origin`` is None.
@@ -150,16 +151,13 @@ class SolveResult:
     the sorted engine the states kept, and on the dense path of
     `solve_exact` the same count made from subset sums, the one that
     routed the solve there (cells <= budget and <= 4 x the sorted
-    engine's state count).  ``layers`` carries every layer's arrays
-    only when the solver ran with ``keep_layers=True``: 24 bytes per
-    retained state on the sorted engine, 16 on the dense path, whose
-    layers are the table folded after each job and carry no ``origin``.
+    engine's state count).  The layers themselves come from
+    `exact_layers` and `trimmed_layers`.
     """
 
     front: Front
     schedules: tuple[tuple[int, ...], ...]
     layer_sizes: tuple[int, ...]
-    layers: Optional[tuple[Layer, ...]] = None
 
 
 # ---------------------------------------------------------------------------
@@ -241,14 +239,17 @@ def _scatter_min_per_key(
     return won % pool
 
 
-def _pareto_indices(lmax: np.ndarray) -> np.ndarray:
-    """Indices, in a final layer listed in ascending load, of the states
-    whose lateness is below that of every smaller load: the front.
-    Unreached cells hold their dtype's maximum and never qualify."""
+def _final_front(lmax: np.ndarray, cmax: np.ndarray) -> tuple[Front, list[int]]:
+    """The Pareto front of a final layer listed in ascending load, and the
+    indices of its points' states: those whose lateness is below that of
+    every smaller load.  Unreached cells of a folded table hold their
+    dtype's maximum and never qualify."""
     prior = np.empty_like(lmax)
     prior[0] = np.iinfo(lmax.dtype).max
     np.minimum.accumulate(lmax[:-1], out=prior[1:])
-    return np.flatnonzero(lmax < prior)
+    witnesses = np.flatnonzero(lmax < prior)
+    points = map(ParetoPoint, cmax[witnesses].tolist(), lmax[witnesses].tolist())
+    return Front(tuple(points)), witnesses.tolist()
 
 
 def _replay_choices(inst: Instance, choices: Sequence[int]) -> tuple[int, ...]:
@@ -271,14 +272,18 @@ def _replay_choices(inst: Instance, choices: Sequence[int]) -> tuple[int, ...]:
     return tuple(flags)
 
 
-def _solve_layered(
-    inst: Instance,
-    width: Fraction,
-    budget: int,
-    keep_layers: bool,
-) -> SolveResult:
-    """Shared layer loop: expand, keep one state per load box of ``width``,
-    track parents, reconstruct."""
+def _layer_loop(
+    inst: Instance, width: Fraction, budget: int
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The sorted engine: ``(lmax, cmax, origin)`` of layers 1..n, each
+    built from the one before: expand, keep one state per load box of
+    ``width``.
+
+    Raises StateBudgetError before a layer whose pool, with every state
+    of the layers so far, would pass ``budget``: the solve keeps every
+    ``origin`` as its parent chain, and a stream is held to the same
+    count so that it stops where the solve stops.
+    """
     if budget < 1:
         raise ValueError("state budget must be positive")
 
@@ -293,9 +298,8 @@ def _solve_layered(
     first = inst.jobs[0]
     lmax = np.array([first.p + first.q], dtype=np.int64)
     cmax = np.array([first.p], dtype=np.int64)
-    origins = [np.array([-1], dtype=np.int64)]
+    yield lmax, cmax, np.array([-1], dtype=np.int64)
     retained = 1
-    layers = [Layer(1, lmax, cmax, origins[0])] if keep_layers else None
 
     for i in range(2, inst.n + 1):
         if retained + 2 * len(cmax) > budget:
@@ -323,15 +327,24 @@ def _solve_layered(
         else:
             origin = _min_lmax_per_key(key, pool_lmax)
         lmax, cmax = pool_lmax[origin], pool_cmax[origin]
-        origins.append(origin)
         retained += len(origin)
-        if layers is not None:
-            layers.append(Layer(i, lmax, cmax, origin))
+        yield lmax, cmax, origin
 
-    witnesses = _pareto_indices(lmax)
-    points = map(ParetoPoint, cmax[witnesses].tolist(), lmax[witnesses].tolist())
+
+def _sorted_layers(inst: Instance, width: Fraction, budget: int) -> Iterator[Layer]:
+    """`_layer_loop`'s layers as `Layer`s, one at a time."""
+    return (Layer(i, *arrays) for i, arrays in enumerate(_layer_loop(inst, width, budget), 1))
+
+
+def _solve_layered(inst: Instance, width: Fraction, budget: int) -> SolveResult:
+    """The front of `_layer_loop`'s last layer, with witnesses
+    reconstructed along the kept ``origin`` arrays."""
+    origins = []
+    for lmax, cmax, origin in _layer_loop(inst, width, budget):
+        origins.append(origin)
+    front, witnesses = _final_front(lmax, cmax)
     schedules = []
-    for idx in witnesses.tolist():
+    for idx in witnesses:
         choices = []
         for origin in reversed(origins[1:]):
             idx = int(origin[idx])
@@ -339,12 +352,7 @@ def _solve_layered(
             idx >>= 1
         schedules.append(_replay_choices(inst, choices[::-1]))
 
-    return SolveResult(
-        front=Front(tuple(points)),
-        schedules=tuple(schedules),
-        layer_sizes=tuple(len(origin) for origin in origins),
-        layers=tuple(layers) if layers is not None else None,
-    )
+    return SolveResult(front, tuple(schedules), tuple(len(origin) for origin in origins))
 
 
 # ---------------------------------------------------------------------------
@@ -402,53 +410,28 @@ def _fold(
     return start, folded
 
 
-def _table_layer(
-    i: int,
-    table: np.ndarray,
-    base: int,
-    total: int,
-    ramp: np.ndarray,
-    fold: np.ndarray,
-    out: np.ndarray,
-) -> Layer:
-    """Layer ``i``, whose loads sum to ``total``, from the table folded
-    into the scratch ``fold``: its reached makespans, written to the two
-    rows of ``out``, one column each.  ``ramp[k]`` is ``base + k``."""
-    start, folded = _fold(table, base, total, fold)
-    reached = folded != np.iinfo(folded.dtype).max
-    lmax, cmax = out
-    lmax[:], cmax[:] = folded[reached], ramp[start - base : total - base + 1][reached]
-    return Layer(i, lmax, cmax)
-
-
-def _solve_dense(inst: Instance, sizes: Sequence[int], keep_layers: bool) -> SolveResult:
-    """The exact front from a table of the smallest lateness per flag-1
-    load (see the module docstring); ``sizes`` is `_layer_sizes`.
-
-    With ``keep_layers`` every layer is the table folded after its job,
-    and the layers are views into one array of ``2 * sum(sizes)``
-    int64s."""
+def _first_table(inst: Instance) -> np.ndarray:
+    """The dense table of layer 1: ``table[k]`` is the smallest lateness
+    with flag-1 load ``p_1 + k``, for every load up to ``P``."""
     first = inst.jobs[0]
-    base, total = first.p, inst.total_p
     # every lateness and load is at most P + q_max, below the sentinel
-    dtype = np.int32 if total + inst.q_max < np.iinfo(np.int32).max else np.int64
-    # table[k]: smallest lateness with flag-1 load base + k
-    table = np.full(total - base + 1, np.iinfo(dtype).max, dtype=dtype)
+    dtype = np.int32 if inst.total_p + inst.q_max < np.iinfo(np.int32).max else np.int64
+    table = np.full(inst.total_p - first.p + 1, np.iinfo(dtype).max, dtype=dtype)
     table[0] = first.p + first.q
-    fold = np.empty_like(table)
-    layers = None
-    if keep_layers:
-        ramp = np.arange(base, total + 1, dtype=np.int64)
-        kept = np.empty((2, sum(sizes)), dtype=np.int64)
-        ends = np.cumsum(sizes).tolist()
-        layers = [_table_layer(1, table, base, base, ramp, fold, kept[:, :1])]
+    return table
+
+
+def _add_jobs(inst: Instance, table: np.ndarray) -> Iterator[np.ndarray]:
+    """Adds jobs 2..n to layer 1's ``table`` in place (see the module
+    docstring), yielding after each job its take mask: ``take[k]`` is
+    set iff load ``p_1 + k + p`` moved onto flag 1."""
+    base = inst.jobs[0].p
     # scratch for one job's parents: at most the S_(n-1) - p_1 + 1 loads
     # reached before the last job
-    loads = np.arange(base, inst.prefix[-2] + 1, dtype=dtype)
+    loads = np.arange(base, inst.prefix[-2] + 1, dtype=table.dtype)
     moved = np.empty_like(loads)
     stayed = np.empty_like(loads)
-    takes = []  # per job i >= 2: packed bits, bit k set iff load base + k + p moved onto flag 1
-    for i, job, prefix in zip(range(2, inst.n + 1), inst.jobs[1:], inst.prefix[2:]):
+    for job, prefix in zip(inst.jobs[1:], inst.prefix[2:]):
         m = prefix - job.p - base + 1  # loads reached before this job
         parents = table[:m]
         # flag-1 children: load a + p, lateness max(L, a + p + q)
@@ -461,16 +444,35 @@ def _solve_dense(inst: Instance, sizes: Sequence[int], keep_layers: bool) -> Sol
         cells = table[job.p : job.p + m]
         take = up < cells
         np.minimum(cells, up, out=cells)
-        takes.append(np.packbits(take).tobytes())
-        if layers is not None:
-            out = kept[:, ends[i - 2] : ends[i - 1]]
-            layers.append(_table_layer(i, table, base, prefix, ramp, fold, out))
+        yield take
 
-    start, folded = _fold(table, base, total, fold)
-    witnesses = _pareto_indices(folded)
-    points = [ParetoPoint(start + w, int(folded[w])) for w in witnesses.tolist()]
+
+def _table_layers(inst: Instance) -> Iterator[Layer]:
+    """The dense table folded after every job, as layers 1..n: the
+    reached makespans, each with its smallest lateness."""
+    table = _first_table(inst)
+    fold = np.empty_like(table)
+    base = inst.jobs[0].p
+    # layer 1, then one layer per job added
+    for i, _ in enumerate(chain((None,), _add_jobs(inst, table)), 1):
+        start, folded = _fold(table, base, inst.prefix[i], fold)
+        reached = folded != np.iinfo(folded.dtype).max
+        cmax = np.flatnonzero(reached)
+        cmax += start
+        yield Layer(i, folded[reached].astype(np.int64), cmax)
+
+
+def _solve_dense(inst: Instance, sizes: Sequence[int]) -> SolveResult:
+    """The exact front from a table of the smallest lateness per flag-1
+    load (see the module docstring); ``sizes`` is `_layer_sizes`."""
+    base, total = inst.jobs[0].p, inst.total_p
+    table = _first_table(inst)
+    # per job i >= 2: packed bits, bit k set iff load base + k + p moved onto flag 1
+    takes = [np.packbits(take).tobytes() for take in _add_jobs(inst, table)]
+    start, folded = _fold(table, base, total, np.empty_like(table))
+    front, _ = _final_front(folded, np.arange(start, total + 1))
     schedules = []
-    for cmax, lmax in points:
+    for cmax, lmax in front:
         # ties between the two mirrors go to flag 1 carrying the makespan
         a = cmax if table[cmax - base] == lmax else total - cmax
         flags = []
@@ -482,34 +484,44 @@ def _solve_dense(inst: Instance, sizes: Sequence[int], keep_layers: bool) -> Sol
         flags.append(1)
         schedules.append(tuple(flags[::-1]))
 
-    return SolveResult(
-        front=Front(tuple(points)),
-        schedules=tuple(schedules),
-        layer_sizes=tuple(sizes),
-        layers=tuple(layers) if layers is not None else None,
-    )
+    return SolveResult(front, tuple(schedules), tuple(sizes))
 
 
-def solve_exact(
-    inst: Instance,
-    *,
-    budget: int = DEFAULT_STATE_BUDGET,
-    keep_layers: bool = False,
-) -> SolveResult:
+def _dense_sizes(inst: Instance, budget: int) -> Optional[list[int]]:
+    """`_layer_sizes` when the exact solve takes the dense table, else
+    None.  The sorted engine's states are counted only once the cells,
+    which bound the count's bitset, fit the budget."""
+    if (cells := _dense_cells(inst)) <= budget:
+        sizes = _layer_sizes(inst)
+        if cells <= 4 * sum(sizes):
+            return sizes
+    return None
+
+
+def solve_exact(inst: Instance, *, budget: int = DEFAULT_STATE_BUDGET) -> SolveResult:
     """Exact Pareto front of (makespan, maximum lateness).
 
     Runs the paper's recurrence exactly and returns every non-dominated
     objective pair together with a schedule realizing it.  Dense
     instances go through the table over the flag-1 load and sparse ones
-    through the sorted engine, with or without ``keep_layers`` (see the
-    module docstring for the rule).
+    through the sorted engine (see the module docstring for the rule).
     Raises StateBudgetError instead of exhausting memory when the
     retained state count would exceed ``budget``.
     """
-    # count the sorted engine's states only once the cells, which bound
-    # the bitset, fit the budget
-    if (cells := _dense_cells(inst)) <= budget:
-        sizes = _layer_sizes(inst)
-        if cells <= 4 * sum(sizes):
-            return _solve_dense(inst, sizes, keep_layers)
-    return _solve_layered(inst, Fraction(1), budget, keep_layers)
+    sizes = _dense_sizes(inst, budget)
+    if sizes is None:
+        return _solve_layered(inst, Fraction(1), budget)
+    return _solve_dense(inst, sizes)
+
+
+def exact_layers(inst: Instance, *, budget: int = DEFAULT_STATE_BUDGET) -> Iterator[Layer]:
+    """Layers 1..n of `solve_exact` on ``inst``, one at a time, built on
+    the same route: the sorted engine's layers with their ``origin``, or
+    the dense table folded after each job, ``origin`` None.
+
+    The stream keeps no layer it has yielded, nor any parent chain, and
+    raises StateBudgetError at the layer where `solve_exact` would.
+    """
+    if _dense_sizes(inst, budget) is None:
+        return _sorted_layers(inst, Fraction(1), budget)
+    return _table_layers(inst)

@@ -22,7 +22,9 @@ approximate point within (1+eps) * C and (1+eps) * L.  The per-layer
 drift is checkable directly: `find_closeness_violation` looks, for every
 exact state of every layer i, for a trimmed state within (i-1)*delta1
 of it in load and at most (i-1)*delta1 above it in lateness, and
-returns the first exact state that has none.
+returns the first exact state that has none.  It reads the two runs'
+layers as streams, `exact_layers` and `trimmed_layers`, one pair at a
+time, so no layer of either run needs to be kept.
 
 All grid arithmetic is exact: deltas are `fractions.Fraction`, box
 indices are integer floor divisions, and the coverage predicate
@@ -45,11 +47,13 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from itertools import zip_longest
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from .exact import _INT64_MAX, DEFAULT_STATE_BUDGET, Layer, SolveResult, _solve_layered
+from .exact import _INT64_MAX, DEFAULT_STATE_BUDGET, Layer, SolveResult
+from .exact import _solve_layered, _sorted_layers
 from .model import MAX_MAGNITUDE, Front, Instance, ParetoPoint
 
 # Drift windows are clamped here: no two values in [0, MAX_MAGNITUDE]
@@ -122,7 +126,6 @@ def solve_fptas(
     eps: Fraction,
     *,
     budget: int = DEFAULT_STATE_BUDGET,
-    keep_layers: bool = False,
 ) -> SolveResult:
     """Approximate Pareto front with (1+eps) coverage of the exact front.
 
@@ -130,7 +133,16 @@ def solve_fptas(
     wide instead of 1.  Trimming only discards states, so every returned
     point is realized by its reconstructed schedule exactly.
     """
-    return _solve_layered(inst, grid_params(inst, eps).delta1, budget, keep_layers)
+    return _solve_layered(inst, grid_params(inst, eps).delta1, budget)
+
+
+def trimmed_layers(
+    inst: Instance, eps: Fraction, *, budget: int = DEFAULT_STATE_BUDGET
+) -> Iterator[Layer]:
+    """Layers 1..n of `solve_fptas` on ``inst``, one at a time, each with
+    its ``origin``.  The stream keeps no layer it has yielded, and raises
+    StateBudgetError at the layer where `solve_fptas` would."""
+    return _sorted_layers(inst, grid_params(inst, eps).delta1, budget)
 
 
 def find_coverage_violation(
@@ -209,8 +221,8 @@ def _first_uncovered(ex_layer: Layer, ap_layer: Layer, window: int) -> Optional[
 
 
 def find_closeness_violation(
-    exact_layers: Sequence[Layer],
-    approx_layers: Sequence[Layer],
+    exact_layers: Iterable[Layer],
+    approx_layers: Iterable[Layer],
     grid: GridParams,
 ) -> Optional[ClosenessViolation]:
     """Check the per-layer drift bound of trimming, returning a witness.
@@ -223,27 +235,29 @@ def find_closeness_violation(
 
     Returns the first uncovered exact state (first layer, then first in
     layer order, which is ascending load), or None when all layers pass.
-    Both solvers must have run with ``keep_layers=True``; only ``i``,
-    ``lmax`` and ``cmax`` are read, so exact layers folded from the dense
-    table (``origin`` None) serve as well as the sorted engine's.  Every
-    load and lateness must lie in [0, MAX_MAGNITUDE].  Each approximate
-    layer must be sorted by load (both solvers emit strictly ascending
-    loads): per layer, the smallest trimmed lateness within the window of
-    a load is built as a step function over the sorted trimmed loads, at
-    most ``2m`` steps for ``m`` trimmed states, and each exact load finds
-    its step by binary search, so any layer whose loads decrease raises
-    ValueError before the search starts.  Exact layers may be in any
-    order.
+    The layers are read once, in pairs, exact first: any iterables serve,
+    typically the streams `exact_layers` and `trimmed_layers`, and the
+    check stops reading at the first violation.  Only ``i``, ``lmax`` and
+    ``cmax`` are read, so exact layers folded from the dense table
+    (``origin`` None) serve as well as the sorted engine's.  Every load
+    and lateness must lie in [0, MAX_MAGNITUDE].  Each approximate layer
+    must be sorted by load (both solvers emit strictly ascending loads):
+    per layer, the smallest trimmed lateness within the window of a load
+    is built as a step function over the sorted trimmed loads, at most
+    ``2m`` steps for ``m`` trimmed states, and each exact load finds its
+    step by binary search.  ValueError is raised when a pair is reached
+    whose numbers ``i`` differ, or whose approximate layer's loads
+    decrease, or when one iterable ends before the other.  States inside
+    an exact layer may be in any order.
     """
-    if len(exact_layers) != len(approx_layers):
-        raise ValueError("layer sequences differ in length")
-    for ap_layer in approx_layers:
-        if (ap_layer.cmax[1:] < ap_layer.cmax[:-1]).any():
-            raise ValueError(f"approximate layer {ap_layer.i} is not sorted by load")
     num, den = grid.delta1.numerator, grid.delta1.denominator
-    for ex_layer, ap_layer in zip(exact_layers, approx_layers):
+    for ex_layer, ap_layer in zip_longest(exact_layers, approx_layers):
+        if ex_layer is None or ap_layer is None:
+            raise ValueError("layer sequences differ in length")
         if ex_layer.i != ap_layer.i:
             raise ValueError(f"misaligned layers: {ex_layer.i} vs {ap_layer.i}")
+        if (ap_layer.cmax[1:] < ap_layer.cmax[:-1]).any():
+            raise ValueError(f"approximate layer {ap_layer.i} is not sorted by load")
         i = ex_layer.i
         # Integer differences: comparing with floor((i-1) * delta1) is exact.
         window = min((i - 1) * num // den, _WINDOW_CLAMP)

@@ -4,7 +4,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from bipareto import DEFAULT_STATE_BUDGET, Front, GenSpec, ParetoPoint, generate_instance
-from bipareto.exact import _solve_layered
+from bipareto.exact import _solve_layered, _sorted_layers
 
 
 def make_instances(seed, count, n_range, p_range=(1, 20), q_range=(1, 20)):
@@ -21,10 +21,15 @@ def successor_pool(pairs):
     )
 
 
-def sorted_solve(inst, keep_layers=True):
+def sorted_solve(inst):
     """The exact solve on the sorted engine, whatever route `solve_exact`
-    would take; with ``keep_layers`` its layers carry their parents."""
-    return _solve_layered(inst, Fraction(1), DEFAULT_STATE_BUDGET, keep_layers)
+    would take."""
+    return _solve_layered(inst, Fraction(1), DEFAULT_STATE_BUDGET)
+
+
+def sorted_layers(inst):
+    """The sorted engine's exact layers, with their parents, as a list."""
+    return list(_sorted_layers(inst, Fraction(1), DEFAULT_STATE_BUDGET))
 
 
 def pareto_filter(points: Iterable[ParetoPoint]) -> Front:

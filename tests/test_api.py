@@ -22,6 +22,7 @@ PUBLIC_API = [
     "dominates",
     "enumerate_front",
     "evaluate_schedule",
+    "exact_layers",
     "find_closeness_violation",
     "find_coverage_violation",
     "generate_instance",
@@ -33,6 +34,7 @@ PUBLIC_API = [
     "run_suite",
     "solve_exact",
     "solve_fptas",
+    "trimmed_layers",
     "write_report",
 ]
 

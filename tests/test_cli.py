@@ -1,7 +1,7 @@
-import dataclasses
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from bipareto import (
+    DEFAULT_STATE_BUDGET,
     Front,
     GenSpec,
     Layer,
@@ -16,7 +17,7 @@ from bipareto import (
     coverage_check,
     generate_instance,
     normalize,
-    solve_fptas,
+    trimmed_layers,
 )
 from bipareto import cli
 from bipareto.cli import EXIT_BUDGET, EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
@@ -242,15 +243,22 @@ def test_verify_runs_oracle_at_cap(tmp_path, capsys):
 
 
 def test_verify_reports_corrupted_front(worked_file, monkeypatch, capsys):
-    def corrupted(inst, eps, **kwargs):
-        result = solve_fptas(inst, eps, **kwargs)
-        return dataclasses.replace(
-            result, front=Front((ParetoPoint(10**6, 10**6 + 1),))
-        )
+    # No trimmed stream that passes the drift check has a front that
+    # fails coverage, so the trimmed front is corrupted where verify
+    # builds it from the last layer: the exact front first, then this one.
+    final_front, fronts = cli._final_front, []
 
-    monkeypatch.setattr(cli, "solve_fptas", corrupted)
+    def corrupted(lmax, cmax):
+        front, witnesses = final_front(lmax, cmax)
+        fronts.append(front)
+        if len(fronts) == 2:
+            front = Front((ParetoPoint(10**6, 10**6 + 1),))
+        return front, witnesses
+
+    monkeypatch.setattr(cli, "_final_front", corrupted)
     assert main(["verify", "--input-path", worked_file, "--epsilon", "0.3"]) == EXIT_FAIL
     captured = capsys.readouterr()
+    assert len(fronts) == 2
     assert "FAIL coverage" in captured.out
     assert "(cmax=5, lmax=9)" in captured.out
     assert "1 check(s) failed" in captured.err
@@ -258,25 +266,52 @@ def test_verify_reports_corrupted_front(worked_file, monkeypatch, capsys):
 
 def test_verify_reports_trim_closeness_violation(worked_file, monkeypatch, capsys):
     def far_layers(inst, eps, **kwargs):
-        result = solve_fptas(inst, eps, **kwargs)
+        # every trimmed layer but the last one is far off
         far = np.array([10**6], dtype=np.int64)
-        return dataclasses.replace(
-            result,
-            layers=tuple(
-                Layer(layer.i, lmax=far, cmax=far, origin=np.array([-1], dtype=np.int64))
-                for layer in result.layers
-            ),
-        )
+        for layer in trimmed_layers(inst, eps, **kwargs):
+            yield layer if layer.i == inst.n else Layer(layer.i, lmax=far, cmax=far)
 
-    monkeypatch.setattr(cli, "solve_fptas", far_layers)
+    monkeypatch.setattr(cli, "trimmed_layers", far_layers)
     assert main(["verify", "--input-path", worked_file, "--epsilon", "0.3"]) == EXIT_FAIL
     captured = capsys.readouterr()
-    assert "PASS coverage" in captured.out
-    assert (
+    # the check stops at layer 1, and verify still finishes both streams:
+    # the fronts come from their last layers
+    assert captured.out.splitlines() == [
+        "PASS oracle-equality: 2 points match enumeration",
+        "PASS coverage: 2 exact points covered within 1+3/10",
         "FAIL trim-closeness: layer 1 state (lmax=7, cmax=2) has no trimmed state "
-        "with lmax <= 7 + 0*delta1 and cmax within 2 +- 0*delta1\n"
-    ) in captured.out
+        "with lmax <= 7 + 0*delta1 and cmax within 2 +- 0*delta1",
+    ]
     assert "1 check(s) failed" in captured.err
+
+
+def test_verify_budget_exceeded(tmp_path, capsys):
+    path = str(tmp_path / "dense200.txt")
+    assert main(["gen", "--n", "200", "--p", "1:1000", "--q", "1:1000", "--seed", "404",
+                 "--out-path", path]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["verify", "--input-path", path, "--budget", "1000",
+                 "--epsilon", "3/10"]) == EXIT_BUDGET
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: state budget exceeded: layer 11 needs up to 1866 live states (budget 1000)\n"
+    )
+
+
+def test_verify_holds_one_layer_of_each_run():
+    # n=200, P 101,976: the exact layers come from the dense table and
+    # hold 5.16M states in all, about 83 MB when every layer was kept
+    inst = generate_instance(GenSpec((200, 200), (1, 1000), (1, 1000), 404, 1), 0)
+    assert inst.total_p == 101_976
+    tracemalloc.start()
+    try:
+        checks = cli._run_verify_checks(inst, Fraction(3, 10), DEFAULT_STATE_BUDGET)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [status for status, _, _ in checks] == ["SKIP", "PASS", "PASS"]
+    assert peak < 16 * 2**20, f"verify peaked at {peak / 2**20:.1f} MB"
 
 
 def test_bench_desk_smoke(tmp_path, capsys):

@@ -10,13 +10,14 @@ from bipareto import (
     ParetoPoint,
     StateBudgetError,
     evaluate_schedule,
+    exact_layers,
     normalize,
     solve_exact,
 )
 from bipareto import exact as exact_module
 from bipareto.exact import _dense_cells, _expand, _min_lmax_per_key
 from bipareto.oracle import enumerate_front
-from conftest import make_instances, sorted_solve, successor_pool
+from conftest import make_instances, sorted_layers, sorted_solve, successor_pool
 
 WORKED = [(2, 5), (3, 4), (4, 1)]
 
@@ -26,11 +27,11 @@ def array_pairs(layer):
 
 
 def test_initial_layer():
-    first = sorted_solve(normalize(WORKED)).layers[0]
+    first = sorted_layers(normalize(WORKED))[0]
     assert (first.i, array_pairs(first), first.origin.tolist()) == (1, [(7, 2)], [-1])
-    assert array_pairs(sorted_solve(normalize([(1, 0)])).layers[0]) == [(1, 1)]
+    assert array_pairs(sorted_layers(normalize([(1, 0)]))[0]) == [(1, 1)]
     # the first job in sorted order (largest q), not in input order
-    first = sorted_solve(normalize([(1, 0), (10, 10)])).layers[0]
+    first = sorted_layers(normalize([(1, 0), (10, 10)]))[0]
     assert array_pairs(first) == [(20, 10)]
 
 
@@ -78,14 +79,14 @@ def test_prune_tie_keeps_earliest_generated():
 
 def test_solve_exact_worked_instance():
     inst = normalize(WORKED)
-    result = sorted_solve(inst)
+    result, layers = sorted_solve(inst), sorted_layers(inst)
     assert result.front.points == (ParetoPoint(5, 9), ParetoPoint(6, 7))
     assert result.layer_sizes == (1, 2, 4)
-    assert [layer.i for layer in result.layers] == [1, 2, 3]
-    assert array_pairs(result.layers[1]) == [(7, 3), (9, 5)]
-    assert array_pairs(result.layers[2]) == [(9, 5), (7, 6), (8, 7), (10, 9)]
+    assert [layer.i for layer in layers] == [1, 2, 3]
+    assert array_pairs(layers[1]) == [(7, 3), (9, 5)]
+    assert array_pairs(layers[2]) == [(9, 5), (7, 6), (8, 7), (10, 9)]
     # parents (origin >> 1) and choices (origin & 1) of the kept states
-    assert result.layers[2].origin.tolist() == [3, 1, 0, 2]
+    assert layers[2].origin.tolist() == [3, 1, 0, 2]
     assert result.schedules == ((1, 1, 0), (1, 0, 1))
     for sched, point in zip(result.schedules, result.front):
         assert evaluate_schedule(inst, sched) == point
@@ -164,13 +165,12 @@ def array_layer_records(layers):
 
 
 def assert_matches_scalar_reference(inst):
-    result = sorted_solve(inst)
-    assert [layer.i for layer in result.layers] == list(range(1, inst.n + 1))
-    for layer in result.layers:
+    layers = sorted_layers(inst)
+    assert [layer.i for layer in layers] == list(range(1, inst.n + 1))
+    for layer in layers:
         assert layer.lmax.dtype == layer.cmax.dtype == layer.origin.dtype == np.int64
     # same values, same order and the same tie-break winners (parent, choice)
-    assert scalar_layer_records(inst) == array_layer_records(result.layers)
-    return result
+    assert scalar_layer_records(inst) == array_layer_records(layers)
 
 
 def test_vectorized_engine_matches_scalar_reference():
@@ -183,9 +183,9 @@ def test_vectorized_engine_matches_scalar_reference():
 
 def test_layer_invariants_on_random_instances():
     for inst in make_instances(13, 25, (2, 14)):
-        result = sorted_solve(inst)
-        assert result.layers[0].origin.tolist() == [-1]
-        for prev, layer in zip((None,) + result.layers, result.layers):
+        layers = sorted_layers(inst)
+        assert layers[0].origin.tolist() == [-1]
+        for prev, layer in zip([None] + layers, layers):
             s_i = inst.prefix[layer.i]
             loads = layer.cmax.tolist()
             # one state per load, in strictly ascending load order
@@ -220,7 +220,7 @@ def test_layers_equal_brute_force_over_prefixes():
     for inst in instances:
         if inst.n > 10:
             continue
-        for layer in solve_exact(inst, keep_layers=True).layers:
+        for layer in exact_layers(inst):
             assert list(zip(layer.cmax.tolist(), layer.lmax.tolist())) == brute_force_layer(
                 inst, layer.i
             )
@@ -245,8 +245,9 @@ def assert_exact_front_is_oracle_front(jobs):
     inst = normalize(jobs)
     front = enumerate_front(inst).points
     # the sorted engine's layers and parents, and whatever route the
-    # lean solve takes
-    for result in (assert_matches_scalar_reference(inst), solve_exact(inst)):
+    # solve takes
+    assert_matches_scalar_reference(inst)
+    for result in (sorted_solve(inst), solve_exact(inst)):
         assert result.front.points == front
         assert len(result.schedules) == len(result.front)
         for sched, point in zip(result.schedules, result.front):
@@ -303,12 +304,12 @@ def assert_paths_agree(inst, dense, ranked):
 )
 def test_dense_and_sorted_paths_agree(jobs):
     inst = normalize(jobs)
-    assert_paths_agree(inst, solve_exact(inst), sorted_solve(inst, keep_layers=False))
+    assert_paths_agree(inst, solve_exact(inst), sorted_solve(inst))
 
 
 def test_dense_path_is_taken_on_dense_instances(monkeypatch):
     instances = [normalize(WORKED)] + make_instances(23, 12, (20, 200), (1, 8), (1, 60))
-    ranked = [sorted_solve(inst, keep_layers=False) for inst in instances]
+    ranked = [sorted_solve(inst) for inst in instances]
 
     def sorted_engine(*args, **kwargs):
         raise AssertionError("solve_exact took the sorted path")
@@ -396,7 +397,7 @@ DENSE_P = [5, 3, 8, 2, 7, 1, 4, 6, 2, 3]
 )
 def test_dense_cell_dtype_boundary(monkeypatch, jobs, dtype):
     inst = normalize(jobs)
-    reference = sorted_solve(inst)
+    reference, ranked = sorted_solve(inst), sorted_layers(inst)
     fold, tables = exact_module._fold, []
 
     def spy(table, *args):
@@ -407,15 +408,14 @@ def test_dense_cell_dtype_boundary(monkeypatch, jobs, dtype):
         raise AssertionError("solve_exact took the sorted path")
 
     monkeypatch.setattr(exact_module, "_fold", spy)
-    monkeypatch.setattr(exact_module, "_solve_layered", sorted_engine)
-    lean, kept = solve_exact(inst), solve_exact(inst, keep_layers=True)
+    monkeypatch.setattr(exact_module, "_layer_loop", sorted_engine)
+    lean, layers = solve_exact(inst), list(exact_layers(inst))
     assert set(tables) == {np.dtype(dtype)}
-    for result in (lean, kept):
-        assert_paths_agree(inst, result, reference)
-    for table_layer, layer in zip(kept.layers, reference.layers, strict=True):
+    assert_paths_agree(inst, lean, reference)
+    for table_layer, layer in zip(layers, ranked, strict=True):
         assert table_layer.i == layer.i
         assert table_layer.lmax.dtype == table_layer.cmax.dtype == np.int64
         assert table_layer.lmax.tolist() == layer.lmax.tolist()
         assert table_layer.cmax.tolist() == layer.cmax.tolist()
     if len({job.q for job in inst.jobs}) == 1:
-        assert max(kept.layers[-1].lmax.tolist()) == inst.total_p + inst.q_max
+        assert max(layers[-1].lmax.tolist()) == inst.total_p + inst.q_max

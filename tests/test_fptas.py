@@ -18,6 +18,7 @@ from bipareto import (
     box_index,
     coverage_check,
     evaluate_schedule,
+    exact_layers,
     find_closeness_violation,
     find_coverage_violation,
     grid_params,
@@ -25,6 +26,7 @@ from bipareto import (
     parse_epsilon,
     solve_exact,
     solve_fptas,
+    trimmed_layers,
 )
 from bipareto import exact as exact_module
 from bipareto.exact import (
@@ -35,7 +37,7 @@ from bipareto.exact import (
     _min_lmax_per_key,
     _scatter_min_per_key,
 )
-from conftest import make_instances, sorted_solve, successor_pool
+from conftest import make_instances, pareto_filter, sorted_layers, sorted_solve, successor_pool
 
 WORKED = [(2, 5), (3, 4), (4, 1)]
 
@@ -161,10 +163,10 @@ def test_solve_fptas_tiny_epsilon_degenerates_to_exact():
         grid = grid_params(inst, eps)
         assert grid.delta1 < 1 and grid.delta2 < 1
         exact = sorted_solve(inst)
-        approx = solve_fptas(inst, eps, keep_layers=True)
+        approx = solve_fptas(inst, eps)
         assert approx.front.points == exact.front.points
-        assert len(approx.layers) == len(exact.layers)
-        for ap_layer, ex_layer in zip(approx.layers, exact.layers):
+        layer_pairs = zip(trimmed_layers(inst, eps), sorted_layers(inst), strict=True)
+        for ap_layer, ex_layer in layer_pairs:
             assert ap_layer.i == ex_layer.i
             assert np.array_equal(ap_layer.lmax, ex_layer.lmax)
             assert np.array_equal(ap_layer.cmax, ex_layer.cmax)
@@ -176,7 +178,7 @@ def test_fptas_layers_ascend_in_load_and_box():
     for inst in make_instances(13, 25, (2, 14), (1, 100), (1, 100)):
         for eps in (Fraction(3, 10), Fraction(9, 10), Fraction(2)):
             grid = grid_params(inst, eps)
-            for layer in solve_fptas(inst, eps, keep_layers=True).layers:
+            for layer in trimmed_layers(inst, eps):
                 loads = layer.cmax.tolist()
                 boxes = [box_index(c, grid.delta1) for c in loads]
                 # one state per load box, in strictly ascending load
@@ -206,20 +208,19 @@ def test_find_coverage_violation_witness():
 
 def test_closeness_base_case_and_identity():
     inst = normalize(WORKED)
-    exact = solve_exact(inst, keep_layers=True)
+    layers = list(exact_layers(inst))
     grid = worked_grid()
-    first = exact.layers[:1]
+    first = layers[:1]
     assert find_closeness_violation(first, first, grid) is None
     # identity trimming satisfies the drift bounds with slack zero
-    assert find_closeness_violation(exact.layers, exact.layers, grid) is None
+    assert find_closeness_violation(layers, layers, grid) is None
 
 
 def test_closeness_worked_instance():
     inst = normalize(WORKED)
     eps = Fraction(1)
-    exact = solve_exact(inst, keep_layers=True)
-    approx = solve_fptas(inst, eps, keep_layers=True)
-    assert find_closeness_violation(exact.layers, approx.layers, grid_params(inst, eps)) is None
+    grid = grid_params(inst, eps)
+    assert find_closeness_violation(exact_layers(inst), trimmed_layers(inst, eps), grid) is None
 
 
 def array_layer(i, pairs):
@@ -271,8 +272,7 @@ def closeness_witness(exact_layers, approx_layers, grid):
 
 def test_closeness_violation_witness():
     inst = normalize(WORKED)
-    exact = solve_exact(inst, keep_layers=True)
-    layers = list(exact.layers)
+    layers = list(exact_layers(inst))
     # a far-off approximate layer cannot be close to anything
     fake = [array_layer(layer.i, [(10**6, 10**6)]) for layer in layers]
     grid = worked_grid()
@@ -312,19 +312,49 @@ def test_closeness_violation_witness():
 
 
 def test_closeness_rejects_misaligned_layers():
-    inst = normalize(WORKED)
-    exact = solve_exact(inst, keep_layers=True)
+    layers = list(exact_layers(normalize(WORKED)))
     with pytest.raises(ValueError, match="length"):
-        find_closeness_violation(exact.layers, exact.layers[:2], worked_grid())
-    swapped = (exact.layers[1], exact.layers[0], exact.layers[2])
+        find_closeness_violation(layers, layers[:2], worked_grid())
+    swapped = (layers[1], layers[0], layers[2])
     with pytest.raises(ValueError, match="misaligned"):
-        find_closeness_violation(exact.layers, swapped, worked_grid())
+        find_closeness_violation(layers, swapped, worked_grid())
     # the windows are binary searches on cmax: unsorted loads are refused
     unsorted = Layer(2, np.array([9, 9]), np.array([5, 3]), np.array([0, 1]))
     with pytest.raises(ValueError, match="not sorted"):
-        find_closeness_violation(
-            exact.layers, (exact.layers[0], unsorted, exact.layers[2]), worked_grid()
-        )
+        find_closeness_violation(layers, (layers[0], unsorted, layers[2]), worked_grid())
+
+
+def test_closeness_reads_one_shot_streams():
+    inst = normalize(WORKED)
+    eps = Fraction(1)
+    grid = grid_params(inst, eps)
+    reads = []
+
+    def once(name, layers):
+        for layer in layers:
+            reads.append((name, layer.i))
+            yield layer
+
+    exact, approx = once("exact", exact_layers(inst)), once("approx", trimmed_layers(inst, eps))
+    assert find_closeness_violation(exact, approx, grid) is None
+    # pair by pair, each layer read once, and both streams read to the end
+    assert reads == [(name, i) for i in (1, 2, 3) for name in ("exact", "approx")]
+    assert next(exact, None) is None and next(approx, None) is None
+    # streams of unequal length, either one the shorter
+    layers = list(exact_layers(inst))
+    for short, full in ((layers[:2], layers), (layers, layers[:2])):
+        with pytest.raises(ValueError, match="length"):
+            find_closeness_violation(iter(short), iter(full), grid)
+    # an unsorted trimmed layer is refused when the check reaches it ...
+    unsorted = Layer(2, np.array([9, 9]), np.array([5, 3]))
+    with pytest.raises(ValueError, match="approximate layer 2 is not sorted"):
+        find_closeness_violation(iter(layers), iter([layers[0], unsorted, layers[2]]), grid)
+    # ... and not at all when a violation in an earlier layer ends the check
+    far = array_layer(1, [(10**6, 10**6)])
+    stream = iter([far, unsorted, layers[2]])
+    found = find_closeness_violation(iter(layers), stream, grid)
+    assert (found.layer, found.point) == (1, ParetoPoint(2, 7))
+    assert next(stream) is unsorted
 
 
 @st.composite
@@ -400,16 +430,19 @@ def perturbed_layers(layers, grid, rng, subsample, shift):
 def test_vectorized_closeness_matches_reference(jobs, eps, mode, seed):
     inst = normalize(jobs)
     grid = grid_params(inst, eps)
-    exact = solve_exact(inst, keep_layers=True)
+    exact = list(exact_layers(inst))
     if mode == "identity":
-        approx = list(exact.layers)
+        approx = exact
     else:
-        approx = solve_fptas(inst, eps, keep_layers=True).layers
         rng = np.random.default_rng(seed)
         approx = perturbed_layers(
-            approx, grid, rng, mode in ("subsampled", "both"), mode in ("shifted", "both")
+            trimmed_layers(inst, eps),
+            grid,
+            rng,
+            mode in ("subsampled", "both"),
+            mode in ("shifted", "both"),
         )
-    found = closeness_witness(exact.layers, approx, grid)
+    found = closeness_witness(exact, approx, grid)
     if mode in ("real", "identity"):
         assert found is None
 
@@ -423,35 +456,35 @@ def test_vectorized_closeness_matches_reference(jobs, eps, mode, seed):
 )
 def test_table_layers_equal_sorted_layers(jobs, eps, mode, seed):
     inst = normalize(jobs)
-    ranked = sorted_solve(inst)
-    kept = solve_exact(inst, keep_layers=True)
+    ranked = sorted_layers(inst)
+    streamed = list(exact_layers(inst))
     if _dense_cells(inst) <= DEFAULT_STATE_BUDGET:
         # the table, whichever route solve_exact took
-        table = exact_module._solve_dense(inst, _layer_sizes(inst), True)
-        assert all(layer.origin is None for layer in table.layers)
+        table = list(exact_module._table_layers(inst))
+        assert all(layer.origin is None for layer in table)
+        assert _layer_sizes(inst) == [len(layer) for layer in ranked]
     else:
         # loads near 2^59: the table would not fit, the sorted engine serves
-        table = kept
-        assert all(layer.origin is not None for layer in kept.layers)
-    for result in (table, kept):
-        assert result.layer_sizes == ranked.layer_sizes
-        assert [len(layer) for layer in result.layers] == list(result.layer_sizes)
-        for layer, reference in zip(result.layers, ranked.layers, strict=True):
+        table = streamed
+        assert all(layer.origin is not None for layer in streamed)
+    assert solve_exact(inst).layer_sizes == tuple(len(layer) for layer in ranked)
+    for layers in (table, streamed):
+        for layer, reference in zip(layers, ranked, strict=True):
             assert layer.i == reference.i
             assert np.array_equal(layer.lmax, reference.lmax)
             assert np.array_equal(layer.cmax, reference.cmax)
     # the drift check sees the same exact layers either way
     grid = grid_params(inst, eps)
     approx = perturbed_layers(
-        solve_fptas(inst, eps, keep_layers=True).layers,
+        trimmed_layers(inst, eps),
         grid,
         np.random.default_rng(seed),
         mode in ("subsampled", "both"),
         mode in ("shifted", "both"),
     )
-    found = find_closeness_violation(ranked.layers, approx, grid)
-    assert find_closeness_violation(table.layers, approx, grid) == found
-    assert find_closeness_violation(kept.layers, approx, grid) == found
+    found = find_closeness_violation(ranked, approx, grid)
+    assert find_closeness_violation(table, approx, grid) == found
+    assert find_closeness_violation(exact_layers(inst), approx, grid) == found
     if mode == "real":
         assert found is None
 
@@ -545,12 +578,13 @@ def test_scatter_reducer_matches_sort_reducer(case):
 def test_coverage_and_closeness_on_random_instances():
     instances = make_instances(29, 25, (2, 12)) + make_instances(41, 6, (20, 40), (1, 1000))
     for inst in instances:
-        exact = solve_exact(inst, keep_layers=True)
+        exact = solve_exact(inst)
+        layers = list(exact_layers(inst))
         for eps in (Fraction(3, 10), Fraction(9, 10), Fraction(2)):
-            approx = solve_fptas(inst, eps, keep_layers=True)
+            approx = solve_fptas(inst, eps)
             assert coverage_check(exact.front, approx.front, eps)
             grid = grid_params(inst, eps)
-            assert find_closeness_violation(exact.layers, approx.layers, grid) is None
+            assert find_closeness_violation(layers, trimmed_layers(inst, eps), grid) is None
 
 
 def test_layer_sizes_respect_box_count_bound():
@@ -575,24 +609,35 @@ def test_python_fallback_reducer_matches_vectorized(monkeypatch):
 
 
 @pytest.mark.parametrize("fallback", [False, True], ids=["int64", "python-int"])
-def test_keep_layers_changes_only_layers(monkeypatch, fallback):
+def test_streams_agree_with_lean_solves(monkeypatch, fallback):
     if fallback:
         monkeypatch.setattr(exact_module, "_INT64_MAX", 0)  # force object box keys
-    solvers = [solve_exact] + [
-        lambda inst, eps=eps, **kw: solve_fptas(inst, eps, **kw)
+    runs = [(solve_exact, exact_layers)] + [
+        (
+            lambda inst, eps=eps: solve_fptas(inst, eps),
+            lambda inst, eps=eps: trimmed_layers(inst, eps),
+        )
         for eps in (Fraction(3, 10), Fraction(9, 10), Fraction(2))
     ]
-    for inst in make_instances(43, 8, (1, 14)) + make_instances(47, 3, (20, 30), (1, 1000)):
-        for solve in solvers:
-            lean, kept = solve(inst), solve(inst, keep_layers=True)
-            assert lean.layers is None
-            assert kept.front == lean.front
-            assert kept.layer_sizes == lean.layer_sizes
-            # keep_layers only adds the layers: the solve takes the same route
-            # and reconstructs the same witnesses
-            assert kept.schedules == lean.schedules
-            assert [len(layer) for layer in kept.layers] == list(kept.layer_sizes)
-            assert [layer.i for layer in kept.layers] == list(range(1, inst.n + 1))
+    instances = make_instances(43, 8, (1, 14)) + make_instances(47, 3, (20, 30), (1, 1000))
+    # sparse loads: the exact solve takes the sorted engine
+    instances.append(normalize([(1, 100)] * 19 + [(1_000_000, 0)]))
+    table_route = set()
+    for inst in instances:
+        for solve, stream in runs:
+            lean = solve(inst)
+            sizes = []
+            for i, layer in enumerate(stream(inst), 1):
+                assert layer.i == i
+                sizes.append(len(layer))
+            # the lean solve's layer sizes, and its front from the last layer
+            assert tuple(sizes) == lean.layer_sizes
+            last = map(ParetoPoint, layer.cmax.tolist(), layer.lmax.tolist())
+            assert pareto_filter(last) == lean.front
+            if stream is exact_layers:
+                table_route.add(layer.origin is None)
+    # both exact routes: the dense table's layers carry no origin
+    assert table_route == {True, False}
 
 
 def test_huge_epsilon_denominator_uses_exact_arithmetic():
@@ -607,8 +652,8 @@ def test_huge_epsilon_denominator_uses_exact_arithmetic():
     assert [box_index(c, Fraction(3, 2)) for c in (3, 6, 9)] == [2, 4, 6]
     # so loads 5 and 6 share box 3 and the trimmed front loses (5, 9),
     # which float box keys (6 / 1.5 = 4.0) would keep as at eps = 1
-    approx = solve_fptas(inst, eps, keep_layers=True)
-    assert approx.layers[2].cmax.tolist() == [6, 7, 9]
+    approx = solve_fptas(inst, eps)
+    assert list(trimmed_layers(inst, eps))[2].cmax.tolist() == [6, 7, 9]
     assert approx.front.points == (ParetoPoint(6, 7),)
     assert solve_fptas(inst, Fraction(1)).front.points == (ParetoPoint(5, 9), ParetoPoint(6, 7))
     assert coverage_check(solve_exact(inst).front, approx.front, eps)

@@ -56,7 +56,7 @@ for eps in (Fraction(1, 10), Fraction(3, 10), Fraction(9, 10), Fraction(2)):
 # boxes of width 1, so the trimmed solver builds the exact solver's
 # layers, state for state, and the approximate front is exact.  (This
 # dense instance's exact layers come from the table over the flag-1
-# load, which keeps no parents, so the states are compared, not origins.)
+# load; they hold the same states.)
 small = generate_instance(GenSpec((30, 30), (1, 50), (1, 50), 20, 1), 0)
 tiny_eps = Fraction(1, small.total_p + small.q_max)
 tiny, small_exact = solve_fptas(small, tiny_eps), solve_exact(small)

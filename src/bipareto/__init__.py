@@ -33,7 +33,6 @@ from .fptas import (
     find_closeness_violation,
     find_coverage_violation,
     grid_params,
-    parse_epsilon,
     solve_fptas,
     trimmed_layers,
 )
@@ -74,7 +73,6 @@ __all__ = [
     "box_index",
     "solve_fptas",
     "trimmed_layers",
-    "parse_epsilon",
     "coverage_check",
     "find_coverage_violation",
     "find_closeness_violation",

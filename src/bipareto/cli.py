@@ -11,13 +11,13 @@ check as SKIP above it.
 
 Each argument is checked once.  argparse's type converters check the
 text: --n and --budget are integers >= 1, --p/--q are integer pairs
-LO:HI, every --epsilon/--epsilons value passes parse_epsilon, and
---preset names a key of bench.PRESETS; argparse reports a failure and
-exits 2.  The library checks the values: GenSpec rejects ranges with
-LO < 1 or HI < LO, more than 10**6 jobs and seeds outside 64 bits,
-generate_instance rejects an index outside 64 bits or an instance too
-large for exact arithmetic, and `gen` and `bench` turn that ValueError
-into a usage error.  `bench`
+LO:HI, every --epsilon/--epsilons value is a positive decimal or
+fraction literal, read exactly as a Fraction, and --preset names a key
+of bench.PRESETS; argparse reports a failure and exits 2.  The library
+checks the values: GenSpec rejects ranges with LO < 1 or HI < LO, more
+than 10**6 jobs and seeds outside 64 bits, generate_instance rejects an
+index outside 64 bits or an instance too large for exact arithmetic,
+and `gen` and `bench` turn that ValueError into a usage error.  `bench`
 creates --out-dir before it runs the suite, so a directory that cannot
 be made is a usage error before any work is done.
 """
@@ -40,7 +40,6 @@ from .fptas import (
     find_closeness_violation,
     find_coverage_violation,
     grid_params,
-    parse_epsilon,
     solve_fptas,
     trimmed_layers,
 )
@@ -74,10 +73,14 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 
 def _epsilon(text: str) -> Fraction:
+    # Fraction scans a decimal digit-wise: "0.3" is exactly 3/10, never a float
     try:
-        return parse_epsilon(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+        eps = Fraction(text.strip())
+    except (ValueError, ZeroDivisionError) as exc:
+        raise argparse.ArgumentTypeError(f"invalid epsilon {text!r}: {exc}") from None
+    if eps <= 0:
+        raise argparse.ArgumentTypeError(f"invalid epsilon {text!r}: must be positive")
+    return eps
 
 
 def _epsilons(text: str) -> list[Fraction]:

@@ -26,7 +26,7 @@ smallest parent load, then the same-machine choice.  Winners are kept in
 ascending box order, so every layer either solver builds is in strictly
 ascending load order.
 
-The sorted engine is one loop over plain int64 arrays: a layer is ``lmax``,
+The sorted engine is one loop over plain int64 arrays: its layer is ``lmax``,
 ``cmax`` and ``origin``.  ``origin[j]`` is the index in the layer's
 successor pool that state ``j`` won from, so its parent is state
 ``origin[j] >> 1`` of the previous layer and its choice ``origin[j] & 1``
@@ -44,8 +44,8 @@ pool has at least 512 children, the ``floor(P / width) + 1`` boxes are
 at most twice the pool and ``(P + q_max + 1) * pool`` fits in int64;
 its slots are allocated at the first such layer.  The solves keep
 only the ``origin`` arrays.  `exact_layers` and `trimmed_layers` (in
-`fptas`) drain the same loop and wrap each layer's arrays in a `Layer`
-as they yield it, keeping none.
+`fptas`) drain the same loop and wrap each layer's ``lmax`` and ``cmax``
+in a `Layer` as they yield it, keeping none.
 
 On dense instances `solve_exact` runs the same recurrence as a table
 instead: cell ``a`` holds the smallest ``L`` with load ``a`` on machine
@@ -68,8 +68,7 @@ only when loads are dense.  On this path `exact_layers` folds the
 table after every job, onto ``C = max(a, S_i - a)``, and yields its
 reached cells as layer ``i``: per makespan the smallest ``L`` over both
 mirrors, which is the sorted engine's layer, state for state, as int64
-arrays whatever the cell dtype, with no ``origin``: the table's parent
-chain is its bits, which the stream does not keep.
+arrays whatever the cell dtype.
 `solve_exact` takes the table iff its cell count
 ``sum_i (S_i - p_1 + 1)`` is at most the budget and at most four times
 the sorted engine's state count, counted from subset sums
@@ -124,17 +123,13 @@ class Layer:
     as `exact_layers` and `trimmed_layers` yield them.
 
     State ``j`` has lateness ``lmax[j]`` and most-loaded machine load
-    ``cmax[j]``; both solvers keep states in strictly ascending ``cmax``.
-    ``origin`` is the sorted engine's parent link: ``origin[j]`` is the
-    successor-pool index state ``j`` won from (parent ``origin[j] >> 1``,
-    choice ``origin[j] & 1``), -1 at layer 1.  Layers folded from the
-    dense table of `solve_exact` have no pool, and ``origin`` is None.
+    ``cmax[j]``; both solvers keep states in strictly ascending ``cmax``,
+    and both exact routes yield the same states.
     """
 
     i: int
     lmax: np.ndarray
     cmax: np.ndarray
-    origin: Optional[np.ndarray] = None
 
     def __len__(self) -> int:
         return len(self.cmax)
@@ -147,11 +142,10 @@ class SolveResult:
     ``schedules[j]`` is a tuple of machine flags, ``schedules[j][k]`` the
     flag (0 or 1) of ``inst.jobs[k]``, with the first job on flag 1; it
     evaluates exactly to ``front.points[j]``.
-    ``layer_sizes[i-1]`` is the retained state count of layer ``i``: on
-    the sorted engine the states kept, and on the dense path of
-    `solve_exact` the same count made from subset sums, the one that
-    routed the solve there (cells <= budget and <= 4 x the sorted
-    engine's state count).  The layers themselves come from
+    ``layer_sizes[i-1]`` is the sorted engine's state count of layer
+    ``i`` on either route: the dense path of `solve_exact` counts it
+    from subset sums, the count that routed the solve there (cells <=
+    budget and <= 4 x that count).  The layers themselves come from
     `exact_layers` and `trimmed_layers`.
     """
 
@@ -332,8 +326,10 @@ def _layer_loop(
 
 
 def _sorted_layers(inst: Instance, width: Fraction, budget: int) -> Iterator[Layer]:
-    """`_layer_loop`'s layers as `Layer`s, one at a time."""
-    return (Layer(i, *arrays) for i, arrays in enumerate(_layer_loop(inst, width, budget), 1))
+    """`_layer_loop`'s layers as `Layer`s, one at a time, without their
+    ``origin``."""
+    loop = _layer_loop(inst, width, budget)
+    return (Layer(i, lmax, cmax) for i, (lmax, cmax, _) in enumerate(loop, 1))
 
 
 def _solve_layered(inst: Instance, width: Fraction, budget: int) -> SolveResult:
@@ -516,8 +512,8 @@ def solve_exact(inst: Instance, *, budget: int = DEFAULT_STATE_BUDGET) -> SolveR
 
 def exact_layers(inst: Instance, *, budget: int = DEFAULT_STATE_BUDGET) -> Iterator[Layer]:
     """Layers 1..n of `solve_exact` on ``inst``, one at a time, built on
-    the same route: the sorted engine's layers with their ``origin``, or
-    the dense table folded after each job, ``origin`` None.
+    the same route: the sorted engine's layers, or the dense table folded
+    after each job, which holds the same states.
 
     The stream keeps no layer it has yielded, nor any parent chain, and
     raises StateBudgetError at the layer where `solve_exact` would.

@@ -61,21 +61,6 @@ from .model import MAX_MAGNITUDE, Front, Instance, ParetoPoint
 _WINDOW_CLAMP = 2 * MAX_MAGNITUDE
 
 
-def parse_epsilon(text: str) -> Fraction:
-    """Exact rational from a decimal or fraction literal ("0.3", "3/10").
-
-    Decimal strings are scanned digit-wise by Fraction, so "0.3" becomes
-    exactly 3/10, never a binary float.
-    """
-    try:
-        eps = Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"invalid epsilon {text!r}: {exc}") from None
-    if eps <= 0:
-        raise ValueError(f"invalid epsilon {text!r}: must be positive")
-    return eps
-
-
 @dataclass(frozen=True)
 class GridParams:
     """Exact grid geometry for one (instance, epsilon) pair.
@@ -139,9 +124,9 @@ def solve_fptas(
 def trimmed_layers(
     inst: Instance, eps: Fraction, *, budget: int = DEFAULT_STATE_BUDGET
 ) -> Iterator[Layer]:
-    """Layers 1..n of `solve_fptas` on ``inst``, one at a time, each with
-    its ``origin``.  The stream keeps no layer it has yielded, and raises
-    StateBudgetError at the layer where `solve_fptas` would."""
+    """Layers 1..n of `solve_fptas` on ``inst``, one at a time.  The
+    stream keeps no layer it has yielded, and raises StateBudgetError at
+    the layer where `solve_fptas` would."""
     return _sorted_layers(inst, grid_params(inst, eps).delta1, budget)
 
 
@@ -237,13 +222,11 @@ def find_closeness_violation(
     layer order, which is ascending load), or None when all layers pass.
     The layers are read once, in pairs, exact first: any iterables serve,
     typically the streams `exact_layers` and `trimmed_layers`, and the
-    check stops reading at the first violation.  Only ``i``, ``lmax`` and
-    ``cmax`` are read, so exact layers folded from the dense table
-    (``origin`` None) serve as well as the sorted engine's.  Every load
-    and lateness must lie in [0, MAX_MAGNITUDE].  Each approximate layer
-    must be sorted by load (both solvers emit strictly ascending loads):
-    per layer, the smallest trimmed lateness within the window of a load
-    is built as a step function over the sorted trimmed loads, at most
+    check stops reading at the first violation.  Every load and lateness
+    must lie in [0, MAX_MAGNITUDE].  Each approximate layer must be
+    sorted by load (both solvers emit strictly ascending loads): per
+    layer, the smallest trimmed lateness within the window of a load is
+    built as a step function over the sorted trimmed loads, at most
     ``2m`` steps for ``m`` trimmed states, and each exact load finds its
     step by binary search.  ValueError is raised when a pair is reached
     whose numbers ``i`` differ, or whose approximate layer's loads

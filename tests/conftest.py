@@ -4,7 +4,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from bipareto import DEFAULT_STATE_BUDGET, Front, GenSpec, ParetoPoint, generate_instance
-from bipareto.exact import _solve_layered, _sorted_layers
+from bipareto.exact import _layer_loop, _solve_layered, _sorted_layers
 
 
 def make_instances(seed, count, n_range, p_range=(1, 20), q_range=(1, 20)):
@@ -28,8 +28,14 @@ def sorted_solve(inst):
 
 
 def sorted_layers(inst):
-    """The sorted engine's exact layers, with their parents, as a list."""
+    """The sorted engine's exact layers as a list."""
     return list(_sorted_layers(inst, Fraction(1), DEFAULT_STATE_BUDGET))
+
+
+def sorted_loop(inst, width=Fraction(1)):
+    """The sorted engine's ``(lmax, cmax, origin)`` arrays of layers 1..n,
+    parents included, for load boxes of ``width``, as a list."""
+    return list(_layer_loop(inst, width, DEFAULT_STATE_BUDGET))
 
 
 def pareto_filter(points: Iterable[ParetoPoint]) -> Front:

@@ -28,7 +28,6 @@ PUBLIC_API = [
     "generate_instance",
     "grid_params",
     "normalize",
-    "parse_epsilon",
     "preset_families",
     "quality_metrics",
     "run_suite",

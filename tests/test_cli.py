@@ -182,6 +182,26 @@ def test_verify_and_bench_usage_errors(worked_file, tmp_path, capsys):
     assert not out_dir.exists()
 
 
+def test_parse_epsilon(worked_file, capsys):
+    # decimals are read exactly, never through a binary float
+    for text, eps in (("0.3", Fraction(3, 10)), ("3/10", Fraction(3, 10)), (" 2 ", Fraction(2))):
+        parsed = cli._epsilon(text)
+        assert type(parsed) is Fraction and parsed == eps
+    for bad, reason in (
+        ("0", "must be positive"),
+        ("-1", "must be positive"),
+        ("0.0", "must be positive"),
+        ("abc", "Invalid literal for Fraction: 'abc'"),
+        ("1/0", "Fraction(1, 0)"),
+        ("inf", "Invalid literal for Fraction: 'inf'"),
+        ("", "Invalid literal for Fraction: ''"),
+    ):
+        assert main(["verify", "--input-path", worked_file, "--epsilon", bad]) == EXIT_USAGE
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"bipareto verify: error: argument --epsilon: invalid epsilon {bad!r}: {reason}"
+        )
+
+
 def test_solve_budget_exceeded(tmp_path, capsys):
     path = tmp_path / "big.txt"
     assert main(["gen", "--n", "40", "--p", "1:20", "--q", "1:20", "--seed", "2",

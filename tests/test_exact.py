@@ -17,7 +17,7 @@ from bipareto import (
 from bipareto import exact as exact_module
 from bipareto.exact import _dense_cells, _expand, _min_lmax_per_key
 from bipareto.oracle import enumerate_front
-from conftest import make_instances, sorted_layers, sorted_solve, successor_pool
+from conftest import make_instances, sorted_layers, sorted_loop, sorted_solve, successor_pool
 
 WORKED = [(2, 5), (3, 4), (4, 1)]
 
@@ -28,7 +28,8 @@ def array_pairs(layer):
 
 def test_initial_layer():
     first = sorted_layers(normalize(WORKED))[0]
-    assert (first.i, array_pairs(first), first.origin.tolist()) == (1, [(7, 2)], [-1])
+    origin = sorted_loop(normalize(WORKED))[0][2]
+    assert (first.i, array_pairs(first), origin.tolist()) == (1, [(7, 2)], [-1])
     assert array_pairs(sorted_layers(normalize([(1, 0)]))[0]) == [(1, 1)]
     # the first job in sorted order (largest q), not in input order
     first = sorted_layers(normalize([(1, 0), (10, 10)]))[0]
@@ -86,7 +87,7 @@ def test_solve_exact_worked_instance():
     assert array_pairs(layers[1]) == [(7, 3), (9, 5)]
     assert array_pairs(layers[2]) == [(9, 5), (7, 6), (8, 7), (10, 9)]
     # parents (origin >> 1) and choices (origin & 1) of the kept states
-    assert layers[2].origin.tolist() == [3, 1, 0, 2]
+    assert sorted_loop(inst)[2][2].tolist() == [3, 1, 0, 2]
     assert result.schedules == ((1, 1, 0), (1, 0, 1))
     for sched, point in zip(result.schedules, result.front):
         assert evaluate_schedule(inst, sched) == point
@@ -151,26 +152,29 @@ def scalar_layer_records(inst):
     return records
 
 
-def array_layer_records(layers):
-    """The same records read off array layers: parent origin >> 1, choice origin & 1."""
+def array_layer_records(loop):
+    """The same records read off the engine's arrays: parent origin >> 1,
+    choice origin & 1."""
     records = []
-    for layer in layers:
+    for lmax, cmax, origin in loop:
         records.append(
             [
                 (l, c, None if o < 0 else o & 1, None if o < 0 else o >> 1)
-                for l, c, o in zip(layer.lmax.tolist(), layer.cmax.tolist(), layer.origin.tolist())
+                for l, c, o in zip(lmax.tolist(), cmax.tolist(), origin.tolist())
             ]
         )
     return records
 
 
 def assert_matches_scalar_reference(inst):
-    layers = sorted_layers(inst)
+    layers, loop = sorted_layers(inst), sorted_loop(inst)
     assert [layer.i for layer in layers] == list(range(1, inst.n + 1))
-    for layer in layers:
-        assert layer.lmax.dtype == layer.cmax.dtype == layer.origin.dtype == np.int64
+    for layer, (lmax, cmax, origin) in zip(layers, loop, strict=True):
+        assert layer.lmax.dtype == layer.cmax.dtype == origin.dtype == np.int64
+        # the stream yields the loop's states
+        assert np.array_equal(layer.lmax, lmax) and np.array_equal(layer.cmax, cmax)
     # same values, same order and the same tie-break winners (parent, choice)
-    assert scalar_layer_records(inst) == array_layer_records(layers)
+    assert scalar_layer_records(inst) == array_layer_records(loop)
 
 
 def test_vectorized_engine_matches_scalar_reference():
@@ -183,16 +187,16 @@ def test_vectorized_engine_matches_scalar_reference():
 
 def test_layer_invariants_on_random_instances():
     for inst in make_instances(13, 25, (2, 14)):
-        layers = sorted_layers(inst)
-        assert layers[0].origin.tolist() == [-1]
-        for prev, layer in zip([None] + layers, layers):
+        layers, loop = sorted_layers(inst), sorted_loop(inst)
+        assert loop[0][2].tolist() == [-1]
+        for prev, layer, (_, _, origin) in zip([None] + layers, layers, loop):
             s_i = inst.prefix[layer.i]
             loads = layer.cmax.tolist()
             # one state per load, in strictly ascending load order
             assert all(a < b for a, b in zip(loads, loads[1:]))
             assert all(math.ceil(s_i / 2) <= c <= s_i for c in loads)
             if prev is not None:
-                parents = (layer.origin >> 1).tolist()
+                parents = (origin >> 1).tolist()
                 assert all(0 <= j < len(prev) for j in parents)
                 assert all(
                     l >= prev.lmax[j] for l, j in zip(layer.lmax.tolist(), parents)

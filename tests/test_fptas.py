@@ -1,5 +1,6 @@
 import json
 from bisect import bisect_left
+from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -23,7 +24,6 @@ from bipareto import (
     find_coverage_violation,
     grid_params,
     normalize,
-    parse_epsilon,
     solve_exact,
     solve_fptas,
     trimmed_layers,
@@ -37,18 +37,16 @@ from bipareto.exact import (
     _min_lmax_per_key,
     _scatter_min_per_key,
 )
-from conftest import make_instances, pareto_filter, sorted_layers, sorted_solve, successor_pool
+from conftest import (
+    make_instances,
+    pareto_filter,
+    sorted_layers,
+    sorted_loop,
+    sorted_solve,
+    successor_pool,
+)
 
 WORKED = [(2, 5), (3, 4), (4, 1)]
-
-
-def test_parse_epsilon():
-    assert parse_epsilon("0.3") == Fraction(3, 10)
-    assert parse_epsilon("3/10") == Fraction(3, 10)
-    assert parse_epsilon(" 2 ") == Fraction(2)
-    for bad in ("0", "-1", "0.0", "abc", "1/0", ""):
-        with pytest.raises(ValueError):
-            parse_epsilon(bad)
 
 
 def test_grid_params_direct_substitution():
@@ -170,7 +168,11 @@ def test_solve_fptas_tiny_epsilon_degenerates_to_exact():
             assert ap_layer.i == ex_layer.i
             assert np.array_equal(ap_layer.lmax, ex_layer.lmax)
             assert np.array_equal(ap_layer.cmax, ex_layer.cmax)
-            assert np.array_equal(ap_layer.origin, ex_layer.origin)
+        # the engine at width delta1 keeps the same parents as at width 1
+        loop_pairs = zip(sorted_loop(inst, grid.delta1), sorted_loop(inst), strict=True)
+        for ap_arrays, ex_arrays in loop_pairs:
+            for ap_array, ex_array in zip(ap_arrays, ex_arrays, strict=True):
+                assert np.array_equal(ap_array, ex_array)
         assert approx.schedules == exact.schedules
 
 
@@ -224,12 +226,11 @@ def test_closeness_worked_instance():
 
 
 def array_layer(i, pairs):
-    """A layer holding the given (lmax, cmax) states, without parents."""
+    """A layer holding the given (lmax, cmax) states."""
     return Layer(
         i,
         lmax=np.array([l for l, _ in pairs], dtype=np.int64),
         cmax=np.array([c for _, c in pairs], dtype=np.int64),
-        origin=np.full(len(pairs), -1, dtype=np.int64),
     )
 
 
@@ -319,7 +320,7 @@ def test_closeness_rejects_misaligned_layers():
     with pytest.raises(ValueError, match="misaligned"):
         find_closeness_violation(layers, swapped, worked_grid())
     # the windows are binary searches on cmax: unsorted loads are refused
-    unsorted = Layer(2, np.array([9, 9]), np.array([5, 3]), np.array([0, 1]))
+    unsorted = Layer(2, np.array([9, 9]), np.array([5, 3]))
     with pytest.raises(ValueError, match="not sorted"):
         find_closeness_violation(layers, (layers[0], unsorted, layers[2]), worked_grid())
 
@@ -416,7 +417,7 @@ def perturbed_layers(layers, grid, rng, subsample, shift):
             lmax = np.clip(lmax + jitter(rng, w, len(lmax)), 0, MAX_MAGNITUDE)
             order = np.argsort(cmax, kind="stable")
             lmax, cmax = lmax[order], cmax[order]
-        out.append(Layer(layer.i, lmax=lmax, cmax=cmax, origin=np.full(len(cmax), -1)))
+        out.append(Layer(layer.i, lmax=lmax, cmax=cmax))
     return out
 
 
@@ -447,6 +448,19 @@ def test_vectorized_closeness_matches_reference(jobs, eps, mode, seed):
         assert found is None
 
 
+def spy_table_layers(monkeypatch):
+    """Record every instance `exact_layers` streams from the dense table;
+    returns the list it appends to."""
+    runs, table_layers = [], exact_module._table_layers
+
+    def spy(inst):
+        runs.append(inst)
+        return table_layers(inst)
+
+    monkeypatch.setattr(exact_module, "_table_layers", spy)
+    return runs
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     jobs=closeness_jobs(("small", "ties", "equal_p", "huge_p")),
@@ -457,16 +471,17 @@ def test_vectorized_closeness_matches_reference(jobs, eps, mode, seed):
 def test_table_layers_equal_sorted_layers(jobs, eps, mode, seed):
     inst = normalize(jobs)
     ranked = sorted_layers(inst)
-    streamed = list(exact_layers(inst))
+    with pytest.MonkeyPatch.context() as patch:
+        table_runs = spy_table_layers(patch)
+        streamed = list(exact_layers(inst))
     if _dense_cells(inst) <= DEFAULT_STATE_BUDGET:
         # the table, whichever route solve_exact took
         table = list(exact_module._table_layers(inst))
-        assert all(layer.origin is None for layer in table)
         assert _layer_sizes(inst) == [len(layer) for layer in ranked]
     else:
         # loads near 2^59: the table would not fit, the sorted engine serves
         table = streamed
-        assert all(layer.origin is not None for layer in streamed)
+        assert table_runs == []
     assert solve_exact(inst).layer_sizes == tuple(len(layer) for layer in ranked)
     for layers in (table, streamed):
         for layer, reference in zip(layers, ranked, strict=True):
@@ -596,6 +611,27 @@ def test_layer_sizes_respect_box_count_bound():
             assert max(result.layer_sizes) <= bound
 
 
+def test_widest_trimmed_layer_follows_box_count_not_total_load():
+    # Strongly polynomial: with delta1 = eps * P / (2n) there are
+    # floor(2n / eps) + 1 load boxes whatever P is, and the widest trimmed
+    # layer follows that count, not P.
+    def widest(p_hi, eps):
+        inst = make_instances(404, 1, (200, 200), (1, p_hi), (1, 1000))[0]
+        grid = grid_params(inst, eps)
+        boxes = box_index(grid.cmax_bound, grid.delta1) + 1
+        assert boxes == 2 * inst.n // eps + 1
+        size = max(solve_fptas(inst, eps).layer_sizes)
+        assert boxes / 4 <= size <= boxes
+        return inst.total_p, size
+
+    # P from about 1e4 to 1e7 at eps 3/10: at most 2% apart
+    totals, sizes = zip(*(widest(p_hi, Fraction(3, 10)) for p_hi in (100, 10**3, 10**4, 10**5)))
+    assert totals[-1] > 500 * totals[0]
+    assert max(sizes) - min(sizes) <= min(sizes) / 50
+    for eps in (Fraction(9, 10), Fraction(3, 10), Fraction(1, 10)):
+        widest(1000, eps)
+
+
 def test_python_fallback_reducer_matches_vectorized(monkeypatch):
     instances = make_instances(37, 10, (2, 14))
     eps = Fraction(3, 10)
@@ -622,21 +658,25 @@ def test_streams_agree_with_lean_solves(monkeypatch, fallback):
     instances = make_instances(43, 8, (1, 14)) + make_instances(47, 3, (20, 30), (1, 1000))
     # sparse loads: the exact solve takes the sorted engine
     instances.append(normalize([(1, 100)] * 19 + [(1_000_000, 0)]))
+    table_runs = spy_table_layers(monkeypatch)
     table_route = set()
     for inst in instances:
         for solve, stream in runs:
             lean = solve(inst)
             sizes = []
+            table_calls = len(table_runs)
             for i, layer in enumerate(stream(inst), 1):
                 assert layer.i == i
+                # one layer shape on every route
+                assert [field.name for field in fields(layer)] == ["i", "lmax", "cmax"]
                 sizes.append(len(layer))
             # the lean solve's layer sizes, and its front from the last layer
             assert tuple(sizes) == lean.layer_sizes
             last = map(ParetoPoint, layer.cmax.tolist(), layer.lmax.tolist())
             assert pareto_filter(last) == lean.front
             if stream is exact_layers:
-                table_route.add(layer.origin is None)
-    # both exact routes: the dense table's layers carry no origin
+                table_route.add(len(table_runs) > table_calls)
+    # both exact routes: the dense table and the sorted engine
     assert table_route == {True, False}
 
 

@@ -12,7 +12,6 @@ reconstruct a witness schedule per front point.  `exact_layers` and
 from .bench import (
     GenSpec,
     generate_instance,
-    preset_families,
     quality_metrics,
     run_suite,
     write_report,
@@ -22,13 +21,13 @@ from .exact import (
     Layer,
     SolveResult,
     StateBudgetError,
+    box_index,
     exact_layers,
     solve_exact,
 )
 from .fptas import (
     ClosenessViolation,
     GridParams,
-    box_index,
     coverage_check,
     find_closeness_violation,
     find_coverage_violation,
@@ -80,7 +79,6 @@ __all__ = [
     "generate_instance",
     "quality_metrics",
     "run_suite",
-    "preset_families",
     "write_report",
     "__version__",
 ]

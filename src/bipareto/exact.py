@@ -39,10 +39,13 @@ reducers apply the rule.  A stable ``lexsort`` by box, then ``L``,
 keeps the first state per box; it serves every key kind.  A scatter-min
 of ``L * pool + index`` into one slot per box keeps the smallest packed
 value, which is the same state, and reads the winners out in box order.
-It serves the layers of boxes wider than 1 with int64 keys where the
-pool has at least 512 children, the ``floor(P / width) + 1`` boxes are
-at most twice the pool and ``(P + q_max + 1) * pool`` fits in int64;
-its slots are allocated at the first such layer.  The solves keep
+Whether a solve may scatter is decided once: its boxes must be wider
+than 1, with int64 keys, and ``(P + q_max + 1) * 2 * boxes`` must fit in
+int64, for ``boxes = box_index(P, width) + 1``.  A layer keeps at most
+one state per box, so no pool passes ``2 * boxes`` and every packed
+value fits.  Such a solve then scatters each layer whose pool has at
+least 512 children and at least half as many as the boxes; its slots
+are allocated at the first such layer.  The solves keep
 only the ``origin`` arrays.  `exact_layers` and `trimmed_layers` (in
 `fptas`) drain the same loop and wrap each layer's ``lmax`` and ``cmax``
 in a `Layer` as they yield it, keeping none.
@@ -181,9 +184,25 @@ def _expand(
     return child_lmax, child_cmax
 
 
-def _box_key(width: Fraction, total_p: int) -> Callable[[np.ndarray], np.ndarray]:
+def box_index(value: int, delta: Fraction) -> int:
+    """Index of the load box containing ``value``, for box width ``delta``:
+    the layer rule of both solvers keeps one state per box.
+
+    Computed as floor(value / delta) in exact integer arithmetic; a value
+    sitting exactly on a boundary belongs to the higher-index box.  Loads
+    lie in ``[0, P]``, so a solve has ``box_index(P, width) + 1`` boxes.
+    """
+    if value < 0:
+        raise ValueError(f"box_index requires value >= 0, got {value}")
+    return value * delta.denominator // delta.numerator
+
+
+def _box_key(
+    width: Fraction, total_p: int
+) -> tuple[Callable[[np.ndarray], np.ndarray], bool]:
     """The load-box key ``floor(C / width)`` of a solve, as a function of
-    the children's loads.
+    the children's loads, and whether those keys are int64 indices of
+    boxes wider than 1, the keys the scatter reducer takes.
 
     A width of at most 1 gives every integer load its own box, so the load
     itself is the key.  Wider boxes are keyed in int64 when the scaled
@@ -192,10 +211,10 @@ def _box_key(width: Fraction, total_p: int) -> Callable[[np.ndarray], np.ndarray
     """
     num, den = width.numerator, width.denominator
     if num <= den:
-        return lambda cmax: cmax
+        return (lambda cmax: cmax), False
     if num > _INT64_MAX or total_p * den > _INT64_MAX:
-        return lambda cmax: cmax.astype(object) * den // num
-    return lambda cmax: cmax * den // num
+        return (lambda cmax: cmax.astype(object) * den // num), False
+    return (lambda cmax: cmax * den // num), True
 
 
 def _min_lmax_per_key(key: np.ndarray, lmax: np.ndarray) -> np.ndarray:
@@ -271,7 +290,9 @@ def _layer_loop(
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """The sorted engine: ``(lmax, cmax, origin)`` of layers 1..n, each
     built from the one before: expand, keep one state per load box of
-    ``width``.
+    ``width``.  Whether the scatter reducer may serve the solve is decided
+    before the first layer; each layer then picks its reducer by its pool
+    size alone.
 
     Raises StateBudgetError before a layer whose pool, with every state
     of the layers so far, would pass ``budget``: the solve keeps every
@@ -281,13 +302,13 @@ def _layer_loop(
     if budget < 1:
         raise ValueError("state budget must be positive")
 
-    box_key = _box_key(width, inst.total_p)
-    # The scatter reducer takes int64 keys of boxes wider than 1 on large
-    # enough pools; its scratch is allocated at the first such layer.
-    # Packed values stay below stride * pool.
-    boxes = inst.total_p * width.denominator // width.numerator + 1
-    scatter = width > 1
-    stride = inst.total_p + inst.q_max + 1
+    box_key, int64_boxes = _box_key(width, inst.total_p)
+    # A layer keeps at most one state per box, so no pool passes 2 * boxes
+    # and the scatter reducer's packed values stay below
+    # (P + q_max + 1) * 2 * boxes.  Its scratch is allocated at the first
+    # layer that takes it.
+    boxes = box_index(inst.total_p, width) + 1
+    scatter = int64_boxes and (inst.total_p + inst.q_max + 1) * 2 * boxes <= _INT64_MAX
     best = ranks = None
     first = inst.jobs[0]
     lmax = np.array([first.p + first.q], dtype=np.int64)
@@ -305,16 +326,8 @@ def _layer_loop(
         pool_lmax, pool_cmax = _expand(lmax, cmax, job.p, job.q, inst.prefix[i])
         key = box_key(pool_cmax)
         pool = len(key)
-        if (
-            scatter
-            and pool >= _SCATTER_MIN_POOL
-            and boxes <= _SCATTER_BOXES_PER_CHILD * pool
-            and key.dtype == np.int64
-            and stride * pool <= _INT64_MAX
-        ):
+        if scatter and pool >= _SCATTER_MIN_POOL and boxes <= _SCATTER_BOXES_PER_CHILD * pool:
             if best is None:
-                # a layer holds at most one state per box: pools stay
-                # within 2 * boxes
                 best = np.full(boxes, _INT64_MAX, dtype=np.int64)
                 ranks = np.arange(2 * boxes, dtype=np.int64)
             origin = _scatter_min_per_key(key, pool_lmax, best, ranks)

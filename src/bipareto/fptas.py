@@ -26,13 +26,18 @@ returns the first exact state that has none.  It reads the two runs'
 layers as streams, `exact_layers` and `trimmed_layers`, one pair at a
 time, so no layer of either run needs to be kept.
 
+This module only chooses the box width; the box rule itself,
+`box_index`, and the engine that applies it are in `exact`.
+
 All grid arithmetic is exact: deltas are `fractions.Fraction`, box
 indices are integer floor divisions, and the coverage predicate
 cross-multiplies integers.  Box keys are the loads themselves when
 delta1 <= 1, int64 arrays when the scaled loads fit in int64, and object
 arrays of Python integers when they do not; the sort reducer in `exact`
-serves all three, and int64 keys of boxes wider than 1 take its
-scatter-min reducer on large layers (see `exact`).  The drift check
+serves all three.  Its scatter-min reducer takes large layers of solves
+with int64 keys of boxes wider than 1 whose packed values fit in int64
+at every pool a layer can reach, as decided once per solve (see
+`exact`).  The drift check
 compares integers only: loads and latenesses are integers, so a
 difference is at most (i-1)*delta1 iff it is at most
 floor((i-1)*delta1).  That floor is one
@@ -93,17 +98,6 @@ def grid_params(inst: Instance, eps: Fraction) -> GridParams:
         cmax_bound=inst.total_p,
         lmax_bound=inst.total_p + inst.q_max,
     )
-
-
-def box_index(value: int, delta: Fraction) -> int:
-    """Index of the grid box containing ``value``, for box width ``delta``.
-
-    Computed as floor(value / delta) in exact integer arithmetic; a value
-    sitting exactly on a boundary belongs to the higher-index box.
-    """
-    if value < 0:
-        raise ValueError(f"box_index requires value >= 0, got {value}")
-    return value * delta.denominator // delta.numerator
 
 
 def solve_fptas(

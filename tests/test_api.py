@@ -28,7 +28,6 @@ PUBLIC_API = [
     "generate_instance",
     "grid_params",
     "normalize",
-    "preset_families",
     "quality_metrics",
     "run_suite",
     "solve_exact",

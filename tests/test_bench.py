@@ -7,7 +7,6 @@ from bipareto import (
     GenSpec,
     ParetoPoint,
     generate_instance,
-    preset_families,
     quality_metrics,
     run_suite,
 )
@@ -18,6 +17,7 @@ from bipareto.bench import (
     Row,
     format_fraction_decimal,
     format_records_csv,
+    preset_families,
     write_report,
 )
 

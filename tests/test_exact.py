@@ -423,3 +423,16 @@ def test_dense_cell_dtype_boundary(monkeypatch, jobs, dtype):
         assert table_layer.cmax.tolist() == layer.cmax.tolist()
     if len({job.q for job in inst.jobs}) == 1:
         assert max(layers[-1].lmax.tolist()) == inst.total_p + inst.q_max
+
+
+def test_widest_exact_layer_follows_total_load():
+    # Pseudo-polynomial: an exact layer keeps one state per reachable
+    # makespan, at most the floor(P/2) + 1 values ceil(P/2)..P, and on
+    # these dense loads nearly all of them, so its width follows P.
+    totals = []
+    for p_hi in (20, 100, 1000):
+        inst = make_instances(404, 1, (200, 200), (1, p_hi), (1, 1000))[0]
+        widest = max(solve_exact(inst).layer_sizes)
+        assert 0.9 * inst.total_p / 2 <= widest <= inst.total_p // 2 + 1
+        totals.append(inst.total_p)
+    assert totals[-1] > 40 * totals[0]

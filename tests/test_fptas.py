@@ -87,10 +87,10 @@ def trim_winners(pairs, grid):
     grid's load boxes, with the grid's own box keys and with object keys
     wherever delta1 > 1."""
     lmax, cmax = successor_pool(pairs)
-    keys = [_box_key(grid.delta1, grid.cmax_bound)]
+    keys = [_box_key(grid.delta1, grid.cmax_bound)[0]]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(exact_module, "_INT64_MAX", 0)  # force object box keys
-        keys.append(_box_key(grid.delta1, grid.cmax_bound))
+        keys.append(_box_key(grid.delta1, grid.cmax_bound)[0])
     return [_min_lmax_per_key(key(cmax), lmax).tolist() for key in keys]
 
 
@@ -461,6 +461,19 @@ def spy_table_layers(monkeypatch):
     return runs
 
 
+def spy_scatter(monkeypatch):
+    """Record the pool size of every layer the scatter reducer serves;
+    returns the list it appends to."""
+    pools, scatter = [], exact_module._scatter_min_per_key
+
+    def spy(key, lmax, best, ranks):
+        pools.append(len(key))
+        return scatter(key, lmax, best, ranks)
+
+    monkeypatch.setattr(exact_module, "_scatter_min_per_key", spy)
+    return pools
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     jobs=closeness_jobs(("small", "ties", "equal_p", "huge_p")),
@@ -590,6 +603,38 @@ def test_scatter_reducer_matches_sort_reducer(case):
     assert (best == _INT64_MAX).all()  # scratch left ready for the next layer
 
 
+def test_scatter_packing_bound_near_magnitude_cap(monkeypatch):
+    """The scatter packs ``L * pool + index`` into int64, so a solve may
+    take it only if ``(P + q_max + 1) * pool`` fits at every pool a layer
+    can reach, up to twice the box count.  Near the 2^60 cap it does not:
+    the solve must then pick the sort's states, even with the pool
+    thresholds forced open as in the golden record's scatter mode."""
+    rng = np.random.default_rng(5)
+    p = rng.integers(2**55, 2**56, size=12).tolist()
+    p[-1] -= sum(p) % 24  # P a multiple of 2n: delta1 = P / 24 at eps 1
+    q = rng.integers(0, 2**50, size=12).tolist()
+    huge = normalize(list(zip(p, q)))
+    assert huge.total_p + huge.q_max <= MAX_MAGNITUDE
+    assert grid_params(huge, Fraction(1)).delta1.denominator == 1  # int64 keys
+    # a small instance with delta1 > 1, on which the forced scatter runs
+    small = make_instances(53, 1, (30, 30), (1, 100), (1, 100))[0]
+    assert grid_params(small, Fraction(1)).delta1 > 1
+
+    monkeypatch.setattr(exact_module, "_SCATTER_MIN_POOL", 1)
+    monkeypatch.setattr(exact_module, "_SCATTER_BOXES_PER_CHILD", 0)
+    sort_only = [solve_fptas(inst, Fraction(1)) for inst in (huge, small)]
+    monkeypatch.setattr(exact_module, "_SCATTER_BOXES_PER_CHILD", 10**9)
+    pools = spy_scatter(monkeypatch)
+    for inst, want in zip((huge, small), sort_only):
+        pools.clear()
+        got = solve_fptas(inst, Fraction(1))
+        assert got.front == want.front
+        assert got.schedules == want.schedules
+        assert got.layer_sizes == want.layer_sizes
+    # the forced scatter served every layer of the small solve
+    assert len(pools) == small.n - 1
+
+
 def test_coverage_and_closeness_on_random_instances():
     instances = make_instances(29, 25, (2, 12)) + make_instances(41, 6, (20, 40), (1, 1000))
     for inst in instances:
@@ -715,11 +760,17 @@ def test_solve_fptas_matches_golden_record(monkeypatch, mode):
     if mode == "int64-scatter":
         monkeypatch.setattr(exact_module, "_SCATTER_MIN_POOL", 1)
         monkeypatch.setattr(exact_module, "_SCATTER_BOXES_PER_CHILD", 10**9)
+    pools = spy_scatter(monkeypatch)
     cases = json.loads(GOLDEN.read_text())["cases"]
     assert len(cases) == 20
+    wide_layers = 0
     for case in cases:
         inst = normalize([tuple(job) for job in case["jobs"]])
         result = solve_fptas(inst, Fraction(case["eps"]))
         assert [list(pt) for pt in result.front] == case["front"]
         assert list(result.layer_sizes) == case["layer_sizes"]
         assert ["".join(map(str, s)) for s in result.schedules] == case["flags"]
+        if grid_params(inst, Fraction(case["eps"])).delta1 > 1:
+            wide_layers += inst.n - 1
+    # one scatter per layer i >= 2 of boxes wider than 1, and none otherwise
+    assert len(pools) == (wide_layers if mode == "int64-scatter" else 0)

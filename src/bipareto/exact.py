@@ -64,25 +64,31 @@ back from a final cell (``a -= p`` where set) gives absolute flags
 directly.  The front folds the last table onto ``C = max(a, P - a)``;
 when the two mirrored cells tie, the witness has ``a = C``.  The
 table, the fold and the scratch arrays each span at most the last
-layer's ``P - p_1 + 1`` cells, so memory follows the cell count that
-the budget bounds.  The table has no sort, and no 8-byte parent per
-state, but its cells span both mirrors of each makespan, so it pays
-only when loads are dense.  On this path `exact_layers` folds the
-table after every job, onto ``C = max(a, S_i - a)``, and yields its
-reached cells as layer ``i``: per makespan the smallest ``L`` over both
-mirrors, which is the sorted engine's layer, state for state, as int64
-arrays whatever the cell dtype.
-`solve_exact` takes the table iff its cell count
-``sum_i (S_i - p_1 + 1)`` is at most the budget and at most four times
-the sorted engine's state count, counted from subset sums
-(`_layer_sizes`), a cell counting as one state.  The count runs only
-once the cells fit the budget, which bounds its bitset, and the table
-reports it as its layer sizes.  Dense loads give a ratio near 2 (the
-two mirrors), on either side of it, so a factor of 2 would send some
-of them to the sorted engine; the table measured faster up to a ratio
-of about 10.  `exact_layers` takes the same route.  Every other exact
-solve and every `solve_fptas` call run the sorted engine.
-Both paths give the same front, layer sizes and layers' states; their
+layer's ``P - p_1 + 1`` cells, so the table holds ``cells / 8`` bytes
+of bits plus a few arrays the width of the last layer.  The table has
+no sort, and no 8-byte parent per state, but its cells span both
+mirrors of each makespan, so it pays only when loads are dense.  On
+this path `exact_layers` folds the table after every job, onto ``C =
+max(a, S_i - a)``, and yields its reached cells as layer ``i``: per
+makespan the smallest ``L`` over both mirrors, which is the sorted
+engine's layer, state for state, as int64 arrays whatever the cell
+dtype.
+The budget counts the sorted engine's states on both routes.
+`solve_exact` takes the table iff its cell count ``sum_i (S_i - p_1 +
+1)`` is at most four times the sorted engine's state count, and the
+sorted engine would run within the budget.  Both are decided from the
+state counts per layer, taken from subset sums (`_layer_sizes`), which
+the table reports as its layer sizes; an instance over the budget goes
+to the sorted engine, which raises where it always does.  The count
+runs only while the cells are at most four times the budget, which
+both conditions imply and which bounds its bitset.  Dense loads give a
+ratio near 2 (the two mirrors), on either side of it, so a factor of 2
+would send some of them to the sorted engine; the table measured
+faster up to a ratio of about 10.  `exact_layers` takes the same
+route.  Every other exact solve and every `solve_fptas` call run the
+sorted engine.
+Both paths give the same front, layer sizes and layers' states, and
+raise the same StateBudgetError under the same budget; their
 witnesses may differ where ties allow.
 
 The test suite checks the sorted engine's layers, parents and
@@ -96,14 +102,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import accumulate, chain
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from .model import Front, Instance, ParetoPoint
 
-# Live retained states across all layers (parent chains keep them alive).
+# Live retained states across all layers (parent chains keep them alive),
+# counted as the sorted engine keeps them on both exact routes.
 DEFAULT_STATE_BUDGET = 50_000_000
 
 _INT64_MAX = 2**63 - 1
@@ -148,8 +155,9 @@ class SolveResult:
     ``layer_sizes[i-1]`` is the sorted engine's state count of layer
     ``i`` on either route: the dense path of `solve_exact` counts it
     from subset sums, the count that routed the solve there (cells <=
-    budget and <= 4 x that count).  The layers themselves come from
-    `exact_layers` and `trimmed_layers`.
+    4 x the total, and the sorted engine's peak within the budget).
+    The layers themselves come from `exact_layers` and
+    `trimmed_layers`.
     """
 
     front: Front
@@ -498,11 +506,16 @@ def _solve_dense(inst: Instance, sizes: Sequence[int]) -> SolveResult:
 
 def _dense_sizes(inst: Instance, budget: int) -> Optional[list[int]]:
     """`_layer_sizes` when the exact solve takes the dense table, else
-    None.  The sorted engine's states are counted only once the cells,
-    which bound the count's bitset, fit the budget."""
-    if (cells := _dense_cells(inst)) <= budget:
+    None.  The table runs iff its cells are at most four times the sorted
+    engine's states and the sorted engine would fit the budget: before
+    each layer ``i >= 2`` it tests the states of layers ``1..i-1`` plus
+    a pool of twice layer ``i-1``.  Both imply ``cells <= 4 * budget``,
+    so the states are counted only then, which bounds the count's
+    bitset."""
+    if (cells := _dense_cells(inst)) <= 4 * budget:
         sizes = _layer_sizes(inst)
-        if cells <= 4 * sum(sizes):
+        pools = (kept + 2 * size for kept, size in zip(accumulate(sizes), sizes[:-1]))
+        if cells <= 4 * sum(sizes) and max(pools, default=0) <= budget:
             return sizes
     return None
 
@@ -528,8 +541,11 @@ def exact_layers(inst: Instance, *, budget: int = DEFAULT_STATE_BUDGET) -> Itera
     the same route: the sorted engine's layers, or the dense table folded
     after each job, which holds the same states.
 
-    The stream keeps no layer it has yielded, nor any parent chain, and
-    raises StateBudgetError at the layer where `solve_exact` would.
+    The stream keeps no layer it has yielded, nor any parent chain.  The
+    table runs only where the sorted engine would fit the budget, so an
+    instance over it streams the sorted engine's layers and raises
+    StateBudgetError at the layer where `solve_exact` does, with the same
+    text.
     """
     if _dense_sizes(inst, budget) is None:
         return _sorted_layers(inst, Fraction(1), budget)

@@ -21,10 +21,17 @@ def successor_pool(pairs):
     )
 
 
-def sorted_solve(inst):
+def sorted_solve(inst, budget=DEFAULT_STATE_BUDGET):
     """The exact solve on the sorted engine, whatever route `solve_exact`
     would take."""
-    return _solve_layered(inst, Fraction(1), DEFAULT_STATE_BUDGET)
+    return _solve_layered(inst, Fraction(1), budget)
+
+
+def sorted_peak(sizes):
+    """The smallest budget the sorted engine solves in, given its layer
+    sizes: before each layer ``i >= 2`` it counts the states of layers
+    ``1..i-1`` plus a pool of twice layer ``i-1``."""
+    return max((sum(sizes[:i]) + 2 * sizes[i - 1] for i in range(1, len(sizes))), default=1)
 
 
 def sorted_layers(inst):

@@ -17,7 +17,14 @@ from bipareto import (
 from bipareto import exact as exact_module
 from bipareto.exact import _dense_cells, _expand, _min_lmax_per_key
 from bipareto.oracle import enumerate_front
-from conftest import make_instances, sorted_layers, sorted_loop, sorted_solve, successor_pool
+from conftest import (
+    make_instances,
+    sorted_layers,
+    sorted_loop,
+    sorted_peak,
+    sorted_solve,
+    successor_pool,
+)
 
 WORKED = [(2, 5), (3, 4), (4, 1)]
 
@@ -300,15 +307,34 @@ def assert_paths_agree(inst, dense, ranked):
     assert_witnesses_realize_front(inst, ranked)
 
 
-@settings(max_examples=40, deadline=None)
-@given(
-    jobs=st.lists(
-        st.tuples(st.integers(1, 8), st.integers(0, 60)), min_size=1, max_size=200
+@st.composite
+def budgeted_instances(draw):
+    """Mostly dense instances of small loads, each with a budget around
+    the sorted engine's peak: the peak itself, one state below it, or
+    anywhere from half to twice it."""
+    jobs = draw(
+        st.lists(st.tuples(st.integers(1, 8), st.integers(0, 60)), min_size=1, max_size=200)
     )
-)
-def test_dense_and_sorted_paths_agree(jobs):
     inst = normalize(jobs)
-    assert_paths_agree(inst, solve_exact(inst), sorted_solve(inst))
+    peak = sorted_peak(sorted_solve(inst).layer_sizes)
+    near = st.sampled_from([peak, peak - 1])
+    return inst, draw(near | st.integers(peak // 2, 2 * peak))
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=budgeted_instances())
+def test_dense_and_sorted_paths_agree(case):
+    # under any budget, solve_exact returns or raises what the sorted
+    # engine does, whichever route it takes
+    inst, budget = case
+    try:
+        ranked = sorted_solve(inst, budget)
+    except (StateBudgetError, ValueError) as error:
+        with pytest.raises(type(error)) as info:
+            solve_exact(inst, budget=budget)
+        assert str(info.value) == str(error)
+        return
+    assert_paths_agree(inst, solve_exact(inst, budget=budget), ranked)
 
 
 def test_dense_path_is_taken_on_dense_instances(monkeypatch):
@@ -344,25 +370,31 @@ def test_dense_path_with_a_first_job_over_half_the_load(monkeypatch, jobs):
     assert_witnesses_realize_front(inst, result)
 
 
-def test_dense_cells_over_budget_use_the_sorted_path(monkeypatch):
+def test_dense_path_runs_while_the_sorted_engine_fits_the_budget(monkeypatch):
     inst = make_instances(29, 1, (60, 60), (1, 6))[0]
-    reference = solve_exact(inst)
+    reference = sorted_solve(inst)
     sizes = reference.layer_sizes
     # the sorted engine's largest check: retained states plus the next pool
     needs = [sum(sizes[:i]) + 2 * sizes[i - 1] for i in range(1, inst.n)]
     need = max(needs)
     layer = needs.index(need) + 2
+    # the budget is in the sorted engine's states, which the cells pass
     assert _dense_cells(inst) > need
+    ranked, solve_layered = [], exact_module._solve_layered
 
-    def dense_table(*args, **kwargs):
-        raise AssertionError("solve_exact took the dense path")
+    def sorted_engine(*args):
+        ranked.append(args)
+        return solve_layered(*args)
 
-    monkeypatch.setattr(exact_module, "_solve_dense", dense_table)
+    monkeypatch.setattr(exact_module, "_solve_layered", sorted_engine)
     result = solve_exact(inst, budget=need)
+    assert ranked == []
     assert (result.front, result.layer_sizes) == (reference.front, sizes)
     assert_witnesses_realize_front(inst, result)
+    # one state below, the sorted engine runs and raises
     with pytest.raises(StateBudgetError) as info:
         solve_exact(inst, budget=need - 1)
+    assert len(ranked) == 1
     assert str(info.value) == (
         f"state budget exceeded: layer {layer} needs up to {need} live states "
         f"(budget {need - 1})"
@@ -425,14 +457,19 @@ def test_dense_cell_dtype_boundary(monkeypatch, jobs, dtype):
         assert max(layers[-1].lmax.tolist()) == inst.total_p + inst.q_max
 
 
-def test_widest_exact_layer_follows_total_load():
+def test_widest_exact_layer_follows_total_load(monkeypatch):
     # Pseudo-polynomial: an exact layer keeps one state per reachable
     # makespan, at most the floor(P/2) + 1 values ceil(P/2)..P, and on
-    # these dense loads nearly all of them, so its width follows P.
+    # these dense loads nearly all of them, so its width follows P.  All
+    # four take the dense table, p 1:10000 (P 976,976) included.
+    def sorted_engine(*args):
+        raise AssertionError("solve_exact took the sorted path")
+
+    monkeypatch.setattr(exact_module, "_solve_layered", sorted_engine)
     totals = []
-    for p_hi in (20, 100, 1000):
+    for p_hi in (20, 100, 1000, 10000):
         inst = make_instances(404, 1, (200, 200), (1, p_hi), (1, 1000))[0]
         widest = max(solve_exact(inst).layer_sizes)
         assert 0.9 * inst.total_p / 2 <= widest <= inst.total_p // 2 + 1
         totals.append(inst.total_p)
-    assert totals[-1] > 40 * totals[0]
+    assert totals[-1] > 400 * totals[0]

@@ -2,6 +2,7 @@ import json
 from bisect import bisect_left
 from dataclasses import fields
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ from bipareto import (
     GridParams,
     Layer,
     ParetoPoint,
+    StateBudgetError,
     box_index,
     coverage_check,
     evaluate_schedule,
@@ -42,6 +44,7 @@ from conftest import (
     pareto_filter,
     sorted_layers,
     sorted_loop,
+    sorted_peak,
     sorted_solve,
     successor_pool,
 )
@@ -300,8 +303,8 @@ def test_closeness_violation_witness():
     # Layer 3 holds (9, 5), (7, 6), (8, 7), (10, 9).  A lone trimmed
     # (11, 8) covers (9, 5) on its load edge and (8, 7) exactly on its
     # lateness bound, but is 4 > 3 above (7, 6).
-    partial = layers[:2] + [array_layer(3, [(11, 8)])]
-    assert closeness_witness(layers, partial, grid) == (3, ParetoPoint(6, 7))
+    lone = layers[:2] + [array_layer(3, [(11, 8)])]
+    assert closeness_witness(layers, lone, grid) == (3, ParetoPoint(6, 7))
     # an empty trimmed layer leaves its first exact state uncovered
     empty = layers[:2] + [array_layer(3, [])]
     assert closeness_witness(layers, empty, grid) == (3, ParetoPoint(5, 9))
@@ -694,10 +697,7 @@ def test_streams_agree_with_lean_solves(monkeypatch, fallback):
     if fallback:
         monkeypatch.setattr(exact_module, "_INT64_MAX", 0)  # force object box keys
     runs = [(solve_exact, exact_layers)] + [
-        (
-            lambda inst, eps=eps: solve_fptas(inst, eps),
-            lambda inst, eps=eps: trimmed_layers(inst, eps),
-        )
+        (partial(solve_fptas, eps=eps), partial(trimmed_layers, eps=eps))
         for eps in (Fraction(3, 10), Fraction(9, 10), Fraction(2))
     ]
     instances = make_instances(43, 8, (1, 14)) + make_instances(47, 3, (20, 30), (1, 1000))
@@ -708,19 +708,35 @@ def test_streams_agree_with_lean_solves(monkeypatch, fallback):
     for inst in instances:
         for solve, stream in runs:
             lean = solve(inst)
-            sizes = []
             table_calls = len(table_runs)
-            for i, layer in enumerate(stream(inst), 1):
+            layers = list(stream(inst))
+            if stream is exact_layers:
+                table_route.add(len(table_runs) > table_calls)
+            for i, layer in enumerate(layers, 1):
                 assert layer.i == i
                 # one layer shape on every route
                 assert [field.name for field in fields(layer)] == ["i", "lmax", "cmax"]
-                sizes.append(len(layer))
             # the lean solve's layer sizes, and its front from the last layer
-            assert tuple(sizes) == lean.layer_sizes
-            last = map(ParetoPoint, layer.cmax.tolist(), layer.lmax.tolist())
+            assert tuple(map(len, layers)) == lean.layer_sizes
+            last = map(ParetoPoint, layers[-1].cmax.tolist(), layers[-1].lmax.tolist())
             assert pareto_filter(last) == lean.front
-            if stream is exact_layers:
-                table_route.add(len(table_runs) > table_calls)
+            if inst.n == 1:
+                continue
+            # one state below the solve's peak, the stream yields the same
+            # layers up to the one the lean solve stops at, then its error
+            budget = sorted_peak(lean.layer_sizes) - 1
+            with pytest.raises(StateBudgetError) as lean_error:
+                solve(inst, budget=budget)
+            streamed = []
+            with pytest.raises(StateBudgetError) as stream_error:
+                for layer in stream(inst, budget=budget):
+                    streamed.append(layer)
+            assert str(stream_error.value) == str(lean_error.value)
+            assert f" layer {len(streamed) + 1} needs " in str(lean_error.value)
+            for layer, kept in zip(streamed, layers):
+                assert layer.i == kept.i
+                assert np.array_equal(layer.lmax, kept.lmax)
+                assert np.array_equal(layer.cmax, kept.cmax)
     # both exact routes: the dense table and the sorted engine
     assert table_route == {True, False}
 

@@ -68,11 +68,15 @@ layer's ``P - p_1 + 1`` cells, so the table holds ``cells / 8`` bytes
 of bits plus a few arrays the width of the last layer.  The table has
 no sort, and no 8-byte parent per state, but its cells span both
 mirrors of each makespan, so it pays only when loads are dense.  On
-this path `exact_layers` folds the table after every job, onto ``C =
-max(a, S_i - a)``, and yields its reached cells as layer ``i``: per
-makespan the smallest ``L`` over both mirrors, which is the sorted
-engine's layer, state for state, as int64 arrays whatever the cell
-dtype.
+this path the table is folded after every job, onto ``C = max(a, S_i -
+a)``: per makespan the smallest ``L`` over both mirrors, which is the
+sorted engine's layer, state for state.  One fold stream
+(`_table_folds`) yields ``(i, start, folded)``, ``folded[k]`` for ``C =
+start + k``, a view of one scratch buffer that the next fold
+overwrites.  `exact_layers` wraps each fold's reached cells into a
+`Layer` of int64 arrays, whatever the cell dtype; `verify`'s drift
+check reads the folds raw (`_exact_stream`), building no per-state
+array.
 The budget counts the sorted engine's states on both routes.
 `solve_exact` takes the table iff its cell count ``sum_i (S_i - p_1 +
 1)`` is at most four times the sorted engine's state count, and the
@@ -464,15 +468,24 @@ def _add_jobs(inst: Instance, table: np.ndarray) -> Iterator[np.ndarray]:
         yield take
 
 
-def _table_layers(inst: Instance) -> Iterator[Layer]:
-    """The dense table folded after every job, as layers 1..n: the
-    reached makespans, each with its smallest lateness."""
+def _table_folds(inst: Instance) -> Iterator[tuple[int, int, np.ndarray]]:
+    """The dense table folded after every job, as ``(i, start, folded)``
+    for layers 1..n: ``folded[k]`` is the smallest lateness with makespan
+    ``start + k``, the cell dtype's maximum where none is reached.
+    ``folded`` is a view of one scratch buffer, which the next fold
+    overwrites."""
     table = _first_table(inst)
     fold = np.empty_like(table)
     base = inst.jobs[0].p
     # layer 1, then one layer per job added
     for i, _ in enumerate(chain((None,), _add_jobs(inst, table)), 1):
-        start, folded = _fold(table, base, inst.prefix[i], fold)
+        yield (i, *_fold(table, base, inst.prefix[i], fold))
+
+
+def _table_layers(inst: Instance) -> Iterator[Layer]:
+    """`_table_folds` as layers 1..n: the reached makespans, each with
+    its smallest lateness."""
+    for i, start, folded in _table_folds(inst):
         reached = folded != np.iinfo(folded.dtype).max
         cmax = np.flatnonzero(reached)
         cmax += start
@@ -550,3 +563,14 @@ def exact_layers(inst: Instance, *, budget: int = DEFAULT_STATE_BUDGET) -> Itera
     if _dense_sizes(inst, budget) is None:
         return _sorted_layers(inst, Fraction(1), budget)
     return _table_layers(inst)
+
+
+def _exact_stream(
+    inst: Instance, budget: int
+) -> Iterator[Layer] | Iterator[tuple[int, int, np.ndarray]]:
+    """`exact_layers` on the same route, with the dense table's layers
+    left as `_table_folds` yields them: the drift check reads those
+    directly, one at a time."""
+    if _dense_sizes(inst, budget) is None:
+        return _sorted_layers(inst, Fraction(1), budget)
+    return _table_folds(inst)

@@ -24,7 +24,15 @@ exact state of every layer i, for a trimmed state within (i-1)*delta1
 of it in load and at most (i-1)*delta1 above it in lateness, and
 returns the first exact state that has none.  It reads the two runs'
 layers as streams, `exact_layers` and `trimmed_layers`, one pair at a
-time, so no layer of either run needs to be kept.
+time, so no layer of either run needs to be kept.  Per layer the
+trimmed states give one step function of the load, the smallest
+lateness an exact state there must have to be covered
+(`_cover_steps`); an exact layer meets it in one of two forms.  A
+`Layer`'s states each find their step by binary search.  A fold of the
+dense exact table (``(i, start, folded)``, one cell per makespan, as
+`verify` reads the dense route) is cut into one run of cells per step,
+and one reduceat compares each run's minimum with its step, with no
+per-state array.
 
 This module only chooses the box width; the box rule itself,
 `box_index`, and the engine that applies it are in `exact`.
@@ -160,20 +168,24 @@ class ClosenessViolation:
     point: ParetoPoint
 
 
-def _first_uncovered(ex_layer: Layer, ap_layer: Layer, window: int) -> Optional[int]:
-    """Index of the first exact state with no trimmed state (L#, C#) such
-    that |C# - C| <= window and L# - L <= window.
+def _cover_steps(ap_layer: Layer, window: int) -> tuple[np.ndarray, np.ndarray]:
+    """The smallest trimmed lateness within the window of a load, as a
+    step function of the load: ``(steps, need)``.  An exact state (L, C)
+    has a trimmed state (L#, C#) with |C# - C| <= window and
+    L# - L <= window iff ``L >= need[s]``, for ``s`` the number of
+    ``steps`` at most C.
 
     Trimmed state j covers the loads ``[C#_j - window, C#_j + window]``,
-    so the smallest trimmed lateness within the window of a load, as a
-    function of the load, is a step function whose steps start at the
-    ``2m`` points ``C#_j - window`` and ``C#_j + window + 1``.  On the
-    step from point ``b`` it is the minimum over the trimmed states with
-    ``|C# - b| <= window``, a contiguous run of the sorted loads; each
-    exact load then finds its step with one binary search.  Loads lie in
-    [0, 2^60] and the window is at most 2^61, so every run bound, at
-    most ``C# + 2 * window + 2`` and at least ``C# - 2 * window``, fits in
-    int64.
+    so the steps start at the ``2m`` points ``C#_j - window`` and
+    ``C#_j + window + 1``, sorted into ``steps``.  On the step from
+    point ``b`` the smallest lateness is the minimum over the trimmed
+    states with ``|C# - b| <= window``, a contiguous run of the sorted
+    loads, and ``need[k + 1]`` is that minimum less the window for the
+    step from ``steps[k]``.  ``need[0]``, below the first point, and
+    every step over an empty run hold _INT64_MAX: they cover nothing.
+    Loads lie in [0, 2^60] and the window is at most 2^61, so every run
+    bound, at most ``C# + 2 * window + 2`` and at least
+    ``C# - 2 * window``, fits in int64.
     """
     ap_cmax = ap_layer.cmax
     steps = np.concatenate((ap_cmax - window, ap_cmax + (window + 1)))
@@ -190,17 +202,63 @@ def _first_uncovered(ex_layer: Layer, ap_layer: Layer, window: int) -> Optional[
     # (lo == hi) reduce to a single element, so they are set apart.
     ap_lmax = np.append(ap_layer.lmax, np.int64(_INT64_MAX))
     run_min = np.minimum.reduceat(ap_lmax, bounds)[0::2]
-    # need[k + 1]: the smallest exact lateness the step from steps[k]
-    # covers; need[0] is the step below the first point, which covers none
     need = np.full(len(steps) + 1, _INT64_MAX, dtype=np.int64)
     np.copyto(need[1:], run_min - window, where=bounds[0::2] < bounds[1::2])
+    return steps, need
+
+
+def _first_uncovered(
+    ex_layer: Layer, steps: np.ndarray, need: np.ndarray
+) -> Optional[ParetoPoint]:
+    """The first exact state of a layer, in layer order, that the step
+    function `_cover_steps` does not cover: each state finds its step
+    by one binary search."""
     uncovered = need[np.searchsorted(steps, ex_layer.cmax, side="right")] > ex_layer.lmax
     hits = np.flatnonzero(uncovered)
-    return int(hits[0]) if len(hits) else None
+    if not len(hits):
+        return None
+    j = hits[0]
+    return ParetoPoint(int(ex_layer.cmax[j]), int(ex_layer.lmax[j]))
+
+
+def _first_uncovered_cell(
+    start: int, folded: np.ndarray, steps: np.ndarray, need: np.ndarray
+) -> Optional[ParetoPoint]:
+    """The first reached cell of a folded dense table (``folded[k]`` the
+    smallest lateness with makespan ``start + k``) that the step
+    function `_cover_steps` does not cover.
+
+    The cells under one step are contiguous: the steps inside the fold's
+    makespans cut it into segments, and one reduceat takes each
+    segment's minimum.  A segment fails when its minimum is below its
+    ``need`` clamped to the cell dtype's maximum, which unreached cells
+    hold: they never read as uncovered, while reached cells below the
+    first step still do.  Only the first failing segment is searched
+    cell by cell.
+    """
+    size = len(folded)
+    # segments first..last: the first from cell 0, each other from a step
+    first = int(np.searchsorted(steps, start, side="right"))
+    last = int(np.searchsorted(steps, start + size - 1, side="right"))
+    cuts = np.empty(last - first + 2, dtype=np.int64)
+    cuts[0], cuts[-1] = 0, size
+    np.subtract(steps[first:last], start, out=cuts[1:-1])
+    need = np.minimum(need[first : last + 1], np.iinfo(folded.dtype).max)
+    # a repeated step leaves an empty segment, which reduceat reads as
+    # the next cell: only non-empty segments can fail
+    seg_min = np.minimum.reduceat(folded, cuts[:-1])
+    failing = np.flatnonzero(seg_min < need)
+    failing = failing[cuts[failing] < cuts[failing + 1]]
+    if not len(failing):
+        return None
+    s = failing[0]
+    lo, hi = cuts[s], cuts[s + 1]
+    k = int(lo + np.argmax(folded[lo:hi] < need[s]))
+    return ParetoPoint(start + k, int(folded[k]))
 
 
 def find_closeness_violation(
-    exact_layers: Iterable[Layer],
+    exact_layers: Iterable[Layer | tuple[int, int, np.ndarray]],
     approx_layers: Iterable[Layer],
     grid: GridParams,
 ) -> Optional[ClosenessViolation]:
@@ -213,32 +271,43 @@ def find_closeness_violation(
         C - (i-1) * delta1 <= C# <= C + (i-1) * delta1.
 
     Returns the first uncovered exact state (first layer, then first in
-    layer order, which is ascending load), or None when all layers pass.
-    The layers are read once, in pairs, exact first: any iterables serve,
-    typically the streams `exact_layers` and `trimmed_layers`, and the
-    check stops reading at the first violation.  Every load and lateness
-    must lie in [0, MAX_MAGNITUDE].  Each approximate layer must be
-    sorted by load (both solvers emit strictly ascending loads): per
-    layer, the smallest trimmed lateness within the window of a load is
-    built as a step function over the sorted trimmed loads, at most
-    ``2m`` steps for ``m`` trimmed states, and each exact load finds its
-    step by binary search.  ValueError is raised when a pair is reached
-    whose numbers ``i`` differ, or whose approximate layer's loads
-    decrease, or when one iterable ends before the other.  States inside
-    an exact layer may be in any order.
+    ascending load), or None when all layers pass.  The layers are read
+    once, in pairs, exact first: any iterables serve, typically the
+    streams `exact_layers` and `trimmed_layers`, and the check stops
+    reading at the first violation.  Every load and lateness must lie in
+    [0, MAX_MAGNITUDE].  Each approximate layer must be sorted by load
+    (both solvers emit strictly ascending loads): per layer, the
+    smallest trimmed lateness within the window of a load is built as a
+    step function over the sorted trimmed loads, at most ``2m`` steps
+    for ``m`` trimmed states.  ValueError is raised when a pair is
+    reached whose numbers ``i`` differ, or whose approximate layer's
+    loads decrease, or when one iterable ends before the other.
+
+    An exact layer comes in one of two forms.  A `Layer`, whose states
+    may be in any order (the first uncovered one in layer order is
+    reported), is checked by one binary search per state.  A dense
+    table's fold ``(i, start, folded)``, as `exact`'s fold stream yields
+    it (``folded[k]`` the smallest lateness with makespan ``start + k``,
+    the cell dtype's maximum where none is reached), is checked segment
+    by segment, one contiguous run of cells per step, with no per-state
+    array.  Both give the same answer on the same states.
     """
     num, den = grid.delta1.numerator, grid.delta1.denominator
     for ex_layer, ap_layer in zip_longest(exact_layers, approx_layers):
         if ex_layer is None or ap_layer is None:
             raise ValueError("layer sequences differ in length")
-        if ex_layer.i != ap_layer.i:
-            raise ValueError(f"misaligned layers: {ex_layer.i} vs {ap_layer.i}")
+        i = ex_layer.i if isinstance(ex_layer, Layer) else ex_layer[0]
+        if i != ap_layer.i:
+            raise ValueError(f"misaligned layers: {i} vs {ap_layer.i}")
         if (ap_layer.cmax[1:] < ap_layer.cmax[:-1]).any():
             raise ValueError(f"approximate layer {ap_layer.i} is not sorted by load")
-        i = ex_layer.i
         # Integer differences: comparing with floor((i-1) * delta1) is exact.
         window = min((i - 1) * num // den, _WINDOW_CLAMP)
-        j = _first_uncovered(ex_layer, ap_layer, window)
-        if j is not None:
-            return ClosenessViolation(i, ParetoPoint(int(ex_layer.cmax[j]), int(ex_layer.lmax[j])))
+        steps, need = _cover_steps(ap_layer, window)
+        if isinstance(ex_layer, Layer):
+            point = _first_uncovered(ex_layer, steps, need)
+        else:
+            point = _first_uncovered_cell(*ex_layer[1:], steps, need)
+        if point is not None:
+            return ClosenessViolation(i, point)
     return None

@@ -4,6 +4,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from bipareto import DEFAULT_STATE_BUDGET, Front, GenSpec, ParetoPoint, generate_instance
+from bipareto import exact as exact_module
 from bipareto.exact import _layer_loop, _solve_layered, _sorted_layers
 
 
@@ -43,6 +44,21 @@ def sorted_loop(inst, width=Fraction(1)):
     """The sorted engine's ``(lmax, cmax, origin)`` arrays of layers 1..n,
     parents included, for load boxes of ``width``, as a list."""
     return list(_layer_loop(inst, width, DEFAULT_STATE_BUDGET))
+
+
+def spy_table_layers(monkeypatch, name="_table_layers"):
+    """Record every instance the dense table is streamed from through
+    ``exact.<name>``: `_table_layers`, which `exact_layers` reads, or
+    `_table_folds`, which both it and verify's drift check read.
+    Returns the list it appends to."""
+    runs, stream = [], getattr(exact_module, name)
+
+    def spy(inst):
+        runs.append(inst)
+        return stream(inst)
+
+    monkeypatch.setattr(exact_module, name, spy)
+    return runs
 
 
 def pareto_filter(points: Iterable[ParetoPoint]) -> Front:

@@ -22,6 +22,7 @@ from bipareto import (
 from bipareto import cli
 from bipareto.cli import EXIT_BUDGET, EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
 from bipareto.io import parse_front_csv, parse_instance, save_instance
+from conftest import spy_table_layers
 
 WORKED = [(2, 5), (3, 4), (4, 1)]
 
@@ -319,11 +320,13 @@ def test_verify_budget_exceeded(tmp_path, capsys):
     )
 
 
-def test_verify_holds_one_layer_of_each_run():
+def test_verify_holds_one_layer_of_each_run(monkeypatch):
     # n=200, P 101,976: the exact layers come from the dense table and
     # hold 5.16M states in all, about 83 MB when every layer was kept
     inst = generate_instance(GenSpec((200, 200), (1, 1000), (1, 1000), 404, 1), 0)
     assert inst.total_p == 101_976
+    table_layers = spy_table_layers(monkeypatch)
+    table_folds = spy_table_layers(monkeypatch, "_table_folds")
     tracemalloc.start()
     try:
         checks = cli._run_verify_checks(inst, Fraction(3, 10), DEFAULT_STATE_BUDGET)
@@ -332,6 +335,9 @@ def test_verify_holds_one_layer_of_each_run():
         tracemalloc.stop()
     assert [status for status, _, _ in checks] == ["SKIP", "PASS", "PASS"]
     assert peak < 16 * 2**20, f"verify peaked at {peak / 2**20:.1f} MB"
+    # the drift check reads the table's folds once, and builds no layer from them
+    assert table_folds == [inst]
+    assert table_layers == []
 
 
 def test_bench_desk_smoke(tmp_path, capsys):

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from bipareto import (
     DEFAULT_STATE_BUDGET,
     MAX_MAGNITUDE,
+    ClosenessViolation,
     Front,
     GridParams,
     Layer,
@@ -46,6 +47,7 @@ from conftest import (
     sorted_loop,
     sorted_peak,
     sorted_solve,
+    spy_table_layers,
     successor_pool,
 )
 
@@ -237,6 +239,16 @@ def array_layer(i, pairs):
     )
 
 
+def as_fold(layer, dtype=np.int32):
+    """A layer of distinct loads as the dense table's fold of it:
+    ``(i, start, folded)``, one cell per load from the smallest,
+    holding the dtype's maximum where no state has that load."""
+    start = int(layer.cmax.min())
+    folded = np.full(int(layer.cmax.max()) - start + 1, np.iinfo(dtype).max, dtype=dtype)
+    folded[layer.cmax - start] = layer.lmax
+    return layer.i, start, folded
+
+
 def reference_closeness_violation(exact_layers, approx_layers, grid):
     """Scalar drift check: values scaled by delta1's denominator, a
     bisect per exact state.  Returns (layer, point) of the first exact
@@ -381,6 +393,10 @@ def closeness_jobs(draw, kinds=("single", "small", "wide", "huge_p")):
     if kind == "equal_p":
         p = draw(st.integers(1, 30))
         return [(p, draw(st.integers(0, 50))) for _ in range(n)]
+    if kind == "even_p":  # no odd load is reached: the folds have unreached cells
+        return [(2 * draw(st.integers(1, 15)), draw(st.integers(0, 30))) for _ in range(n)]
+    if kind == "big_q":  # P + q_max >= 2**31 - 1: the dense table's cells are int64
+        return [(draw(st.integers(1, 30)), draw(st.integers(2**31, 2**40))) for _ in range(n)]
     p_hi = 30 if kind == "small" else 10**12
     return [(draw(st.integers(1, p_hi)), draw(st.integers(0, p_hi))) for _ in range(n)]
 
@@ -451,19 +467,6 @@ def test_vectorized_closeness_matches_reference(jobs, eps, mode, seed):
         assert found is None
 
 
-def spy_table_layers(monkeypatch):
-    """Record every instance `exact_layers` streams from the dense table;
-    returns the list it appends to."""
-    runs, table_layers = [], exact_module._table_layers
-
-    def spy(inst):
-        runs.append(inst)
-        return table_layers(inst)
-
-    monkeypatch.setattr(exact_module, "_table_layers", spy)
-    return runs
-
-
 def spy_scatter(monkeypatch):
     """Record the pool size of every layer the scatter reducer serves;
     returns the list it appends to."""
@@ -479,7 +482,7 @@ def spy_scatter(monkeypatch):
 
 @settings(max_examples=200, deadline=None)
 @given(
-    jobs=closeness_jobs(("small", "ties", "equal_p", "huge_p")),
+    jobs=closeness_jobs(("small", "ties", "equal_p", "even_p", "big_q", "huge_p")),
     eps=EPSILONS,
     mode=st.sampled_from(["real", "subsampled", "shifted", "both"]),
     seed=st.integers(0, 2**32 - 1),
@@ -516,8 +519,56 @@ def test_table_layers_equal_sorted_layers(jobs, eps, mode, seed):
     found = find_closeness_violation(ranked, approx, grid)
     assert find_closeness_violation(table, approx, grid) == found
     assert find_closeness_violation(exact_layers(inst), approx, grid) == found
+    # the stream verify reads: the table's raw folds on the dense route
+    exact_stream = exact_module._exact_stream(inst, DEFAULT_STATE_BUDGET)
+    assert find_closeness_violation(exact_stream, approx, grid) == found
+    if _dense_cells(inst) <= DEFAULT_STATE_BUDGET:
+        folds = exact_module._table_folds(inst)
+        assert find_closeness_violation(folds, approx, grid) == found
     if mode == "real":
         assert found is None
+
+
+@pytest.mark.parametrize(
+    "edge, jobs, eps",
+    [
+        ("int64-cells", [(3, 2**40), (5, 2**31), (4, 7), (6, 1)], Fraction(1, 2)),
+        ("unreached-cells", [(4, 9), (8, 3), (2, 30), (6, 12), (10, 1)], Fraction(3, 10)),
+        ("window-0", [(7, 3), (2, 8), (9, 9), (4, 1), (5, 6)], Fraction(1, 40)),
+    ],
+    ids=["int64-cells", "unreached-cells", "window-0"],
+)
+def test_fold_check_equals_layer_check(edge, jobs, eps):
+    inst = normalize(jobs)
+    grid = grid_params(inst, eps)
+    ranked = sorted_layers(inst)
+    # the fold stream reuses one buffer: copy each fold to keep it
+    folds = [(i, start, folded.copy()) for i, start, folded in exact_module._table_folds(inst)]
+    dtype = folds[0][2].dtype
+    if edge == "int64-cells":
+        assert dtype == np.int64
+    elif edge == "unreached-cells":
+        # every load is even, so every odd makespan's cell is unreached
+        unreached = sum(int((folded == np.iinfo(dtype).max).sum()) for _, _, folded in folds)
+        assert unreached >= sum((len(folded) - 1) // 2 for _, _, folded in folds) > 0
+    else:
+        # the window floor((i-1) * delta1) is 0 in every layer
+        assert (inst.n - 1) * grid.delta1 < 1
+    for seed in range(20):
+        for mode in ("real", "subsampled", "shifted", "both"):
+            approx = perturbed_layers(
+                trimmed_layers(inst, eps),
+                grid,
+                np.random.default_rng(seed),
+                mode in ("subsampled", "both"),
+                mode in ("shifted", "both"),
+            )
+            found = closeness_witness(ranked, approx, grid)
+            assert find_closeness_violation(folds, approx, grid) == (
+                None if found is None else ClosenessViolation(*found)
+            )
+            if mode == "real":
+                assert found is None
 
 
 @pytest.mark.parametrize(
@@ -529,10 +580,17 @@ def test_closeness_step_edges(i, delta1):
     # one trimmed state (L#, C#) = (100, 100); window w = floor((i-1) * delta1)
     w = (i - 1) * delta1.numerator // delta1.denominator
     grid = GridParams(delta1=delta1, delta2=delta1, cmax_bound=400, lmax_bound=400)
-    trimmed = [array_layer(i, [(100, 100)])]
+
+    def witness(states, trimmed_states=((100, 100),)):
+        layer, trimmed = array_layer(i, states), [array_layer(i, list(trimmed_states))]
+        found = closeness_witness([layer], trimmed, grid)
+        # the same exact layer as a fold of int32 cells gives the same witness
+        via_fold = find_closeness_violation([as_fold(layer)], trimmed, grid)
+        assert via_fold == (None if found is None else ClosenessViolation(*found))
+        return found
 
     def uncovered(lmax, cmax):
-        found = closeness_witness([array_layer(i, [(lmax, cmax)])], trimmed, grid)
+        found = witness([(lmax, cmax)])
         assert found in (None, (i, ParetoPoint(cmax, lmax)))
         return found is not None
 
@@ -543,9 +601,14 @@ def test_closeness_step_edges(i, delta1):
     assert not uncovered(100 - w, 100) and uncovered(100 - w - 1, 100)
     # in a layer, the first state past an edge is the one reported
     states = [(100, 100 - w - 1), (100, 100 - w), (100 - w - 1, 100), (100, 100 + w + 1)]
-    first, later = [array_layer(i, states)], [array_layer(i, states[1:])]
-    assert closeness_witness(first, trimmed, grid) == (i, ParetoPoint(100 - w - 1, 100))
-    assert closeness_witness(later, trimmed, grid) == (i, ParetoPoint(100, 100 - w - 1))
+    assert witness(states) == (i, ParetoPoint(100 - w - 1, 100))
+    assert witness(states[1:]) == (i, ParetoPoint(100, 100 - w - 1))
+    # trimmed loads 2w + 1 apart both put a step at 100 + w + 1, and only
+    # the upper state covers loads from there: the first uncovered load
+    # opens the step after the repeated point
+    pair, edge = ((100, 100), (110, 100 + 2 * w + 1)), 100 + w + 1
+    assert witness([(100, 100), (109 - w, edge)], pair) == (i, ParetoPoint(edge, 109 - w))
+    assert witness([(100, 100), (110 - w, edge)], pair) is None
 
 
 @st.composite

@@ -32,10 +32,8 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional, Sequence, TypeVar
 
-import numpy as np
-
 from . import bench, io
-from .exact import DEFAULT_STATE_BUDGET, Layer, StateBudgetError, solve_exact
+from .exact import DEFAULT_STATE_BUDGET, StateBudgetError, solve_exact
 from .exact import _exact_stream, _final_front
 from .fptas import (
     ClosenessViolation,
@@ -226,26 +224,17 @@ def _check(
     return ("PASS", name, passed) if found is None else ("FAIL", name, failed(found))
 
 
-def _last_front(layer: Layer | tuple[int, int, np.ndarray]) -> Front:
-    """The front of a run's last layer, or of the dense table's last
-    fold, whose cells are the makespans from ``start`` on."""
-    if isinstance(layer, Layer):
-        return _final_front(layer.lmax, layer.cmax)[0]
-    _, start, folded = layer
-    return _final_front(folded, np.arange(start, start + len(folded)))[0]
-
-
 def _run_verify_checks(
     inst: Instance, eps: Fraction, budget: int
 ) -> list[tuple[str, str, str]]:
     """Returns (status, name, detail) per check; statuses PASS/FAIL/SKIP.
 
     The drift check reads the exact and the trimmed run's layers as
-    streams, one pair at a time; on the dense route the exact stream is
-    the table's folds, which the check reads without building layers.
-    Both fronts come from the streams' last layers, so no layer is kept
-    and no witness is built."""
-    last: list = [None, None]  # each run's latest layer or fold
+    streams, one pair at a time; on the dense route the exact layers are
+    the table's folds, which the check reads in place, with no per-state
+    array.  Both fronts come from the streams' last layers, so no layer
+    is kept and no witness is built."""
+    last: list = [None, None]  # each run's latest layer
 
     def keep_last(run: int, layers: Iterable) -> Iterator:
         for last[run] in layers:
@@ -257,7 +246,7 @@ def _run_verify_checks(
     for stream in streams:  # the check stops at a violation: finish both runs
         for _ in stream:
             pass
-    exact_front, approx_front = map(_last_front, last)
+    exact_front, approx_front = (_final_front(layer.lmax, layer.cmax)[0] for layer in last)
 
     if inst.n > ORACLE_CAP:
         oracle = ("SKIP", "oracle-equality", f"n={inst.n} exceeds oracle cap {ORACLE_CAP}")

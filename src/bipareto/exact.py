@@ -71,12 +71,13 @@ mirrors of each makespan, so it pays only when loads are dense.  On
 this path the table is folded after every job, onto ``C = max(a, S_i -
 a)``: per makespan the smallest ``L`` over both mirrors, which is the
 sorted engine's layer, state for state.  One fold stream
-(`_table_folds`) yields ``(i, start, folded)``, ``folded[k]`` for ``C =
-start + k``, a view of one scratch buffer that the next fold
-overwrites.  `exact_layers` wraps each fold's reached cells into a
-`Layer` of int64 arrays, whatever the cell dtype; `verify`'s drift
-check reads the folds raw (`_exact_stream`), building no per-state
-array.
+(`_table_folds`) yields each fold as a `_Fold`, a private `Layer` with
+one cell per makespan: its ``lmax`` is one scratch buffer that the next
+fold overwrites, its ``cmax`` a view of the table's ramp of loads.
+`exact_layers` compacts each fold's reached cells into a plain `Layer`
+of int64 arrays, whatever the cell dtype (`_reached`); `verify`'s drift
+check reads the folds as they are (`_exact_stream`), building no
+per-state array.
 The budget counts the sorted engine's states on both routes.
 `solve_exact` takes the table iff its cell count ``sum_i (S_i - p_1 +
 1)`` is at most four times the sorted engine's state count, and the
@@ -147,6 +148,16 @@ class Layer:
 
     def __len__(self) -> int:
         return len(self.cmax)
+
+
+class _Fold(Layer):
+    """A fold of the dense table, as `_exact_stream` yields it: one cell
+    per makespan of the layer, reached or not.  ``lmax`` is the reused
+    fold buffer in the cell dtype, holding the dtype's maximum where no
+    assignment reaches the makespan; ``cmax`` is the ascending run of
+    makespans, a view of the table's ramp of loads.  `exact_layers`
+    turns each into a plain `Layer` of its reached cells (`_reached`);
+    verify's drift check reads it as it is."""
 
 
 @dataclass(frozen=True)
@@ -409,12 +420,13 @@ def _layer_sizes(inst: Instance) -> list[int]:
 
 
 def _fold(
-    table: np.ndarray, base: int, total: int, out: np.ndarray
-) -> tuple[int, np.ndarray]:
+    table: np.ndarray, loads: np.ndarray, base: int, total: int, out: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """Smallest lateness per makespan ``C = max(a, total - a)`` over the
     flag-1 loads ``a`` in ``[base, total]`` of ``table`` (cell ``a - base``),
-    written to the front of ``out``: ``(start, folded)``, ``folded[k]`` for
-    ``C = start + k``.
+    written to the front of ``out``: ``(folded, makespans)``, ``folded[k]``
+    for ``C = makespans[k]``, a view of the ramp ``loads`` (``loads[k] =
+    base + k``).
 
     C runs from ``start = max(ceil(total / 2), base)`` to ``total``, so
     the fold is never longer than the table: first a = C, then, where
@@ -428,28 +440,28 @@ def _fold(
     span = total // 2 - base + 1
     if span > 0:
         np.minimum(folded[:span], table[span - 1 :: -1], out=folded[:span])
-    return start, folded
+    return folded, loads[start - base : total - base + 1]
 
 
-def _first_table(inst: Instance) -> np.ndarray:
-    """The dense table of layer 1: ``table[k]`` is the smallest lateness
-    with flag-1 load ``p_1 + k``, for every load up to ``P``."""
+def _first_table(inst: Instance) -> tuple[np.ndarray, np.ndarray]:
+    """The dense table of layer 1 and the ramp of its loads, in the cell
+    dtype: ``table[k]`` is the smallest lateness with flag-1 load
+    ``loads[k] = p_1 + k``, for every load up to ``P``."""
     first = inst.jobs[0]
     # every lateness and load is at most P + q_max, below the sentinel
     dtype = np.int32 if inst.total_p + inst.q_max < np.iinfo(np.int32).max else np.int64
     table = np.full(inst.total_p - first.p + 1, np.iinfo(dtype).max, dtype=dtype)
     table[0] = first.p + first.q
-    return table
+    return table, np.arange(first.p, inst.total_p + 1, dtype=dtype)
 
 
-def _add_jobs(inst: Instance, table: np.ndarray) -> Iterator[np.ndarray]:
+def _add_jobs(inst: Instance, table: np.ndarray, loads: np.ndarray) -> Iterator[np.ndarray]:
     """Adds jobs 2..n to layer 1's ``table`` in place (see the module
     docstring), yielding after each job its take mask: ``take[k]`` is
-    set iff load ``p_1 + k + p`` moved onto flag 1."""
+    set iff load ``p_1 + k + p`` moved onto flag 1.  ``loads`` is the
+    table's ramp."""
     base = inst.jobs[0].p
-    # scratch for one job's parents: at most the S_(n-1) - p_1 + 1 loads
-    # reached before the last job
-    loads = np.arange(base, inst.prefix[-2] + 1, dtype=table.dtype)
+    # scratch for one job's parents, as wide as the ramp
     moved = np.empty_like(loads)
     stayed = np.empty_like(loads)
     for job, prefix in zip(inst.jobs[1:], inst.prefix[2:]):
@@ -468,39 +480,37 @@ def _add_jobs(inst: Instance, table: np.ndarray) -> Iterator[np.ndarray]:
         yield take
 
 
-def _table_folds(inst: Instance) -> Iterator[tuple[int, int, np.ndarray]]:
-    """The dense table folded after every job, as ``(i, start, folded)``
-    for layers 1..n: ``folded[k]`` is the smallest lateness with makespan
-    ``start + k``, the cell dtype's maximum where none is reached.
-    ``folded`` is a view of one scratch buffer, which the next fold
-    overwrites."""
-    table = _first_table(inst)
-    fold = np.empty_like(table)
+def _table_folds(inst: Instance) -> Iterator[_Fold]:
+    """The dense table folded after every job, as `_Fold`s of layers
+    1..n (see `_Fold`).  Every fold's ``lmax`` is a view of one scratch
+    buffer, which the next fold overwrites."""
+    table, loads = _first_table(inst)
+    out = np.empty_like(table)
     base = inst.jobs[0].p
     # layer 1, then one layer per job added
-    for i, _ in enumerate(chain((None,), _add_jobs(inst, table)), 1):
-        yield (i, *_fold(table, base, inst.prefix[i], fold))
+    for i, _ in enumerate(chain((None,), _add_jobs(inst, table, loads)), 1):
+        yield _Fold(i, *_fold(table, loads, base, inst.prefix[i], out))
 
 
-def _table_layers(inst: Instance) -> Iterator[Layer]:
-    """`_table_folds` as layers 1..n: the reached makespans, each with
-    its smallest lateness."""
-    for i, start, folded in _table_folds(inst):
-        reached = folded != np.iinfo(folded.dtype).max
-        cmax = np.flatnonzero(reached)
-        cmax += start
-        yield Layer(i, folded[reached].astype(np.int64), cmax)
+def _reached(layer: Layer) -> Layer:
+    """A `_Fold` as a plain `Layer` of int64 copies of its reached cells:
+    the reached makespans, each with its smallest lateness.  Any other
+    layer passes through as it is."""
+    if not isinstance(layer, _Fold):
+        return layer
+    reached = layer.lmax != np.iinfo(layer.lmax.dtype).max
+    lmax, cmax = layer.lmax[reached], layer.cmax[reached]
+    return Layer(layer.i, lmax.astype(np.int64, copy=False), cmax.astype(np.int64, copy=False))
 
 
 def _solve_dense(inst: Instance, sizes: Sequence[int]) -> SolveResult:
     """The exact front from a table of the smallest lateness per flag-1
     load (see the module docstring); ``sizes`` is `_layer_sizes`."""
     base, total = inst.jobs[0].p, inst.total_p
-    table = _first_table(inst)
+    table, loads = _first_table(inst)
     # per job i >= 2: packed bits, bit k set iff load base + k + p moved onto flag 1
-    takes = [np.packbits(take).tobytes() for take in _add_jobs(inst, table)]
-    start, folded = _fold(table, base, total, np.empty_like(table))
-    front, _ = _final_front(folded, np.arange(start, total + 1))
+    takes = [np.packbits(take).tobytes() for take in _add_jobs(inst, table, loads)]
+    front, _ = _final_front(*_fold(table, loads, base, total, np.empty_like(table)))
     schedules = []
     for cmax, lmax in front:
         # ties between the two mirrors go to flag 1 carrying the makespan
@@ -560,17 +570,13 @@ def exact_layers(inst: Instance, *, budget: int = DEFAULT_STATE_BUDGET) -> Itera
     StateBudgetError at the layer where `solve_exact` does, with the same
     text.
     """
-    if _dense_sizes(inst, budget) is None:
-        return _sorted_layers(inst, Fraction(1), budget)
-    return _table_layers(inst)
+    return map(_reached, _exact_stream(inst, budget))
 
 
-def _exact_stream(
-    inst: Instance, budget: int
-) -> Iterator[Layer] | Iterator[tuple[int, int, np.ndarray]]:
+def _exact_stream(inst: Instance, budget: int) -> Iterator[Layer]:
     """`exact_layers` on the same route, with the dense table's layers
-    left as `_table_folds` yields them: the drift check reads those
-    directly, one at a time."""
+    left as the `_Fold`s `_table_folds` yields: the drift check reads
+    those directly, one at a time."""
     if _dense_sizes(inst, budget) is None:
         return _sorted_layers(inst, Fraction(1), budget)
     return _table_folds(inst)

@@ -27,12 +27,11 @@ layers as streams, `exact_layers` and `trimmed_layers`, one pair at a
 time, so no layer of either run needs to be kept.  Per layer the
 trimmed states give one step function of the load, the smallest
 lateness an exact state there must have to be covered
-(`_cover_steps`); an exact layer meets it in one of two forms.  A
-`Layer`'s states each find their step by binary search.  A fold of the
-dense exact table (``(i, start, folded)``, one cell per makespan, as
-`verify` reads the dense route) is cut into one run of cells per step,
-and one reduceat compares each run's minimum with its step, with no
-per-state array.
+(`_cover_steps`), and each exact state finds its step by binary
+search.  On the dense route `verify` passes the table's folds instead,
+`exact`'s private `_Fold` layers with one cell per makespan: each is
+cut into one run of cells per step, and one reduceat compares each
+run's minimum with its step, with no per-state array.
 
 This module only chooses the box width; the box rule itself,
 `box_index`, and the engine that applies it are in `exact`.
@@ -66,7 +65,7 @@ from typing import Iterable, Iterator, Optional
 import numpy as np
 
 from .exact import _INT64_MAX, DEFAULT_STATE_BUDGET, Layer, SolveResult
-from .exact import _solve_layered, _sorted_layers
+from .exact import _Fold, _solve_layered, _sorted_layers
 from .model import MAX_MAGNITUDE, Front, Instance, ParetoPoint
 
 # Drift windows are clamped here: no two values in [0, MAX_MAGNITUDE]
@@ -222,11 +221,10 @@ def _first_uncovered(
 
 
 def _first_uncovered_cell(
-    start: int, folded: np.ndarray, steps: np.ndarray, need: np.ndarray
+    fold: _Fold, steps: np.ndarray, need: np.ndarray
 ) -> Optional[ParetoPoint]:
-    """The first reached cell of a folded dense table (``folded[k]`` the
-    smallest lateness with makespan ``start + k``) that the step
-    function `_cover_steps` does not cover.
+    """The first reached cell of a fold of the dense table, in ascending
+    makespan, that the step function `_cover_steps` does not cover.
 
     The cells under one step are contiguous: the steps inside the fold's
     makespans cut it into segments, and one reduceat takes each
@@ -236,6 +234,7 @@ def _first_uncovered_cell(
     first step still do.  Only the first failing segment is searched
     cell by cell.
     """
+    folded, start = fold.lmax, int(fold.cmax[0])
     size = len(folded)
     # segments first..last: the first from cell 0, each other from a step
     first = int(np.searchsorted(steps, start, side="right"))
@@ -258,7 +257,7 @@ def _first_uncovered_cell(
 
 
 def find_closeness_violation(
-    exact_layers: Iterable[Layer | tuple[int, int, np.ndarray]],
+    exact_layers: Iterable[Layer],
     approx_layers: Iterable[Layer],
     grid: GridParams,
 ) -> Optional[ClosenessViolation]:
@@ -283,20 +282,17 @@ def find_closeness_violation(
     reached whose numbers ``i`` differ, or whose approximate layer's
     loads decrease, or when one iterable ends before the other.
 
-    An exact layer comes in one of two forms.  A `Layer`, whose states
-    may be in any order (the first uncovered one in layer order is
-    reported), is checked by one binary search per state.  A dense
-    table's fold ``(i, start, folded)``, as `exact`'s fold stream yields
-    it (``folded[k]`` the smallest lateness with makespan ``start + k``,
-    the cell dtype's maximum where none is reached), is checked segment
-    by segment, one contiguous run of cells per step, with no per-state
-    array.  Both give the same answer on the same states.
+    An exact layer's states may be in any order: the first uncovered
+    one in layer order is reported.  Each is checked by one binary
+    search.  (On the dense route, verify passes the table's folds
+    instead, as `exact` streams them privately; those are checked one
+    contiguous run of cells per step, with the same answer.)
     """
     num, den = grid.delta1.numerator, grid.delta1.denominator
     for ex_layer, ap_layer in zip_longest(exact_layers, approx_layers):
         if ex_layer is None or ap_layer is None:
             raise ValueError("layer sequences differ in length")
-        i = ex_layer.i if isinstance(ex_layer, Layer) else ex_layer[0]
+        i = ex_layer.i
         if i != ap_layer.i:
             raise ValueError(f"misaligned layers: {i} vs {ap_layer.i}")
         if (ap_layer.cmax[1:] < ap_layer.cmax[:-1]).any():
@@ -304,10 +300,10 @@ def find_closeness_violation(
         # Integer differences: comparing with floor((i-1) * delta1) is exact.
         window = min((i - 1) * num // den, _WINDOW_CLAMP)
         steps, need = _cover_steps(ap_layer, window)
-        if isinstance(ex_layer, Layer):
-            point = _first_uncovered(ex_layer, steps, need)
+        if isinstance(ex_layer, _Fold):
+            point = _first_uncovered_cell(ex_layer, steps, need)
         else:
-            point = _first_uncovered_cell(*ex_layer[1:], steps, need)
+            point = _first_uncovered(ex_layer, steps, need)
         if point is not None:
             return ClosenessViolation(i, point)
     return None

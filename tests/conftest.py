@@ -46,19 +46,20 @@ def sorted_loop(inst, width=Fraction(1)):
     return list(_layer_loop(inst, width, DEFAULT_STATE_BUDGET))
 
 
-def spy_table_layers(monkeypatch, name="_table_layers"):
-    """Record every instance the dense table is streamed from through
-    ``exact.<name>``: `_table_layers`, which `exact_layers` reads, or
-    `_table_folds`, which both it and verify's drift check read.
+def spy_exact(monkeypatch, name):
+    """Record the argument of every call of ``exact.<name>``, a function
+    of one argument: `_table_folds`, which streams the dense table's
+    folds of an instance to `exact_layers` and to verify's drift check,
+    or `_reached`, which `exact_layers` compacts each layer with.
     Returns the list it appends to."""
-    runs, stream = [], getattr(exact_module, name)
+    calls, fn = [], getattr(exact_module, name)
 
-    def spy(inst):
-        runs.append(inst)
-        return stream(inst)
+    def spy(arg):
+        calls.append(arg)
+        return fn(arg)
 
     monkeypatch.setattr(exact_module, name, spy)
-    return runs
+    return calls
 
 
 def pareto_filter(points: Iterable[ParetoPoint]) -> Front:

@@ -22,7 +22,7 @@ from bipareto import (
 from bipareto import cli
 from bipareto.cli import EXIT_BUDGET, EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
 from bipareto.io import parse_front_csv, parse_instance, save_instance
-from conftest import spy_table_layers
+from conftest import spy_exact
 
 WORKED = [(2, 5), (3, 4), (4, 1)]
 
@@ -325,8 +325,8 @@ def test_verify_holds_one_layer_of_each_run(monkeypatch):
     # hold 5.16M states in all, about 83 MB when every layer was kept
     inst = generate_instance(GenSpec((200, 200), (1, 1000), (1, 1000), 404, 1), 0)
     assert inst.total_p == 101_976
-    table_layers = spy_table_layers(monkeypatch)
-    table_folds = spy_table_layers(monkeypatch, "_table_folds")
+    table_folds = spy_exact(monkeypatch, "_table_folds")
+    compacted = spy_exact(monkeypatch, "_reached")
     tracemalloc.start()
     try:
         checks = cli._run_verify_checks(inst, Fraction(3, 10), DEFAULT_STATE_BUDGET)
@@ -335,9 +335,9 @@ def test_verify_holds_one_layer_of_each_run(monkeypatch):
         tracemalloc.stop()
     assert [status for status, _, _ in checks] == ["SKIP", "PASS", "PASS"]
     assert peak < 16 * 2**20, f"verify peaked at {peak / 2**20:.1f} MB"
-    # the drift check reads the table's folds once, and builds no layer from them
+    # the drift check reads the table's folds once, and compacts none of them
     assert table_folds == [inst]
-    assert table_layers == []
+    assert compacted == []
 
 
 def test_bench_desk_smoke(tmp_path, capsys):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bipareto import (
+    Layer,
     ParetoPoint,
     StateBudgetError,
     evaluate_schedule,
@@ -23,6 +24,7 @@ from conftest import (
     sorted_loop,
     sorted_peak,
     sorted_solve,
+    spy_exact,
     successor_pool,
 )
 
@@ -455,6 +457,33 @@ def test_dense_cell_dtype_boundary(monkeypatch, jobs, dtype):
         assert table_layer.cmax.tolist() == layer.cmax.tolist()
     if len({job.q for job in inst.jobs}) == 1:
         assert max(layers[-1].lmax.tolist()) == inst.total_p + inst.q_max
+
+
+@pytest.mark.parametrize(
+    "jobs, cells",
+    [
+        ([(p, 2 * p) for p in DENSE_P], np.int32),
+        ([(p, 2**40 if p % 2 else p) for p in DENSE_P], np.int64),
+        # sparse loads: the sorted engine serves
+        ([(1, 100)] * 19 + [(1_000_000, 0)], None),
+    ],
+    ids=["table-int32", "table-int64", "sorted"],
+)
+def test_exact_layers_leak_no_fold(monkeypatch, jobs, cells):
+    inst = normalize(jobs)
+    table_folds = spy_exact(monkeypatch, "_table_folds")
+    layers = list(exact_layers(inst))
+    assert table_folds == ([] if cells is None else [inst])
+    if cells is not None:
+        assert exact_module._first_table(inst)[0].dtype == np.dtype(cells)
+    assert [layer.i for layer in layers] == list(range(1, inst.n + 1))
+    for layer in layers:
+        assert type(layer) is Layer
+        assert layer.lmax.dtype == layer.cmax.dtype == np.int64
+    # no view of the reused fold buffer, or of the table's ramp, escapes
+    arrays = [array for layer in layers for array in (layer.lmax, layer.cmax)]
+    for k, array in enumerate(arrays):
+        assert not any(np.shares_memory(array, other) for other in arrays[k + 1 :])
 
 
 def test_widest_exact_layer_follows_total_load(monkeypatch):

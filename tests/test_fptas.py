@@ -34,6 +34,7 @@ from bipareto import (
 from bipareto import exact as exact_module
 from bipareto.exact import (
     _INT64_MAX,
+    _Fold,
     _box_key,
     _dense_cells,
     _layer_sizes,
@@ -47,7 +48,7 @@ from conftest import (
     sorted_loop,
     sorted_peak,
     sorted_solve,
-    spy_table_layers,
+    spy_exact,
     successor_pool,
 )
 
@@ -240,13 +241,13 @@ def array_layer(i, pairs):
 
 
 def as_fold(layer, dtype=np.int32):
-    """A layer of distinct loads as the dense table's fold of it:
-    ``(i, start, folded)``, one cell per load from the smallest,
-    holding the dtype's maximum where no state has that load."""
-    start = int(layer.cmax.min())
-    folded = np.full(int(layer.cmax.max()) - start + 1, np.iinfo(dtype).max, dtype=dtype)
+    """A layer of distinct loads as the dense table's fold of it: one
+    cell per load from the smallest to the largest, holding the dtype's
+    maximum where no state has that load."""
+    start, stop = int(layer.cmax.min()), int(layer.cmax.max()) + 1
+    folded = np.full(stop - start, np.iinfo(dtype).max, dtype=dtype)
     folded[layer.cmax - start] = layer.lmax
-    return layer.i, start, folded
+    return _Fold(layer.i, folded, np.arange(start, stop, dtype=dtype))
 
 
 def reference_closeness_violation(exact_layers, approx_layers, grid):
@@ -491,11 +492,11 @@ def test_table_layers_equal_sorted_layers(jobs, eps, mode, seed):
     inst = normalize(jobs)
     ranked = sorted_layers(inst)
     with pytest.MonkeyPatch.context() as patch:
-        table_runs = spy_table_layers(patch)
+        table_runs = spy_exact(patch, "_table_folds")
         streamed = list(exact_layers(inst))
     if _dense_cells(inst) <= DEFAULT_STATE_BUDGET:
         # the table, whichever route solve_exact took
-        table = list(exact_module._table_layers(inst))
+        table = list(map(exact_module._reached, exact_module._table_folds(inst)))
         assert _layer_sizes(inst) == [len(layer) for layer in ranked]
     else:
         # loads near 2^59: the table would not fit, the sorted engine serves
@@ -543,14 +544,14 @@ def test_fold_check_equals_layer_check(edge, jobs, eps):
     grid = grid_params(inst, eps)
     ranked = sorted_layers(inst)
     # the fold stream reuses one buffer: copy each fold to keep it
-    folds = [(i, start, folded.copy()) for i, start, folded in exact_module._table_folds(inst)]
-    dtype = folds[0][2].dtype
+    folds = [_Fold(f.i, f.lmax.copy(), f.cmax) for f in exact_module._table_folds(inst)]
+    dtype = folds[0].lmax.dtype
     if edge == "int64-cells":
         assert dtype == np.int64
     elif edge == "unreached-cells":
         # every load is even, so every odd makespan's cell is unreached
-        unreached = sum(int((folded == np.iinfo(dtype).max).sum()) for _, _, folded in folds)
-        assert unreached >= sum((len(folded) - 1) // 2 for _, _, folded in folds) > 0
+        unreached = sum(int((fold.lmax == np.iinfo(dtype).max).sum()) for fold in folds)
+        assert unreached >= sum((len(fold) - 1) // 2 for fold in folds) > 0
     else:
         # the window floor((i-1) * delta1) is 0 in every layer
         assert (inst.n - 1) * grid.delta1 < 1
@@ -766,7 +767,7 @@ def test_streams_agree_with_lean_solves(monkeypatch, fallback):
     instances = make_instances(43, 8, (1, 14)) + make_instances(47, 3, (20, 30), (1, 1000))
     # sparse loads: the exact solve takes the sorted engine
     instances.append(normalize([(1, 100)] * 19 + [(1_000_000, 0)]))
-    table_runs = spy_table_layers(monkeypatch)
+    table_runs = spy_exact(monkeypatch, "_table_folds")
     table_route = set()
     for inst in instances:
         for solve, stream in runs:

@@ -78,20 +78,26 @@ fold overwrites, its ``cmax`` a view of the table's ramp of loads.
 of int64 arrays, whatever the cell dtype (`_reached`); `verify`'s drift
 check reads the folds as they are (`_exact_stream`), building no
 per-state array.
-The budget counts the sorted engine's states on both routes.
-`solve_exact` takes the table iff its cell count ``sum_i (S_i - p_1 +
-1)`` is at most four times the sorted engine's state count, and the
-sorted engine would run within the budget.  Both are decided from the
-state counts per layer, taken from subset sums (`_layer_sizes`), which
-the table reports as its layer sizes; an instance over the budget goes
-to the sorted engine, which raises where it always does.  The count
-runs only while the cells are at most four times the budget, which
-both conditions imply and which bounds its bitset.  Dense loads give a
-ratio near 2 (the two mirrors), on either side of it, so a factor of 2
-would send some of them to the sorted engine; the table measured
-faster up to a ratio of about 10.  `exact_layers` takes the same
-route.  Every other exact solve and every `solve_fptas` call run the
-sorted engine.
+The budget counts the sorted engine's states on both routes, and one
+count decides the route (`_table_sizes`).  `solve_exact` takes the
+table iff its cell count ``sum_i (S_i - p_1 + 1)`` is at most four
+times the sorted engine's state count, and the sorted engine would run
+within the budget.  Dense loads give a ratio near 2 (the two mirrors),
+on either side of it, so a factor of 2 would send some of them to the
+sorted engine; the table measured faster up to a ratio of about 10.
+The states per layer are counted from subset sums, and the table
+reports them as its layer sizes.  Before each job the count tests the
+budget as `_layer_loop` does, the states kept so far plus twice the
+last layer, and stops at the first layer the sorted engine would
+refuse: that instance goes to the sorted engine, which raises where it
+always does.  Before any of that, an O(n) bound settles sparse routes:
+layer ``i`` keeps at most twice the states of layer ``i - 1`` (the
+list-growth bound of Nemhauser and Ullmann's Pareto-list DP) and at
+most ``S_i // 2 + 1`` makespans, and the count runs only while the
+cells are at most four times both that bound and the budget.  So its
+bitset is bounded by the states the sorted engine could keep, not by
+the loads.  `exact_layers` takes the same route.  Every other exact
+solve and every `solve_fptas` call run the sorted engine.
 Both paths give the same front, layer sizes and layers' states, and
 raise the same StateBudgetError under the same budget; their
 witnesses may differ where ties allow.
@@ -107,7 +113,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, chain
+from itertools import chain
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -168,9 +174,9 @@ class SolveResult:
     flag (0 or 1) of ``inst.jobs[k]``, with the first job on flag 1; it
     evaluates exactly to ``front.points[j]``.
     ``layer_sizes[i-1]`` is the sorted engine's state count of layer
-    ``i`` on either route: the dense path of `solve_exact` counts it
-    from subset sums, the count that routed the solve there (cells <=
-    4 x the total, and the sorted engine's peak within the budget).
+    ``i`` on either route: the dense path of `solve_exact` takes it
+    from the count that routed the solve there (see the module
+    docstring).
     The layers themselves come from `exact_layers` and
     `trimmed_layers`.
     """
@@ -392,33 +398,6 @@ def _solve_layered(inst: Instance, width: Fraction, budget: int) -> SolveResult:
 # ---------------------------------------------------------------------------
 
 
-def _dense_cells(inst: Instance) -> int:
-    """Cells the dense path fills: layer ``i`` spans flag-1 loads
-    ``[p_1, S_i]``."""
-    return sum(inst.prefix[1:]) - inst.n * (inst.jobs[0].p - 1)
-
-
-def _layer_sizes(inst: Instance) -> list[int]:
-    """States the sorted engine keeps per layer: one per makespan
-    ``max(a, S_i - a)`` over the reachable flag-1 loads ``a``.
-
-    Bit ``t`` of ``reach`` is set when some subset of the jobs 2..i sums
-    to ``t``, so flag 1 can carry ``p_1 + t`` and flag 0 can carry ``t``.
-    The loads either machine can carry form a set symmetric about
-    ``S_i / 2`` of size ``2 |reach| - |reach & (reach + p_1)|``; the
-    makespans are its upper half.  The bitset spans ``S_n - p_1 + 1``
-    bits, at most the dense path's cell count.
-    """
-    base = inst.jobs[0].p
-    reach = 1
-    sizes = [1]
-    for job in inst.jobs[1:]:
-        reach |= reach << job.p
-        union = 2 * reach.bit_count() - (reach & reach >> base).bit_count()
-        sizes.append((union + 1) // 2)
-    return sizes
-
-
 def _fold(
     table: np.ndarray, loads: np.ndarray, base: int, total: int, out: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -505,7 +484,7 @@ def _reached(layer: Layer) -> Layer:
 
 def _solve_dense(inst: Instance, sizes: Sequence[int]) -> SolveResult:
     """The exact front from a table of the smallest lateness per flag-1
-    load (see the module docstring); ``sizes`` is `_layer_sizes`."""
+    load (see the module docstring); ``sizes`` is `_table_sizes`."""
     base, total = inst.jobs[0].p, inst.total_p
     table, loads = _first_table(inst)
     # per job i >= 2: packed bits, bit k set iff load base + k + p moved onto flag 1
@@ -527,20 +506,35 @@ def _solve_dense(inst: Instance, sizes: Sequence[int]) -> SolveResult:
     return SolveResult(front, tuple(schedules), tuple(sizes))
 
 
-def _dense_sizes(inst: Instance, budget: int) -> Optional[list[int]]:
-    """`_layer_sizes` when the exact solve takes the dense table, else
-    None.  The table runs iff its cells are at most four times the sorted
-    engine's states and the sorted engine would fit the budget: before
-    each layer ``i >= 2`` it tests the states of layers ``1..i-1`` plus
-    a pool of twice layer ``i-1``.  Both imply ``cells <= 4 * budget``,
-    so the states are counted only then, which bounds the count's
-    bitset."""
-    if (cells := _dense_cells(inst)) <= 4 * budget:
-        sizes = _layer_sizes(inst)
-        pools = (kept + 2 * size for kept, size in zip(accumulate(sizes), sizes[:-1]))
-        if cells <= 4 * sum(sizes) and max(pools, default=0) <= budget:
-            return sizes
-    return None
+def _table_sizes(inst: Instance, budget: int) -> Optional[list[int]]:
+    """The sorted engine's state count per layer when the exact solve
+    takes the dense table, else None (see the module docstring).
+
+    Bit ``t`` of ``reach`` is set when some subset of the jobs 2..i sums
+    to ``t``, so flag 1 can carry ``p_1 + t`` and flag 0 can carry ``t``.
+    The loads either machine can carry form a set symmetric about
+    ``S_i / 2`` of size ``2 |reach| - |reach & (reach + p_1)|``; the
+    makespans are its upper half, ``|reach| - floor(|reach & (reach +
+    p_1)| / 2)`` of them.
+    """
+    cells = sum(inst.prefix[1:]) - inst.n * (inst.jobs[0].p - 1)
+    # layer i keeps at most twice layer i-1 and at most S_i // 2 + 1 states
+    most = bound = 1
+    for prefix in inst.prefix[2:]:
+        most = min(2 * most, prefix // 2 + 1)
+        bound += most
+    if cells > 4 * min(budget, bound):
+        return None
+    base = inst.jobs[0].p
+    reach = kept = 1
+    sizes = [1]
+    for job in inst.jobs[1:]:
+        if kept + 2 * sizes[-1] > budget:
+            return None
+        reach |= reach << job.p
+        sizes.append(reach.bit_count() - (reach & reach >> base).bit_count() // 2)
+        kept += sizes[-1]
+    return sizes if cells <= 4 * kept else None
 
 
 def solve_exact(inst: Instance, *, budget: int = DEFAULT_STATE_BUDGET) -> SolveResult:
@@ -553,7 +547,7 @@ def solve_exact(inst: Instance, *, budget: int = DEFAULT_STATE_BUDGET) -> SolveR
     Raises StateBudgetError instead of exhausting memory when the
     retained state count would exceed ``budget``.
     """
-    sizes = _dense_sizes(inst, budget)
+    sizes = _table_sizes(inst, budget)
     if sizes is None:
         return _solve_layered(inst, Fraction(1), budget)
     return _solve_dense(inst, sizes)
@@ -565,10 +559,10 @@ def exact_layers(inst: Instance, *, budget: int = DEFAULT_STATE_BUDGET) -> Itera
     after each job, which holds the same states.
 
     The stream keeps no layer it has yielded, nor any parent chain.  The
-    table runs only where the sorted engine would fit the budget, so an
-    instance over it streams the sorted engine's layers and raises
-    StateBudgetError at the layer where `solve_exact` does, with the same
-    text.
+    table runs only where the sorted engine would fit the budget (see
+    the module docstring for the rule), so an instance over it streams
+    the sorted engine's layers and raises StateBudgetError at the layer
+    where `solve_exact` does, with the same text.
     """
     return map(_reached, _exact_stream(inst, budget))
 
@@ -577,6 +571,6 @@ def _exact_stream(inst: Instance, budget: int) -> Iterator[Layer]:
     """`exact_layers` on the same route, with the dense table's layers
     left as the `_Fold`s `_table_folds` yields: the drift check reads
     those directly, one at a time."""
-    if _dense_sizes(inst, budget) is None:
+    if _table_sizes(inst, budget) is None:
         return _sorted_layers(inst, Fraction(1), budget)
     return _table_folds(inst)

@@ -35,6 +35,12 @@ def sorted_peak(sizes):
     return max((sum(sizes[:i]) + 2 * sizes[i - 1] for i in range(1, len(sizes))), default=1)
 
 
+def table_cells(inst):
+    """Cells the dense table fills: layer ``i`` spans flag-1 loads
+    ``[p_1, S_i]``."""
+    return sum(inst.prefix[1:]) - inst.n * (inst.jobs[0].p - 1)
+
+
 def sorted_layers(inst):
     """The sorted engine's exact layers as a list."""
     return list(_sorted_layers(inst, Fraction(1), DEFAULT_STATE_BUDGET))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -7,16 +8,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bipareto import (
+    DEFAULT_STATE_BUDGET,
+    GenSpec,
     Layer,
     ParetoPoint,
     StateBudgetError,
     evaluate_schedule,
     exact_layers,
+    generate_instance,
     normalize,
     solve_exact,
 )
 from bipareto import exact as exact_module
-from bipareto.exact import _dense_cells, _expand, _min_lmax_per_key
+from bipareto.exact import _expand, _min_lmax_per_key
 from bipareto.oracle import enumerate_front
 from conftest import (
     make_instances,
@@ -26,6 +30,7 @@ from conftest import (
     sorted_solve,
     spy_exact,
     successor_pool,
+    table_cells,
 )
 
 WORKED = [(2, 5), (3, 4), (4, 1)]
@@ -381,7 +386,7 @@ def test_dense_path_runs_while_the_sorted_engine_fits_the_budget(monkeypatch):
     need = max(needs)
     layer = needs.index(need) + 2
     # the budget is in the sorted engine's states, which the cells pass
-    assert _dense_cells(inst) > need
+    assert table_cells(inst) > need
     ranked, solve_layered = [], exact_module._solve_layered
 
     def sorted_engine(*args):
@@ -415,8 +420,34 @@ def test_sparse_instance_under_the_cell_count_takes_the_sorted_path(monkeypatch)
     result = solve_exact(inst)
     assert result.front == enumerate_front(inst)
     assert_witnesses_realize_front(inst, result)
-    assert tuple(exact_module._layer_sizes(inst)) == result.layer_sizes
+    assert exact_module._table_sizes(inst, DEFAULT_STATE_BUDGET) is None
     assert sum(result.layer_sizes) == 129
+
+
+@pytest.mark.parametrize(
+    "inst, budget",
+    [
+        # 1.5e8 cells, under four times the default budget, for 269 states
+        (normalize([(1, 100)] * 29 + [(150_000_000, 0)]), DEFAULT_STATE_BUDGET),
+        # P 110,919,620: 6.3e8 cells for 4,095 states, the most 12 jobs allow
+        (generate_instance(GenSpec((12, 12), (1, 2**24), (1, 2**24), 5, 1), 0), 10**9),
+    ],
+    ids=["one-long-job", "wide-loads"],
+)
+def test_route_count_is_bounded_by_states_not_cells(inst, budget):
+    # each layer keeps at most twice the states of the one before, so the
+    # sorted route is settled before a bitset as wide as the loads is built
+    tracemalloc.start()
+    try:
+        result = solve_exact(inst, budget=budget)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, f"solve_exact peaked at {peak / 2**20:.1f} MB"
+    assert result.front == sorted_solve(inst).front
+    assert_witnesses_realize_front(inst, result)
+    if inst.n <= 12:  # small enough to enumerate
+        assert result.front == enumerate_front(inst)
 
 
 DENSE_P = [5, 3, 8, 2, 7, 1, 4, 6, 2, 3]

@@ -36,10 +36,9 @@ from bipareto.exact import (
     _INT64_MAX,
     _Fold,
     _box_key,
-    _dense_cells,
-    _layer_sizes,
     _min_lmax_per_key,
     _scatter_min_per_key,
+    _table_sizes,
 )
 from conftest import (
     make_instances,
@@ -50,6 +49,7 @@ from conftest import (
     sorted_solve,
     spy_exact,
     successor_pool,
+    table_cells,
 )
 
 WORKED = [(2, 5), (3, 4), (4, 1)]
@@ -494,10 +494,10 @@ def test_table_layers_equal_sorted_layers(jobs, eps, mode, seed):
     with pytest.MonkeyPatch.context() as patch:
         table_runs = spy_exact(patch, "_table_folds")
         streamed = list(exact_layers(inst))
-    if _dense_cells(inst) <= DEFAULT_STATE_BUDGET:
+    if table_cells(inst) <= DEFAULT_STATE_BUDGET:
         # the table, whichever route solve_exact took
         table = list(map(exact_module._reached, exact_module._table_folds(inst)))
-        assert _layer_sizes(inst) == [len(layer) for layer in ranked]
+        assert _table_sizes(inst, DEFAULT_STATE_BUDGET) in (None, [len(layer) for layer in ranked])
     else:
         # loads near 2^59: the table would not fit, the sorted engine serves
         table = streamed
@@ -523,7 +523,7 @@ def test_table_layers_equal_sorted_layers(jobs, eps, mode, seed):
     # the stream verify reads: the table's raw folds on the dense route
     exact_stream = exact_module._exact_stream(inst, DEFAULT_STATE_BUDGET)
     assert find_closeness_violation(exact_stream, approx, grid) == found
-    if _dense_cells(inst) <= DEFAULT_STATE_BUDGET:
+    if table_cells(inst) <= DEFAULT_STATE_BUDGET:
         folds = exact_module._table_folds(inst)
         assert find_closeness_violation(folds, approx, grid) == found
     if mode == "real":

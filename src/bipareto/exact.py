@@ -93,11 +93,16 @@ refuse: that instance goes to the sorted engine, which raises where it
 always does.  Before any of that, an O(n) bound settles sparse routes:
 layer ``i`` keeps at most twice the states of layer ``i - 1`` (the
 list-growth bound of Nemhauser and Ullmann's Pareto-list DP) and at
-most ``S_i // 2 + 1`` makespans, and the count runs only while the
-cells are at most four times both that bound and the budget.  So its
-bitset is bounded by the states the sorted engine could keep, not by
-the loads.  `exact_layers` takes the same route.  Every other exact
-solve and every `solve_fptas` call run the sorted engine.
+most ``S_i // (2 g) + 1`` makespans, for ``g`` the greatest common
+divisor of the loads, and the count runs only while the cells are at
+most four times both that bound and the budget.  Every load and
+makespan is a multiple of ``g``, and the count's bitset has one bit per
+multiple, so it is bounded by the states the sorted engine could keep,
+not by the loads.  Loads that are near-multiples of a large number are
+its limit: they share no factor, so under a budget far above their
+states the doubling term lets the bound, and then the bitset, grow as
+wide as the loads.  `exact_layers` takes the same route.  Every other
+exact solve and every `solve_fptas` call run the sorted engine.
 Both paths give the same front, layer sizes and layers' states, and
 raise the same StateBudgetError under the same budget; their
 witnesses may differ where ties allow.
@@ -111,6 +116,7 @@ layers and witnesses.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -510,28 +516,32 @@ def _table_sizes(inst: Instance, budget: int) -> Optional[list[int]]:
     """The sorted engine's state count per layer when the exact solve
     takes the dense table, else None (see the module docstring).
 
-    Bit ``t`` of ``reach`` is set when some subset of the jobs 2..i sums
-    to ``t``, so flag 1 can carry ``p_1 + t`` and flag 0 can carry ``t``.
-    The loads either machine can carry form a set symmetric about
-    ``S_i / 2`` of size ``2 |reach| - |reach & (reach + p_1)|``; the
-    makespans are its upper half, ``|reach| - floor(|reach & (reach +
-    p_1)| / 2)`` of them.
+    Every load is a multiple of ``g``, the loads' greatest common
+    divisor, so the count works in units of ``g``.  Bit ``t`` of ``reach``
+    is set when some subset of the jobs 2..i sums to ``t g``, so flag 1
+    can carry ``p_1 + t g`` and flag 0 can carry ``t g``.  The loads
+    either machine can carry form a set symmetric about ``S_i / 2`` of
+    size ``2 |reach| - |reach & (reach + p_1 / g)|``; the makespans are
+    its upper half, ``|reach| - floor(|reach & (reach + p_1 / g)| / 2)``
+    of them.
     """
     cells = sum(inst.prefix[1:]) - inst.n * (inst.jobs[0].p - 1)
-    # layer i keeps at most twice layer i-1 and at most S_i // 2 + 1 states
+    g = math.gcd(*(job.p for job in inst.jobs))
+    # layer i keeps at most twice layer i-1 and at most S_i // (2 g) + 1
+    # states, one per multiple of g from S_i / 2 to S_i
     most = bound = 1
     for prefix in inst.prefix[2:]:
-        most = min(2 * most, prefix // 2 + 1)
+        most = min(2 * most, prefix // (2 * g) + 1)
         bound += most
     if cells > 4 * min(budget, bound):
         return None
-    base = inst.jobs[0].p
+    base = inst.jobs[0].p // g
     reach = kept = 1
     sizes = [1]
     for job in inst.jobs[1:]:
         if kept + 2 * sizes[-1] > budget:
             return None
-        reach |= reach << job.p
+        reach |= reach << job.p // g
         sizes.append(reach.bit_count() - (reach & reach >> base).bit_count() // 2)
         kept += sizes[-1]
     return sizes if cells <= 4 * kept else None

@@ -431,8 +431,10 @@ def test_sparse_instance_under_the_cell_count_takes_the_sorted_path(monkeypatch)
         (normalize([(1, 100)] * 29 + [(150_000_000, 0)]), DEFAULT_STATE_BUDGET),
         # P 110,919,620: 6.3e8 cells for 4,095 states, the most 12 jobs allow
         (generate_instance(GenSpec((12, 12), (1, 2**24), (1, 2**24), 5, 1), 0), 10**9),
+        # loads sharing the factor 2^31: 960 states, counted in that unit
+        (normalize([(2**31, 5)] * 60), 10**13),
     ],
-    ids=["one-long-job", "wide-loads"],
+    ids=["one-long-job", "wide-loads", "common-factor"],
 )
 def test_route_count_is_bounded_by_states_not_cells(inst, budget):
     # each layer keeps at most twice the states of the one before, so the
@@ -444,10 +446,20 @@ def test_route_count_is_bounded_by_states_not_cells(inst, budget):
     finally:
         tracemalloc.stop()
     assert peak < 2**20, f"solve_exact peaked at {peak / 2**20:.1f} MB"
-    assert result.front == sorted_solve(inst).front
+    reference = sorted_solve(inst)
+    assert (result.front, result.layer_sizes) == (reference.front, reference.layer_sizes)
     assert_witnesses_realize_front(inst, result)
     if inst.n <= 12:  # small enough to enumerate
         assert result.front == enumerate_front(inst)
+
+
+@pytest.mark.parametrize("factor", [2, 3, 2**20])
+def test_layer_sizes_ignore_a_common_factor_of_the_loads(factor):
+    # the route count works in units of the loads' common factor, so
+    # scaling every load keeps the states, whichever route each solve takes
+    for inst in make_instances(27, 4, (20, 40)):
+        scaled = normalize([(job.p * factor, job.q) for job in inst.jobs])
+        assert solve_exact(scaled, budget=10**13).layer_sizes == solve_exact(inst).layer_sizes
 
 
 DENSE_P = [5, 3, 8, 2, 7, 1, 4, 6, 2, 3]

@@ -54,9 +54,10 @@ for eps in (Fraction(1, 10), Fraction(3, 10), Fraction(9, 10), Fraction(2)):
 # With eps small enough that the load box width delta1 falls below 1,
 # every integer load is its own box: the exact solver is trimming with
 # boxes of width 1, so the trimmed solver builds the exact solver's
-# layers, state for state, and the approximate front is exact.  (This
-# dense instance's exact layers come from the table over the flag-1
-# load; they hold the same states.)
+# layers, state for state, and the approximate front is exact.  (Both
+# streams run the same sorted engine, at box widths delta1 and 1; this
+# dense instance's solve_exact takes the table, which keeps the same
+# states.)
 small = generate_instance(GenSpec((30, 30), (1, 50), (1, 50), 20, 1), 0)
 tiny_eps = Fraction(1, small.total_p + small.q_max)
 tiny, small_exact = solve_fptas(small, tiny_eps), solve_exact(small)

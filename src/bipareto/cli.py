@@ -3,8 +3,9 @@
 Conventions: machine-readable data goes to files or stdout, diagnostics
 go to stderr.  Exit codes: 0 success, 1 verification failure (or a bench
 run where every instance failed), 2 usage or parse errors, 3 state
-budget exceeded.  --budget overrides the default state budget.  `gen`
-takes its value ranges as --p LO:HI and --q LO:HI.
+budget exceeded, or memory ran out first.  --budget overrides the
+default state budget.  `gen` takes its value ranges as --p LO:HI and
+--q LO:HI.
 `verify` compares against brute-force enumeration only up to ORACLE_CAP
 (20) jobs, since the oracle scores 2^(n-1) assignments, and reports the
 check as SKIP above it.
@@ -30,13 +31,12 @@ import sys
 import time
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Optional, Sequence, TypeVar
+from typing import Iterable, Iterator, Optional, Sequence
 
 from . import bench, io
 from .exact import DEFAULT_STATE_BUDGET, StateBudgetError, solve_exact
 from .exact import _exact_stream, _final_front
 from .fptas import (
-    ClosenessViolation,
     find_closeness_violation,
     find_coverage_violation,
     grid_params,
@@ -50,8 +50,6 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
-
-_T = TypeVar("_T")
 
 
 class _UsageError(Exception):
@@ -216,14 +214,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _check(
-    name: str, found: Optional[_T], passed: str, failed: Callable[[_T], str]
-) -> tuple[str, str, str]:
-    """PASS with ``passed`` if the check ``found`` nothing, else FAIL with
-    ``failed(found)``."""
-    return ("PASS", name, passed) if found is None else ("FAIL", name, failed(found))
-
-
 def _run_verify_checks(
     inst: Instance, eps: Fraction, budget: int
 ) -> list[tuple[str, str, str]]:
@@ -250,36 +240,33 @@ def _run_verify_checks(
 
     if inst.n > ORACLE_CAP:
         oracle = ("SKIP", "oracle-equality", f"n={inst.n} exceeds oracle cap {ORACLE_CAP}")
+    elif exact_front.points == (oracle_front := enumerate_front(inst)).points:
+        oracle = ("PASS", "oracle-equality", f"{len(exact_front)} points match enumeration")
     else:
-        oracle_front = enumerate_front(inst)
-        oracle = _check(
-            "oracle-equality",
-            None if exact_front.points == oracle_front.points else oracle_front,
-            f"{len(exact_front)} points match enumeration",
-            lambda other: f"dp front {list(exact_front.points)} != "
-            f"oracle front {list(other.points)}",
+        oracle = (
+            "FAIL", "oracle-equality",
+            f"dp front {list(exact_front.points)} != oracle front {list(oracle_front.points)}",
         )
 
-    coverage = _check(
-        "coverage",
-        find_coverage_violation(exact_front, approx_front, eps),
-        f"{len(exact_front)} exact points covered within 1+{eps}",
-        lambda pt: f"exact point (cmax={pt.cmax}, lmax={pt.lmax}) has no "
-        f"approximate point with cmax <= (1+{eps})*{pt.cmax} and "
-        f"lmax <= (1+{eps})*{pt.lmax}",
-    )
-
-    def far_state(witness: ClosenessViolation) -> str:
-        pt, drift = witness.point, f"{witness.layer - 1}*delta1"
-        return (
-            f"layer {witness.layer} state (lmax={pt.lmax}, cmax={pt.cmax}) has no "
-            f"trimmed state with lmax <= {pt.lmax} + {drift} and "
-            f"cmax within {pt.cmax} +- {drift}"
+    pt = find_coverage_violation(exact_front, approx_front, eps)
+    if pt is None:
+        coverage = ("PASS", "coverage", f"{len(exact_front)} exact points covered within 1+{eps}")
+    else:
+        coverage = (
+            "FAIL", "coverage",
+            f"exact point (cmax={pt.cmax}, lmax={pt.lmax}) has no approximate point with "
+            f"cmax <= (1+{eps})*{pt.cmax} and lmax <= (1+{eps})*{pt.lmax}",
         )
 
-    closeness = _check(
-        "trim-closeness", far, f"all {inst.n} layers within drift bounds", far_state
-    )
+    if far is None:
+        closeness = ("PASS", "trim-closeness", f"all {inst.n} layers within drift bounds")
+    else:
+        pt, drift = far.point, f"{far.layer - 1}*delta1"
+        closeness = (
+            "FAIL", "trim-closeness",
+            f"layer {far.layer} state (lmax={pt.lmax}, cmax={pt.cmax}) has no trimmed state "
+            f"with lmax <= {pt.lmax} + {drift} and cmax within {pt.cmax} +- {drift}",
+        )
     return [oracle, coverage, closeness]
 
 
@@ -353,6 +340,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_USAGE
     except StateBudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
+    except MemoryError:
+        print(
+            "error: out of memory before the state budget was reached; lower --budget",
+            file=sys.stderr,
+        )
         return EXIT_BUDGET
 
 

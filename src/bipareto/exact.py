@@ -74,10 +74,10 @@ sorted engine's layer, state for state.  One fold stream
 (`_table_folds`) yields each fold as a `_Fold`, a private `Layer` with
 one cell per makespan: its ``lmax`` is one scratch buffer that the next
 fold overwrites, its ``cmax`` a view of the table's ramp of loads.
-`exact_layers` compacts each fold's reached cells into a plain `Layer`
-of int64 arrays, whatever the cell dtype (`_reached`); `verify`'s drift
-check reads the folds as they are (`_exact_stream`), building no
-per-state array.
+Only `verify`'s drift check reads the folds (`_exact_stream`), as they
+are, building no per-state array; `exact_layers` streams the sorted
+engine, as `trimmed_layers` does at width ``delta1``.
+
 The budget counts the sorted engine's states on both routes, and one
 count decides the route (`_table_sizes`).  `solve_exact` takes the
 table iff its cell count ``sum_i (S_i - p_1 + 1)`` is at most four
@@ -92,17 +92,20 @@ last layer, and stops at the first layer the sorted engine would
 refuse: that instance goes to the sorted engine, which raises where it
 always does.  Before any of that, an O(n) bound settles sparse routes:
 layer ``i`` keeps at most twice the states of layer ``i - 1`` (the
-list-growth bound of Nemhauser and Ullmann's Pareto-list DP) and at
-most ``S_i // (2 g) + 1`` makespans, for ``g`` the greatest common
-divisor of the loads, and the count runs only while the cells are at
-most four times both that bound and the budget.  Every load and
-makespan is a multiple of ``g``, and the count's bitset has one bit per
-multiple, so it is bounded by the states the sorted engine could keep,
-not by the loads.  Loads that are near-multiples of a large number are
-its limit: they share no factor, so under a budget far above their
-states the doubling term lets the bound, and then the bitset, grow as
-wide as the loads.  `exact_layers` takes the same route.  Every other
-exact solve and every `solve_fptas` call run the sorted engine.
+list-growth bound of Nemhauser and Ullmann's Pareto-list DP), at most
+``S_i // (2 g) + 1`` makespans, for ``g`` the greatest common divisor
+of the loads, and at most one state per flag-1 load, of which there
+are at most ``i + spread i (i - 1) / 2``: for ``spread`` the largest
+less the smallest of the loads 2..n in units of ``g``, ``k`` of those
+loads sum to one of ``k spread + 1`` multiples of ``g``.  The count
+runs only while the cells are at most four times both that bound and
+the budget.  Every load and makespan is a multiple of ``g``, and the
+count's bitset has one bit per multiple, so it is bounded by the
+states the sorted engine could keep, not by the loads.  Loads that
+share no large factor and spread widely are its limit: under a budget
+of at least a quarter of the cells, the doubling term lets the bound,
+and then the bitset, grow as wide as the loads, ``P / g`` bits.  Every
+other exact solve and every `solve_fptas` call run the sorted engine.
 Both paths give the same front, layer sizes and layers' states, and
 raise the same StateBudgetError under the same budget; their
 witnesses may differ where ties allow.
@@ -150,8 +153,7 @@ class Layer:
     as `exact_layers` and `trimmed_layers` yield them.
 
     State ``j`` has lateness ``lmax[j]`` and most-loaded machine load
-    ``cmax[j]``; both solvers keep states in strictly ascending ``cmax``,
-    and both exact routes yield the same states.
+    ``cmax[j]``; both solvers keep states in strictly ascending ``cmax``.
     """
 
     i: int
@@ -167,9 +169,8 @@ class _Fold(Layer):
     per makespan of the layer, reached or not.  ``lmax`` is the reused
     fold buffer in the cell dtype, holding the dtype's maximum where no
     assignment reaches the makespan; ``cmax`` is the ascending run of
-    makespans, a view of the table's ramp of loads.  `exact_layers`
-    turns each into a plain `Layer` of its reached cells (`_reached`);
-    verify's drift check reads it as it is."""
+    makespans, a view of the table's ramp of loads.  Only verify's
+    drift check reads it."""
 
 
 @dataclass(frozen=True)
@@ -477,17 +478,6 @@ def _table_folds(inst: Instance) -> Iterator[_Fold]:
         yield _Fold(i, *_fold(table, loads, base, inst.prefix[i], out))
 
 
-def _reached(layer: Layer) -> Layer:
-    """A `_Fold` as a plain `Layer` of int64 copies of its reached cells:
-    the reached makespans, each with its smallest lateness.  Any other
-    layer passes through as it is."""
-    if not isinstance(layer, _Fold):
-        return layer
-    reached = layer.lmax != np.iinfo(layer.lmax.dtype).max
-    lmax, cmax = layer.lmax[reached], layer.cmax[reached]
-    return Layer(layer.i, lmax.astype(np.int64, copy=False), cmax.astype(np.int64, copy=False))
-
-
 def _solve_dense(inst: Instance, sizes: Sequence[int]) -> SolveResult:
     """The exact front from a table of the smallest lateness per flag-1
     load (see the module docstring); ``sizes`` is `_table_sizes`."""
@@ -526,13 +516,19 @@ def _table_sizes(inst: Instance, budget: int) -> Optional[list[int]]:
     of them.
     """
     cells = sum(inst.prefix[1:]) - inst.n * (inst.jobs[0].p - 1)
-    g = math.gcd(*(job.p for job in inst.jobs))
+    loads = [job.p for job in inst.jobs]
+    g = math.gcd(*loads)
     # layer i keeps at most twice layer i-1 and at most S_i // (2 g) + 1
     # states, one per multiple of g from S_i / 2 to S_i
     most = bound = 1
     for prefix in inst.prefix[2:]:
         most = min(2 * most, prefix // (2 * g) + 1)
         bound += most
+    # and at most one per flag-1 load: k of the loads 2..i sum to one of
+    # k spread + 1 multiples of g, so layer i keeps at most
+    # i + spread i (i - 1) / 2 states
+    n, spread = inst.n, (max(loads[1:], default=0) - min(loads[1:], default=0)) // g
+    bound = min(bound, n * (n + 1) // 2 + spread * (n + 1) * n * (n - 1) // 6)
     if cells > 4 * min(budget, bound):
         return None
     base = inst.jobs[0].p // g
@@ -564,23 +560,21 @@ def solve_exact(inst: Instance, *, budget: int = DEFAULT_STATE_BUDGET) -> SolveR
 
 
 def exact_layers(inst: Instance, *, budget: int = DEFAULT_STATE_BUDGET) -> Iterator[Layer]:
-    """Layers 1..n of `solve_exact` on ``inst``, one at a time, built on
-    the same route: the sorted engine's layers, or the dense table folded
-    after each job, which holds the same states.
+    """Layers 1..n of `solve_exact` on ``inst``, one at a time: the sorted
+    engine's layers, which the dense table's folds equal state for state.
 
-    The stream keeps no layer it has yielded, nor any parent chain.  The
-    table runs only where the sorted engine would fit the budget (see
-    the module docstring for the rule), so an instance over it streams
-    the sorted engine's layers and raises StateBudgetError at the layer
-    where `solve_exact` does, with the same text.
+    The stream keeps no layer it has yielded, nor any parent chain, and
+    raises StateBudgetError at the layer where `solve_exact` does, with
+    the same text.
     """
-    return map(_reached, _exact_stream(inst, budget))
+    return _sorted_layers(inst, Fraction(1), budget)
 
 
 def _exact_stream(inst: Instance, budget: int) -> Iterator[Layer]:
-    """`exact_layers` on the same route, with the dense table's layers
-    left as the `_Fold`s `_table_folds` yields: the drift check reads
-    those directly, one at a time."""
+    """The exact layers on `solve_exact`'s route, for verify's drift
+    check: the sorted engine's layers, or on the dense route the `_Fold`s
+    `_table_folds` yields, which the check reads directly, one at a
+    time."""
     if _table_sizes(inst, budget) is None:
         return _sorted_layers(inst, Fraction(1), budget)
     return _table_folds(inst)

@@ -3,7 +3,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from bipareto import DEFAULT_STATE_BUDGET, Front, GenSpec, ParetoPoint, generate_instance
+from bipareto import DEFAULT_STATE_BUDGET, Front, GenSpec, Layer, ParetoPoint, generate_instance
 from bipareto import exact as exact_module
 from bipareto.exact import _layer_loop, _solve_layered, _sorted_layers
 
@@ -52,12 +52,19 @@ def sorted_loop(inst, width=Fraction(1)):
     return list(_layer_loop(inst, width, DEFAULT_STATE_BUDGET))
 
 
+def reached(layer):
+    """Copies of a layer's reached cells, as a `Layer`: on a fold of the
+    dense table, the makespans its cells reach, each with its smallest
+    lateness; every state of any other layer."""
+    hit = layer.lmax != np.iinfo(layer.lmax.dtype).max
+    return Layer(layer.i, layer.lmax[hit], layer.cmax[hit])
+
+
 def spy_exact(monkeypatch, name):
     """Record the argument of every call of ``exact.<name>``, a function
-    of one argument: `_table_folds`, which streams the dense table's
-    folds of an instance to `exact_layers` and to verify's drift check,
-    or `_reached`, which `exact_layers` compacts each layer with.
-    Returns the list it appends to."""
+    of one argument, such as `_table_folds`, which streams the dense
+    table's folds of an instance to verify's drift check.  Returns the
+    list it appends to."""
     calls, fn = [], getattr(exact_module, name)
 
     def spy(arg):

@@ -2,7 +2,8 @@
 # Process-level checks: `bipareto solve` and `verify` run as processes on
 # generated instances, each under an address-space cap, so that a failure
 # shows as the documented exit code (0 ok, 1 verification failure, 2 usage,
-# 3 state budget) and never as a traceback or an out-of-memory kill.
+# 3 state budget, or memory ran out first) and never as a traceback or an
+# out-of-memory kill.
 #
 # Run from any checkout:  bash tests/process_checks.sh
 # It uses the package under src/ and writes instances and fronts to
@@ -96,6 +97,15 @@ check 0 4000000 "--n 16 --p 1:1000000000000 --q 1:1000000 --seed 1" "--budget 10
 # 60 loads of 2^31 under a budget of 1e13: the route count works in units
 # of the loads' common factor, so it sees 960 states, not 1.3e11 cells
 check 0 2000000 "--n 60 --p 2147483648:2147483648 --q 5:5 --seed 1" "--budget 10000000000000" 3/10
+# 60 loads drawn from 2^31..2^31 + 1 under a budget of 1e13: they share no
+# factor, but k of them sum to one of k + 1 values, so the route count's
+# O(n) bound allows 37,815 states against 3.8e12 cells, and both commands
+# take the sorted engine (9,919 states) without a bitset
+check 0 2000000 "--n 60 --p 2147483648:2147483649 --q 5:5 --seed 1" "--budget 10000000000000" 3/10
+# 60 loads drawn from 1..2^32 under a budget of 1e13: nothing bounds the
+# route count below the loads, so its bitset runs out of memory before the
+# budget is reached, and both commands exit 3 with an error line
+check 3 2000000 "--n 60 --p 1:4294967296 --q 1:1000 --seed 1" "--budget 10000000000000" 3/10
 
 echo "$((cases - failed)) of $cases cases ok"
 [ "$failed" = 0 ]

@@ -20,6 +20,7 @@ from bipareto import (
     trimmed_layers,
 )
 from bipareto import cli
+from bipareto import exact as exact_module
 from bipareto.cli import EXIT_BUDGET, EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
 from bipareto.io import parse_front_csv, parse_instance, save_instance
 from conftest import spy_exact
@@ -326,7 +327,6 @@ def test_verify_holds_one_layer_of_each_run(monkeypatch):
     inst = generate_instance(GenSpec((200, 200), (1, 1000), (1, 1000), 404, 1), 0)
     assert inst.total_p == 101_976
     table_folds = spy_exact(monkeypatch, "_table_folds")
-    compacted = spy_exact(monkeypatch, "_reached")
     tracemalloc.start()
     try:
         checks = cli._run_verify_checks(inst, Fraction(3, 10), DEFAULT_STATE_BUDGET)
@@ -335,9 +335,28 @@ def test_verify_holds_one_layer_of_each_run(monkeypatch):
         tracemalloc.stop()
     assert [status for status, _, _ in checks] == ["SKIP", "PASS", "PASS"]
     assert peak < 16 * 2**20, f"verify peaked at {peak / 2**20:.1f} MB"
-    # the drift check reads the table's folds once, and compacts none of them
+    # the drift check reads the table's folds once, in place
     assert table_folds == [inst]
-    assert compacted == []
+
+
+@pytest.mark.parametrize(
+    "command", [["solve", "--algo", "dp"], ["verify", "--epsilon", "3/10"]], ids=["solve", "verify"]
+)
+def test_out_of_memory_exits_as_over_budget(tmp_path, monkeypatch, capsys, command):
+    path = str(tmp_path / "inst.txt")
+    save_instance(normalize([(3, 1), (5, 2), (4, 7)]), path)
+
+    def route_count(*args):
+        raise MemoryError
+
+    # memory can run out before the budget is reached, as in the route count
+    monkeypatch.setattr(exact_module, "_table_sizes", route_count)
+    assert main([*command, "--input-path", path]) == EXIT_BUDGET
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: out of memory before the state budget was reached; lower --budget\n"
+    )
 
 
 def test_bench_desk_smoke(tmp_path, capsys):

@@ -24,6 +24,7 @@ from bipareto.exact import _expand, _min_lmax_per_key
 from bipareto.oracle import enumerate_front
 from conftest import (
     make_instances,
+    reached,
     sorted_layers,
     sorted_loop,
     sorted_peak,
@@ -433,8 +434,11 @@ def test_sparse_instance_under_the_cell_count_takes_the_sorted_path(monkeypatch)
         (generate_instance(GenSpec((12, 12), (1, 2**24), (1, 2**24), 5, 1), 0), 10**9),
         # loads sharing the factor 2^31: 960 states, counted in that unit
         (normalize([(2**31, 5)] * 60), 10**13),
+        # loads of 2^31 and 2^31 + 1, which share no factor: 9,919 states,
+        # at most i (i + 1) / 2 flag-1 loads in layer i, for 3.8e12 cells
+        (generate_instance(GenSpec((60, 60), (2**31, 2**31 + 1), (5, 5), 1, 1), 0), 10**13),
     ],
-    ids=["one-long-job", "wide-loads", "common-factor"],
+    ids=["one-long-job", "wide-loads", "common-factor", "near-identical"],
 )
 def test_route_count_is_bounded_by_states_not_cells(inst, budget):
     # each layer keeps at most twice the states of the one before, so the
@@ -490,12 +494,14 @@ def test_dense_cell_dtype_boundary(monkeypatch, jobs, dtype):
 
     monkeypatch.setattr(exact_module, "_fold", spy)
     monkeypatch.setattr(exact_module, "_layer_loop", sorted_engine)
-    lean, layers = solve_exact(inst), list(exact_layers(inst))
+    lean = solve_exact(inst)
+    # verify's stream of the table's folds, each fold's reached cells
+    layers = list(map(reached, exact_module._exact_stream(inst, DEFAULT_STATE_BUDGET)))
     assert set(tables) == {np.dtype(dtype)}
     assert_paths_agree(inst, lean, reference)
     for table_layer, layer in zip(layers, ranked, strict=True):
         assert table_layer.i == layer.i
-        assert table_layer.lmax.dtype == table_layer.cmax.dtype == np.int64
+        assert table_layer.lmax.dtype == table_layer.cmax.dtype == np.dtype(dtype)
         assert table_layer.lmax.tolist() == layer.lmax.tolist()
         assert table_layer.cmax.tolist() == layer.cmax.tolist()
     if len({job.q for job in inst.jobs}) == 1:
@@ -507,18 +513,25 @@ def test_dense_cell_dtype_boundary(monkeypatch, jobs, dtype):
     [
         ([(p, 2 * p) for p in DENSE_P], np.int32),
         ([(p, 2**40 if p % 2 else p) for p in DENSE_P], np.int64),
-        # sparse loads: the sorted engine serves
+        # sparse loads: solve_exact takes the sorted engine
         ([(1, 100)] * 19 + [(1_000_000, 0)], None),
     ],
     ids=["table-int32", "table-int64", "sorted"],
 )
 def test_exact_layers_leak_no_fold(monkeypatch, jobs, cells):
     inst = normalize(jobs)
-    table_folds = spy_exact(monkeypatch, "_table_folds")
-    layers = list(exact_layers(inst))
-    assert table_folds == ([] if cells is None else [inst])
+    assert (exact_module._table_sizes(inst, DEFAULT_STATE_BUDGET) is None) == (cells is None)
     if cells is not None:
         assert exact_module._first_table(inst)[0].dtype == np.dtype(cells)
+
+    def route_count(*args):
+        raise AssertionError("exact_layers ran the route count")
+
+    # exact_layers streams the sorted engine on every route
+    monkeypatch.setattr(exact_module, "_table_sizes", route_count)
+    table_folds = spy_exact(monkeypatch, "_table_folds")
+    layers = list(exact_layers(inst))
+    assert table_folds == []
     assert [layer.i for layer in layers] == list(range(1, inst.n + 1))
     for layer in layers:
         assert type(layer) is Layer

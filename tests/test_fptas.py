@@ -43,6 +43,7 @@ from bipareto.exact import (
 from conftest import (
     make_instances,
     pareto_filter,
+    reached,
     sorted_layers,
     sorted_loop,
     sorted_peak,
@@ -491,12 +492,13 @@ def spy_scatter(monkeypatch):
 def test_table_layers_equal_sorted_layers(jobs, eps, mode, seed):
     inst = normalize(jobs)
     ranked = sorted_layers(inst)
+    # verify's stream on solve_exact's route, each layer's reached cells
     with pytest.MonkeyPatch.context() as patch:
         table_runs = spy_exact(patch, "_table_folds")
-        streamed = list(exact_layers(inst))
+        streamed = list(map(reached, exact_module._exact_stream(inst, DEFAULT_STATE_BUDGET)))
     if table_cells(inst) <= DEFAULT_STATE_BUDGET:
         # the table, whichever route solve_exact took
-        table = list(map(exact_module._reached, exact_module._table_folds(inst)))
+        table = list(map(reached, exact_module._table_folds(inst)))
         assert _table_sizes(inst, DEFAULT_STATE_BUDGET) in (None, [len(layer) for layer in ranked])
     else:
         # loads near 2^59: the table would not fit, the sorted engine serves
@@ -760,7 +762,12 @@ def test_python_fallback_reducer_matches_vectorized(monkeypatch):
 def test_streams_agree_with_lean_solves(monkeypatch, fallback):
     if fallback:
         monkeypatch.setattr(exact_module, "_INT64_MAX", 0)  # force object box keys
-    runs = [(solve_exact, exact_layers)] + [
+
+    def route_stream(inst, budget=DEFAULT_STATE_BUDGET):
+        # verify's exact stream on solve_exact's route, as reached cells
+        return map(reached, exact_module._exact_stream(inst, budget))
+
+    runs = [(solve_exact, exact_layers), (solve_exact, route_stream)] + [
         (partial(solve_fptas, eps=eps), partial(trimmed_layers, eps=eps))
         for eps in (Fraction(3, 10), Fraction(9, 10), Fraction(2))
     ]
@@ -774,7 +781,7 @@ def test_streams_agree_with_lean_solves(monkeypatch, fallback):
             lean = solve(inst)
             table_calls = len(table_runs)
             layers = list(stream(inst))
-            if stream is exact_layers:
+            if stream is route_stream:
                 table_route.add(len(table_runs) > table_calls)
             for i, layer in enumerate(layers, 1):
                 assert layer.i == i

@@ -20,7 +20,10 @@ than 10**6 jobs and seeds outside 64 bits, generate_instance rejects an
 index outside 64 bits or an instance too large for exact arithmetic,
 and `gen` and `bench` turn that ValueError into a usage error.  `bench`
 creates --out-dir before it runs the suite, so a directory that cannot
-be made is a usage error before any work is done.
+be made is a usage error before any work is done.  A file that cannot
+be written is a usage error too, `error: cannot write FILE: ...`: the
+instance of `gen`, the front or the schedules of `solve`, and a report
+file of `bench`, which it writes after the suite.
 """
 
 from __future__ import annotations
@@ -196,15 +199,14 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     front_text = io.format_front_csv(result.front)
     if args.out_path:
-        out_path = Path(args.out_path)
+        path = args.out_path  # the file being written, named if its write fails
         try:
-            io.write_text(out_path, front_text)
+            io.write_text(path, front_text)
             if args.schedules:
-                io.save_schedules_csv(
-                    inst, result.schedules, out_path.with_suffix(".schedules.csv")
-                )
+                path = Path(path).with_suffix(".schedules.csv")
+                io.save_schedules_csv(inst, result.schedules, path)
         except OSError as exc:
-            raise _UsageError(f"cannot write {args.out_path}: {exc}") from None
+            raise _UsageError(f"cannot write {path}: {exc}") from None
     else:
         sys.stdout.write(front_text)
     print(
@@ -307,7 +309,10 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             )
         elif done % 25 == 0 or done == total:
             print(f"[{done}/{total}] n={first.n} ok", file=sys.stderr)
-    paths = bench.write_report(rows, args.out_dir)
+    try:
+        paths = bench.write_report(rows, args.out_dir)
+    except OSError as exc:
+        raise _UsageError(f"cannot write {exc.filename or args.out_dir}: {exc}") from None
     for path in paths:
         print(path)
     # a failed instance has exactly one row, its error row

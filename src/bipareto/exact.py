@@ -87,10 +87,10 @@ on either side of it, so a factor of 2 would send some of them to the
 sorted engine; the table measured faster up to a ratio of about 10.
 The states per layer are counted from subset sums, and the table
 reports them as its layer sizes.  Before each job the count tests the
-budget as `_layer_loop` does, the states kept so far plus twice the
-last layer, and stops at the first layer the sorted engine would
-refuse: that instance goes to the sorted engine, which raises where it
-always does.  Before any of that, an O(n) bound settles sparse routes:
+budget by `_layer_loop`'s own check (`_check_budget`), the states kept
+so far plus twice the last layer, so it raises StateBudgetError at the
+first layer the sorted engine would refuse, with the same text, and no
+engine runs.  Before any of that, an O(n) bound settles sparse routes:
 layer ``i`` keeps at most twice the states of layer ``i - 1`` (the
 list-growth bound of Nemhauser and Ullmann's Pareto-list DP), at most
 ``S_i // (2 g) + 1`` makespans, for ``g`` the greatest common divisor
@@ -99,7 +99,8 @@ are at most ``i + spread i (i - 1) / 2``: for ``spread`` the largest
 less the smallest of the loads 2..n in units of ``g``, ``k`` of those
 loads sum to one of ``k spread + 1`` multiples of ``g``.  The count
 runs only while the cells are at most four times both that bound and
-the budget.  Every load and makespan is a multiple of ``g``, and the
+the budget; an instance it skips reaches any overrun in the sorted
+engine.  Every load and makespan is a multiple of ``g``, and the
 count's bitset has one bit per multiple, so it is bounded by the
 states the sorted engine could keep, not by the loads.  Loads that
 share no large factor and spread widely are its limit: under a budget
@@ -321,6 +322,18 @@ def _replay_choices(inst: Instance, choices: Sequence[int]) -> tuple[int, ...]:
     return tuple(flags)
 
 
+def _check_budget(i: int, retained: int, last: int, budget: int) -> None:
+    """Raises StateBudgetError before layer ``i`` when its pool, twice
+    the ``last`` layer's states, with the ``retained`` states of layers
+    1..i-1, would pass ``budget``: the sorted engine's test, which the
+    route count applies to the states it counts."""
+    if retained + 2 * last > budget:
+        raise StateBudgetError(
+            f"state budget exceeded: layer {i} needs up to "
+            f"{retained + 2 * last} live states (budget {budget})"
+        )
+
+
 def _layer_loop(
     inst: Instance, width: Fraction, budget: int
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -353,11 +366,7 @@ def _layer_loop(
     retained = 1
 
     for i in range(2, inst.n + 1):
-        if retained + 2 * len(cmax) > budget:
-            raise StateBudgetError(
-                f"state budget exceeded: layer {i} needs up to "
-                f"{retained + 2 * len(cmax)} live states (budget {budget})"
-            )
+        _check_budget(i, retained, len(cmax), budget)
         job = inst.jobs[i - 1]
         pool_lmax, pool_cmax = _expand(lmax, cmax, job.p, job.q, inst.prefix[i])
         key = box_key(pool_cmax)
@@ -504,7 +513,9 @@ def _solve_dense(inst: Instance, sizes: Sequence[int]) -> SolveResult:
 
 def _table_sizes(inst: Instance, budget: int) -> Optional[list[int]]:
     """The sorted engine's state count per layer when the exact solve
-    takes the dense table, else None (see the module docstring).
+    takes the dense table, else None: the table does not pay (see the
+    module docstring).  Raises StateBudgetError where the sorted engine
+    would, when the count reaches that layer.
 
     Every load is a multiple of ``g``, the loads' greatest common
     divisor, so the count works in units of ``g``.  Bit ``t`` of ``reach``
@@ -534,9 +545,8 @@ def _table_sizes(inst: Instance, budget: int) -> Optional[list[int]]:
     base = inst.jobs[0].p // g
     reach = kept = 1
     sizes = [1]
-    for job in inst.jobs[1:]:
-        if kept + 2 * sizes[-1] > budget:
-            return None
+    for i, job in enumerate(inst.jobs[1:], 2):
+        _check_budget(i, kept, sizes[-1], budget)
         reach |= reach << job.p // g
         sizes.append(reach.bit_count() - (reach & reach >> base).bit_count() // 2)
         kept += sizes[-1]
@@ -551,7 +561,8 @@ def solve_exact(inst: Instance, *, budget: int = DEFAULT_STATE_BUDGET) -> SolveR
     instances go through the table over the flag-1 load and sparse ones
     through the sorted engine (see the module docstring for the rule).
     Raises StateBudgetError instead of exhausting memory when the
-    retained state count would exceed ``budget``.
+    retained state count would exceed ``budget``: from the route count
+    when it reaches that layer, else from the sorted engine.
     """
     sizes = _table_sizes(inst, budget)
     if sizes is None:
@@ -574,7 +585,8 @@ def _exact_stream(inst: Instance, budget: int) -> Iterator[Layer]:
     """The exact layers on `solve_exact`'s route, for verify's drift
     check: the sorted engine's layers, or on the dense route the `_Fold`s
     `_table_folds` yields, which the check reads directly, one at a
-    time."""
+    time.  A budget overrun the route count finds raises here, before
+    any layer."""
     if _table_sizes(inst, budget) is None:
         return _sorted_layers(inst, Fraction(1), budget)
     return _table_folds(inst)

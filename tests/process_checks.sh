@@ -87,9 +87,15 @@ check 0 0 "--n 200 --p 1:1000 --q 2147483648:4294967295 --seed 404" "" 3/10
 # but the sorted engine's peak (about 4.8e7 states) fits it, so both
 # commands take the dense table
 check 0 0 "--n 200 --p 1:10000 --q 1:1000 --seed 404" "" 3/10
-# p 1:100000 (P 10,106,976): the sorted engine would need 50,846,046 live
-# states at layer 68, over the default budget, so both commands exit 3
+# p 1:100000 (P 10,106,976): its 1.0e9 cells pass four times the default
+# budget, so the route count is skipped, and the sorted engine needs
+# 50,846,046 live states at layer 68, over the budget: both commands exit 3
 check 3 4000000 "--n 200 --p 1:100000 --q 1:1000 --seed 404" "" 3/10
+# p 1:12000 (P 1,158,976): its 1.2e8 cells are under four times the
+# default budget, so the route count runs, and it raises the sorted
+# engine's overrun at layer 186 itself: both commands exit 3 in well under
+# a second, running neither engine
+check 3 2000000 "--n 200 --p 1:12000 --q 1:1000 --seed 404" "" 3/10
 # sparse n=16 (P about 8.7e12) under a budget of 1e14 states: the route
 # count is bounded by the states the sorted engine could keep, so both
 # commands take the sorted engine without a bitset as wide as the loads

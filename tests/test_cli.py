@@ -135,6 +135,14 @@ def test_solve_unwritable_out_path(worked_file, tmp_path, capsys):
         assert f"error: cannot write {out}" in err
         assert "Traceback" not in err
     assert not (tmp_path / "nope").exists()
+    # the front is written, its schedules file is not: the error names the latter
+    front, schedules = tmp_path / "front.csv", tmp_path / "front.schedules.csv"
+    schedules.mkdir()
+    assert main(["solve", "--input-path", worked_file, "--algo", "dp",
+                 "--out-path", str(front), "--schedules"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {schedules}: ")
+    assert len(err.splitlines()) == 1
 
 
 def test_out_path_may_be_a_device(worked_file, capsys):
@@ -413,6 +421,27 @@ def test_bench_progress_lines_on_stderr(tmp_path, monkeypatch, capsys):
         str(out_dir / name)
         for name in ("records.csv", "by_family.csv", "by_p_range.csv", "by_q_range.csv")
     ]
+
+
+def test_bench_unwritable_report_file_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    # the report is written after the suite, here two 3-job instances
+    spec = GenSpec((3, 3), (1, 5), (1, 5), 1, 2)
+    suites, run_suite = [], cli.bench.run_suite
+
+    def small_suite(families, *args, **kwargs):
+        suites.append(families)
+        return run_suite(families, *args, **kwargs)
+
+    monkeypatch.setattr(cli.bench, "preset_families", lambda name, seed: [spec])
+    monkeypatch.setattr(cli.bench, "run_suite", small_suite)
+    records = tmp_path / "records.csv"
+    records.mkdir()
+    assert main(["bench", "--preset", "desk", "--out-dir", str(tmp_path)]) == EXIT_USAGE
+    assert suites == [[spec]]
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1].startswith(f"error: cannot write {records}: ")
+    assert "Traceback" not in captured.err
 
 
 def test_bench_unusable_out_dir_fails_before_the_suite(tmp_path, monkeypatch, capsys):

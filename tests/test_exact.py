@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -20,6 +21,7 @@ from bipareto import (
     solve_exact,
 )
 from bipareto import exact as exact_module
+from bipareto.cli import _run_verify_checks
 from bipareto.exact import _expand, _min_lmax_per_key
 from bipareto.oracle import enumerate_front
 from conftest import (
@@ -399,14 +401,32 @@ def test_dense_path_runs_while_the_sorted_engine_fits_the_budget(monkeypatch):
     assert ranked == []
     assert (result.front, result.layer_sizes) == (reference.front, sizes)
     assert_witnesses_realize_front(inst, result)
-    # one state below, the sorted engine runs and raises
+    # one state below, the route count raises at the sorted engine's layer,
+    # and no engine runs
     with pytest.raises(StateBudgetError) as info:
         solve_exact(inst, budget=need - 1)
-    assert len(ranked) == 1
-    assert str(info.value) == (
+    assert ranked == []
+    message = (
         f"state budget exceeded: layer {layer} needs up to {need} live states "
         f"(budget {need - 1})"
     )
+    assert str(info.value) == message
+
+    # verify raises the same text from the count, streaming neither engine
+    def engine(*args):
+        raise AssertionError("verify ran an exact engine")
+
+    monkeypatch.setattr(exact_module, "_sorted_layers", engine)
+    monkeypatch.setattr(exact_module, "_table_folds", engine)
+    tracemalloc.start()
+    try:
+        with pytest.raises(StateBudgetError) as info:
+            _run_verify_checks(inst, Fraction(3, 10), need - 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(info.value) == message
+    assert peak < 2**20, f"verify peaked at {peak / 2**20:.1f} MB"
 
 
 def test_sparse_instance_under_the_cell_count_takes_the_sorted_path(monkeypatch):

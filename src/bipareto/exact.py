@@ -57,26 +57,36 @@ no assignment reaches it.  The cells are int32 when ``P + q_max <
 2**31 - 1``, so that every lateness and load stays below that sentinel,
 and int64 otherwise.  Job ``i`` writes two contiguous slices: its flag-0
 children stay in place with ``L' = max(L, S_i - a + q)``, and its flag-1
-children move to ``a + p`` with ``L' = max(L, a + p + q)``.  A flag-1
-child replaces its cell only when strictly smaller, so ties stay on
-flag 0.  One bit per cell records which child won; walking the bits
+children move to ``a + p`` with ``L' = max(L, a + p + q)``.  Both bounds
+are affine in ``a``, so each solve builds them once, as two ramps in the
+cell dtype: ``rise`` runs from ``min(p_1, p_j + q_j)`` up to ``max(S_j +
+q_j)`` over jobs ``j`` 2..n, and ``fall`` is its contiguous reverse.
+Each job reads its bounds as slices of them, so it makes four passes
+over its cells: two maxima, the compare and the minimum.  The ramps are
+built iff they span at most twice the table's ``P - p_1 + 1`` cells;
+delivery times spread wider than the table pass that, and such a solve
+computes each job's bounds from the ramp of loads, two passes more.  A
+flag-1 child replaces its cell only when strictly smaller, so ties stay
+on flag 0.  One bit per cell records which child won; walking the bits
 back from a final cell (``a -= p`` where set) gives absolute flags
 directly.  The front folds the last table onto ``C = max(a, P - a)``;
 when the two mirrored cells tie, the witness has ``a = C``.  The
 table, the fold and the scratch arrays each span at most the last
-layer's ``P - p_1 + 1`` cells, so the table holds ``cells / 8`` bytes
-of bits plus a few arrays the width of the last layer.  The table has
-no sort, and no 8-byte parent per state, but its cells span both
-mirrors of each makespan, so it pays only when loads are dense.  On
-this path the table is folded after every job, onto ``C = max(a, S_i -
-a)``: per makespan the smallest ``L`` over both mirrors, which is the
-sorted engine's layer, state for state.  One fold stream
-(`_table_folds`) yields each fold as a `_Fold`, a private `Layer` with
-one cell per makespan: its ``lmax`` is one scratch buffer that the next
-fold overwrites, its ``cmax`` a view of the table's ramp of loads.
-Only `verify`'s drift check reads the folds (`_exact_stream`), as they
-are, building no per-state array; `exact_layers` streams the sorted
-engine, as `trimmed_layers` does at width ``delta1``.
+layer's ``P - p_1 + 1`` cells, and the ramps at most twice that, so the
+table holds ``cells / 8`` bytes of bits plus a few arrays the width of
+the last layer.  The table has no sort, and no 8-byte parent per
+state, but its cells span both mirrors of each makespan, so it pays
+only when loads are dense.  On this path the table is folded after
+every job, onto ``C = max(a, S_i - a)``: per makespan the smallest
+``L`` over both mirrors, which is the sorted engine's layer, state for
+state.  One fold stream (`_table_folds`) yields each fold as a `_Fold`,
+a private `Layer` with one cell per makespan: its ``lmax`` is one
+scratch buffer that the next fold overwrites, its ``cmax`` a view of
+the table's ramp of loads (itself a view of ``rise`` when the ramps
+are built).  Only `verify`'s drift check reads the folds
+(`_exact_stream`), as they are, building no per-state array;
+`exact_layers` streams the sorted engine, as `trimmed_layers` does at
+width ``delta1``.
 
 The budget counts the sorted engine's states on both routes, and one
 count decides the route (`_table_sizes`).  `solve_exact` takes the
@@ -97,16 +107,19 @@ list-growth bound of Nemhauser and Ullmann's Pareto-list DP), at most
 of the loads, and at most one state per flag-1 load, of which there
 are at most ``i + spread i (i - 1) / 2``: for ``spread`` the largest
 less the smallest of the loads 2..n in units of ``g``, ``k`` of those
-loads sum to one of ``k spread + 1`` multiples of ``g``.  The count
-runs only while the cells are at most four times both that bound and
-the budget; an instance it skips reaches any overrun in the sorted
-engine.  Every load and makespan is a multiple of ``g``, and the
-count's bitset has one bit per multiple, so it is bounded by the
-states the sorted engine could keep, not by the loads.  Loads that
-share no large factor and spread widely are its limit: under a budget
-of at least a quarter of the cells, the doubling term lets the bound,
-and then the bitset, grow as wide as the loads, ``P / g`` bits.  Every
-other exact solve and every `solve_fptas` call run the sorted engine.
+loads sum to one of ``k spread + 1`` multiples of ``g``.  Every load
+and makespan is a multiple of ``g``, and the count's bitset has one bit
+per multiple, ``P // g`` at most.  The count runs only while the cells
+or those bits are at most four times both that bound and the budget, so
+its bitset is bounded by the states the sorted engine could keep, not
+by the loads; an instance it skips reaches any overrun in the sorted
+engine.  An instance counted for its bits alone has more than four
+times its states in cells, so its count raises or sends it to the
+sorted engine.  Loads that share no large factor and spread widely
+are its limit: under a budget of at least a quarter of the cells, the
+doubling term lets the bound, and then the bitset, grow as wide as the
+loads, ``P / g`` bits.  Every other exact solve and every
+`solve_fptas` call run the sorted engine.
 Both paths give the same front, layer sizes and layers' states, and
 raise the same StateBudgetError under the same budget; their
 witnesses may differ where ties allow.
@@ -438,36 +451,71 @@ def _fold(
     return folded, loads[start - base : total - base + 1]
 
 
-def _first_table(inst: Instance) -> tuple[np.ndarray, np.ndarray]:
-    """The dense table of layer 1 and the ramp of its loads, in the cell
-    dtype: ``table[k]`` is the smallest lateness with flag-1 load
-    ``loads[k] = p_1 + k``, for every load up to ``P``."""
+def _rise(inst: Instance, dtype: type) -> Optional[np.ndarray]:
+    """The rising ramp of a dense solve in the cell dtype, or None when it
+    would pass twice the table's width: ``lo..hi`` for ``lo = min(p_1,
+    p_j + q_j)`` and ``hi = max(P, S_j + q_j)`` over jobs ``j`` 2..n.  It
+    holds the table's loads and every ``a + p + q``, and its reverse
+    every ``S_i + q - a``, that a job's children are bounded by."""
+    later = inst.jobs[1:]
+    lo = min([inst.jobs[0].p] + [job.p + job.q for job in later])
+    hi = max([inst.total_p] + [s + job.q for job, s in zip(later, inst.prefix[2:])])
+    if hi - lo + 1 > 2 * (inst.total_p - inst.jobs[0].p + 1):
+        return None
+    return np.arange(lo, hi + 1, dtype=dtype)
+
+
+def _first_table(inst: Instance) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+    """The dense table of layer 1, the ramp of its loads and `_rise`, in
+    the cell dtype: ``table[k]`` is the smallest lateness with flag-1 load
+    ``loads[k] = p_1 + k``, for every load up to ``P``, and ``loads`` is
+    a view of the rising ramp when there is one."""
     first = inst.jobs[0]
     # every lateness and load is at most P + q_max, below the sentinel
     dtype = np.int32 if inst.total_p + inst.q_max < np.iinfo(np.int32).max else np.int64
     table = np.full(inst.total_p - first.p + 1, np.iinfo(dtype).max, dtype=dtype)
     table[0] = first.p + first.q
-    return table, np.arange(first.p, inst.total_p + 1, dtype=dtype)
+    rise = _rise(inst, dtype)
+    if rise is None:
+        return table, np.arange(first.p, inst.total_p + 1, dtype=dtype), None
+    lo = int(rise[0])
+    return table, rise[first.p - lo : inst.total_p - lo + 1], rise
 
 
-def _add_jobs(inst: Instance, table: np.ndarray, loads: np.ndarray) -> Iterator[np.ndarray]:
+def _add_jobs(
+    inst: Instance, table: np.ndarray, loads: np.ndarray, rise: Optional[np.ndarray]
+) -> Iterator[np.ndarray]:
     """Adds jobs 2..n to layer 1's ``table`` in place (see the module
     docstring), yielding after each job its take mask: ``take[k]`` is
-    set iff load ``p_1 + k + p`` moved onto flag 1.  ``loads`` is the
-    table's ramp."""
+    set iff load ``p_1 + k + p`` moved onto flag 1.  ``loads`` and
+    ``rise`` are `_first_table`'s: each job reads its children's
+    lateness bounds as slices of ``rise`` and its reverse, or computes
+    them from ``loads`` when there is no ``rise``."""
     base = inst.jobs[0].p
-    # scratch for one job's parents, as wide as the ramp
-    moved = np.empty_like(loads)
-    stayed = np.empty_like(loads)
+    # scratch for one job's parents, as wide as the table
+    moved = np.empty_like(table)
+    if rise is None:
+        stayed = np.empty_like(table)
+    else:
+        # contiguous: a reversed view is about 3x slower to read
+        fall = rise[::-1].copy()
+        lo, hi = int(rise[0]), int(rise[-1])
     for job, prefix in zip(inst.jobs[1:], inst.prefix[2:]):
         m = prefix - job.p - base + 1  # loads reached before this job
         parents = table[:m]
+        # the bounds a + p + q of the flag-1 children, S_i + q - a of flag 0
+        if rise is None:
+            rising = np.add(loads[:m], job.p + job.q, out=moved[:m])
+            falling = np.subtract(prefix + job.q, loads[:m], out=stayed[:m])
+        else:
+            start = base + job.p + job.q - lo
+            rising = rise[start : start + m]
+            start = hi - (prefix + job.q - base)
+            falling = fall[start : start + m]
         # flag-1 children: load a + p, lateness max(L, a + p + q)
-        up = np.add(loads[:m], job.p + job.q, out=moved[:m])
-        np.maximum(up, parents, out=up)
+        up = np.maximum(rising, parents, out=moved[:m])
         # flag-0 children in place: max(L, S_i - a + q); the sentinel stays
-        np.subtract(prefix + job.q, loads[:m], out=stayed[:m])
-        np.maximum(parents, stayed[:m], out=parents)
+        np.maximum(parents, falling, out=parents)
         # a flag-1 child replaces its cell only when strictly smaller
         cells = table[job.p : job.p + m]
         take = up < cells
@@ -479,11 +527,11 @@ def _table_folds(inst: Instance) -> Iterator[_Fold]:
     """The dense table folded after every job, as `_Fold`s of layers
     1..n (see `_Fold`).  Every fold's ``lmax`` is a view of one scratch
     buffer, which the next fold overwrites."""
-    table, loads = _first_table(inst)
+    table, loads, rise = _first_table(inst)
     out = np.empty_like(table)
     base = inst.jobs[0].p
     # layer 1, then one layer per job added
-    for i, _ in enumerate(chain((None,), _add_jobs(inst, table, loads)), 1):
+    for i, _ in enumerate(chain((None,), _add_jobs(inst, table, loads, rise)), 1):
         yield _Fold(i, *_fold(table, loads, base, inst.prefix[i], out))
 
 
@@ -491,9 +539,9 @@ def _solve_dense(inst: Instance, sizes: Sequence[int]) -> SolveResult:
     """The exact front from a table of the smallest lateness per flag-1
     load (see the module docstring); ``sizes`` is `_table_sizes`."""
     base, total = inst.jobs[0].p, inst.total_p
-    table, loads = _first_table(inst)
+    table, loads, rise = _first_table(inst)
     # per job i >= 2: packed bits, bit k set iff load base + k + p moved onto flag 1
-    takes = [np.packbits(take).tobytes() for take in _add_jobs(inst, table, loads)]
+    takes = [np.packbits(take).tobytes() for take in _add_jobs(inst, table, loads, rise)]
     front, _ = _final_front(*_fold(table, loads, base, total, np.empty_like(table)))
     schedules = []
     for cmax, lmax in front:
@@ -540,7 +588,9 @@ def _table_sizes(inst: Instance, budget: int) -> Optional[list[int]]:
     # i + spread i (i - 1) / 2 states
     n, spread = inst.n, (max(loads[1:], default=0) - min(loads[1:], default=0)) // g
     bound = min(bound, n * (n + 1) // 2 + spread * (n + 1) * n * (n - 1) // 6)
-    if cells > 4 * min(budget, bound):
+    # count while the table or the bitset, P // g bits, is within four
+    # times those states; past the cells, the count only raises or says no
+    if min(cells, inst.total_p // g) > 4 * min(budget, bound):
         return None
     base = inst.jobs[0].p // g
     reach = kept = 1

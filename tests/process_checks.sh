@@ -88,8 +88,10 @@ check 0 0 "--n 200 --p 1:1000 --q 2147483648:4294967295 --seed 404" "" 3/10
 # commands take the dense table
 check 0 0 "--n 200 --p 1:10000 --q 1:1000 --seed 404" "" 3/10
 # p 1:100000 (P 10,106,976): its 1.0e9 cells pass four times the default
-# budget, so the route count is skipped, and the sorted engine needs
-# 50,846,046 live states at layer 68, over the budget: both commands exit 3
+# budget, but the route count's bitset of 1.0e7 bits does not, so the
+# count runs, and it raises the sorted engine's overrun at layer 68
+# (50,846,046 live states) itself: both commands exit 3 in well under a
+# second, running neither engine
 check 3 4000000 "--n 200 --p 1:100000 --q 1:1000 --seed 404" "" 3/10
 # p 1:12000 (P 1,158,976): its 1.2e8 cells are under four times the
 # default budget, so the route count runs, and it raises the sorted

@@ -6,8 +6,10 @@ fixtures; every check is exact (integer or rational arithmetic) except
 the explicitly directional timing assertions of criterion 6.
 """
 
+import math
 import time
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -198,25 +200,33 @@ def test_criterion_6_complexity_behavior(
             if any(size > bound for size in result.layer_sizes):
                 bound_violations += 1
 
-    def seconds(solve, *args):
-        # the best of five solves, so one stall cannot reorder two timings
-        times = []
+    def seconds(*solves):
+        # the best of five solves each, timed in five rounds of one solve
+        # of each back to back, so that one stall cannot reorder two
+        # timings and a slow stretch of the host lands on all of them.
+        # Every other round runs them in reverse, so that the first and
+        # the last also run right after themselves, warm, as when each
+        # was timed alone.
+        best = [math.inf] * len(solves)
+        order = list(enumerate(solves))
         for _ in range(5):
-            start = time.perf_counter()
-            solve(*args)
-            times.append(time.perf_counter() - start)
-        return min(times)
+            for k, solve in order:
+                start = time.perf_counter()
+                solve()
+                best[k] = min(best[k], time.perf_counter() - start)
+            order.reverse()
+        return best
 
     # directional timing: big instance, fptas fast, dp slower
     big = generate_instance(GenSpec((200, 200), (1, 1000), (1, 1000), 404, 1), 0)
-    fptas_s = seconds(solve_fptas, big, Fraction(3, 10))
-    dp_s = seconds(solve_exact, big)
+    fptas_s, dp_s = seconds(partial(solve_fptas, big, Fraction(3, 10)), partial(solve_exact, big))
 
     # dp time grows with the processing-time range
-    dp_series = []
-    for p_hi in (20, 100, 1000):
-        inst = generate_instance(GenSpec((200, 200), (1, p_hi), (1, 1000), 404, 1), 0)
-        dp_series.append(seconds(solve_exact, inst))
+    series = [
+        generate_instance(GenSpec((200, 200), (1, p_hi), (1, 1000), 404, 1), 0)
+        for p_hi in (20, 100, 1000)
+    ]
+    dp_series = seconds(*(partial(solve_exact, inst) for inst in series))
 
     ok = (
         bound_violations == 0

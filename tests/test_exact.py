@@ -477,6 +477,35 @@ def test_route_count_is_bounded_by_states_not_cells(inst, budget):
         assert result.front == enumerate_front(inst)
 
 
+def test_route_count_raises_past_four_times_the_budget_in_cells(monkeypatch):
+    # the cells pass four times the budget, but the count's bitset of P // g
+    # bits does not, so the count runs and raises the sorted engine's text
+    small = make_instances(29, 1, (60, 60), (1, 6))[0]
+    with pytest.raises(StateBudgetError) as info:
+        sorted_solve(small, 100)
+    # p 1:100000 (P 10,106,976, 1.0e9 cells): the sorted engine, run to
+    # its overrun, stops at layer 68
+    wide = generate_instance(GenSpec((200, 200), (1, 100_000), (1, 1000), 404, 1), 0)
+    wide_error = (
+        "state budget exceeded: layer 68 needs up to 50846046 live states "
+        f"(budget {DEFAULT_STATE_BUDGET})"
+    )
+    cases = [(small, 100, str(info.value)), (wide, DEFAULT_STATE_BUDGET, wide_error)]
+
+    def sorted_engine(*args):
+        raise AssertionError("the sorted engine ran")
+
+    monkeypatch.setattr(exact_module, "_layer_loop", sorted_engine)
+    for inst, budget, message in cases:
+        assert table_cells(inst) > 4 * budget >= inst.total_p
+        with pytest.raises(StateBudgetError) as info:
+            solve_exact(inst, budget=budget)
+        assert str(info.value) == message
+        with pytest.raises(StateBudgetError) as info:
+            exact_module._exact_stream(inst, budget)
+        assert str(info.value) == message
+
+
 @pytest.mark.parametrize("factor", [2, 3, 2**20])
 def test_layer_sizes_ignore_a_common_factor_of_the_loads(factor):
     # the route count works in units of the loads' common factor, so
@@ -489,19 +518,47 @@ def test_layer_sizes_ignore_a_common_factor_of_the_loads(factor):
 DENSE_P = [5, 3, 8, 2, 7, 1, 4, 6, 2, 3]
 
 
+def ramp_jobs(q_1, spread):
+    """DENSE_P with job 1 (p 5) at ``q_1``, job 2 (p 3) at ``spread`` and
+    the rest at 0: the ramps span loads 1..max(P, 8 + spread), 41 of them
+    up to a spread of 33, against a table of 37 cells."""
+    return [(5, q_1), (3, spread)] + [(p, 0) for p in DENSE_P[2:]]
+
+
 @pytest.mark.parametrize(
-    "jobs, dtype",
+    "jobs, dtype, ramps",
     [
         # equal q: the all-on-flag-1 cell holds exactly P + q_max, one
-        # below the int32 sentinel, and then equal to it
-        ([(p, 2**31 - 2 - sum(DENSE_P)) for p in DENSE_P], np.int32),
-        ([(p, 2**31 - 1 - sum(DENSE_P)) for p in DENSE_P], np.int64),
-        ([(p, 2**40 if p % 2 else p) for p in DENSE_P], np.int64),
+        # below the int32 sentinel, and then equal to it; the ramps would
+        # span loads and latenesses from 1 to past 2^31
+        ([(p, 2**31 - 2 - sum(DENSE_P)) for p in DENSE_P], np.int32, False),
+        ([(p, 2**31 - 1 - sum(DENSE_P)) for p in DENSE_P], np.int64, False),
+        ([(p, 2**40 if p % 2 else p) for p in DENSE_P], np.int64, False),
+        # the ramps are built up to twice the table's width, 74 values, and
+        # job 1's delivery time alone sets the cell dtype
+        (ramp_jobs(100, 66), np.int32, True),
+        (ramp_jobs(100, 67), np.int32, False),
+        (ramp_jobs(2**31, 66), np.int64, True),
+        (ramp_jobs(2**31, 67), np.int64, False),
     ],
-    ids=["int32-max-minus-1", "int32-max", "q-2^40"],
+    ids=[
+        "int32-max-minus-1",
+        "int32-max",
+        "q-2^40",
+        "int32-ramps",
+        "int32-past-ramps",
+        "int64-ramps",
+        "int64-past-ramps",
+    ],
 )
-def test_dense_cell_dtype_boundary(monkeypatch, jobs, dtype):
+def test_dense_cell_dtype_boundary(monkeypatch, jobs, dtype, ramps):
     inst = normalize(jobs)
+    table, loads, rise = exact_module._first_table(inst)
+    assert table.dtype == loads.dtype == np.dtype(dtype)
+    assert (rise is not None) == ramps
+    if ramps:
+        assert rise.dtype == np.dtype(dtype)
+        assert np.shares_memory(loads, rise)
     reference, ranked = sorted_solve(inst), sorted_layers(inst)
     fold, tables = exact_module._fold, []
 

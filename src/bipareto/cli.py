@@ -238,7 +238,7 @@ def _run_verify_checks(
     for stream in streams:  # the check stops at a violation: finish both runs
         for _ in stream:
             pass
-    exact_front, approx_front = (_final_front(layer.lmax, layer.cmax)[0] for layer in last)
+    exact_front, approx_front = (_final_front(layer)[0] for layer in last)
 
     if inst.n > ORACLE_CAP:
         oracle = ("SKIP", "oracle-equality", f"n={inst.n} exceeds oracle cap {ORACLE_CAP}")

@@ -51,40 +51,47 @@ only the ``origin`` arrays.  `exact_layers` and `trimmed_layers` (in
 in a `Layer` as they yield it, keeping none.
 
 On dense instances `solve_exact` runs the same recurrence as a table
-instead: cell ``a`` holds the smallest ``L`` with load ``a`` on machine
-flag 1, for ``a`` in ``[p_1, S_i]``, and the cell dtype's maximum where
-no assignment reaches it.  The cells are int32 when ``P + q_max <
-2**31 - 1``, so that every lateness and load stays below that sentinel,
-and int64 otherwise.  Job ``i`` writes two contiguous slices: its flag-0
-children stay in place with ``L' = max(L, S_i - a + q)``, and its flag-1
-children move to ``a + p`` with ``L' = max(L, a + p + q)``.  Both bounds
-are affine in ``a``, so each solve builds them once, as two ramps in the
-cell dtype: ``rise`` runs from ``min(p_1, p_j + q_j)`` up to ``max(S_j +
-q_j)`` over jobs ``j`` 2..n, and ``fall`` is its contiguous reverse.
-Each job reads its bounds as slices of them, so it makes four passes
-over its cells: two maxima, the compare and the minimum.  The ramps are
-built iff they span at most twice the table's ``P - p_1 + 1`` cells;
-delivery times spread wider than the table pass that, and such a solve
-computes each job's bounds from the ramp of loads, two passes more.  A
-flag-1 child replaces its cell only when strictly smaller, so ties stay
-on flag 0.  One bit per cell records which child won; walking the bits
-back from a final cell (``a -= p`` where set) gives absolute flags
-directly.  The front folds the last table onto ``C = max(a, P - a)``;
-when the two mirrored cells tie, the witness has ``a = C``.  The
-table, the fold and the scratch arrays each span at most the last
+instead: cell ``a`` holds the smallest ``L - q_1`` with load ``a`` on
+machine flag 1, for ``a`` in ``[p_1, S_i]``, and the cell dtype's
+maximum where no assignment reaches it.  Every lateness lies in ``[p_1 +
+q_1, P + q_1]`` (job 1 alone gives ``p_1 + q_1``, ``L`` never falls, and
+no completion passes ``P`` nor any ``q`` passes ``q_1``), so every
+reached cell lies in ``[p_1, P]``, whatever the delivery times: the
+cells are int32 when ``P < 2**31 - 1``, below that sentinel, and int64
+otherwise.  Job ``i``, with ``d = q_1 - q >= 0``, writes two contiguous
+slices: its flag-0 children stay in place with ``L' = max(L, S_i - d -
+a)``, and its flag-1 children move to ``a + p`` with ``L' = max(L, a +
+p - d)``.  Both bounds are affine in ``a``, so each solve builds one
+ramp of absolute loads in the cell dtype, ``rise``, running up to ``P``,
+and ``fall``, its contiguous reverse, and each job reads its bounds as
+slices of them: four passes over its cells, two maxima, the compare and
+the minimum.  No reached cell is below ``p_1``, so a bound's values up
+to ``p_1`` never bind: a slice whose values all lie below ``p_1`` reads
+the ``m`` values up to ``p_1`` instead, for the job's ``m`` parents, and
+changes no cell (`_add_jobs`).  So ``rise`` starts above ``2 p_1 - P``,
+whatever the delivery times, and spans less than twice the table's
+``P - p_1 + 1`` cells.  A flag-1 child replaces its cell only when
+strictly smaller, so ties stay on flag 0.  One bit per cell records
+which child won; walking the bits back from a final cell (``a -= p``
+where set) gives absolute flags directly.  The front folds the last
+table onto ``C = max(a, P - a)`` and adds ``q_1`` back to its few
+points; when the two mirrored cells tie, the witness has ``a = C``.
+The table, the fold and the scratch array each span at most the last
 layer's ``P - p_1 + 1`` cells, and the ramps at most twice that, so the
 table holds ``cells / 8`` bytes of bits plus a few arrays the width of
-the last layer.  The table has no sort, and no 8-byte parent per
-state, but its cells span both mirrors of each makespan, so it pays
-only when loads are dense.  On this path the table is folded after
-every job, onto ``C = max(a, S_i - a)``: per makespan the smallest
-``L`` over both mirrors, which is the sorted engine's layer, state for
-state.  One fold stream (`_table_folds`) yields each fold as a `_Fold`,
-a private `Layer` with one cell per makespan: its ``lmax`` is one
-scratch buffer that the next fold overwrites, its ``cmax`` a view of
-the table's ramp of loads (itself a view of ``rise`` when the ramps
-are built).  Only `verify`'s drift check reads the folds
-(`_exact_stream`), as they are, building no per-state array;
+the last layer.  The table has no
+sort, and no 8-byte parent per state, but its cells span both mirrors
+of each makespan, so it pays only when loads are dense.  On this path
+the table is folded after every job, onto ``C = max(a, S_i - a)``: per
+makespan the smallest ``L - q_1`` over both mirrors, which is the sorted
+engine's layer, state for state, less ``q_1``.  One fold stream
+(`_table_folds`) yields each fold as a `_Fold`, a private `Layer` with
+one cell per makespan that carries ``q_1`` as its offset: its ``lmax``
+is one scratch buffer that the next fold overwrites, its ``cmax`` a
+view of the table's ramp of loads, itself a view of ``rise``.  Only
+`verify` reads the folds (`_exact_stream`), as they are, building no
+per-state array: its drift check lowers what each cell must reach by
+the offset, and its exact front adds the offset back;
 `exact_layers` streams the sorted engine, as `trimmed_layers` does at
 width ``delta1``.
 
@@ -178,13 +185,17 @@ class Layer:
         return len(self.cmax)
 
 
+@dataclass(frozen=True, eq=False)
 class _Fold(Layer):
     """A fold of the dense table, as `_exact_stream` yields it: one cell
     per makespan of the layer, reached or not.  ``lmax`` is the reused
-    fold buffer in the cell dtype, holding the dtype's maximum where no
-    assignment reaches the makespan; ``cmax`` is the ascending run of
-    makespans, a view of the table's ramp of loads.  Only verify's
-    drift check reads it."""
+    fold buffer in the cell dtype, holding each makespan's smallest
+    lateness less ``offset`` (the first job's delivery time ``q_1``), or
+    the dtype's maximum where no assignment reaches the makespan;
+    ``cmax`` is the ascending run of makespans, a view of the table's
+    ramp of loads.  Only verify's checks read it."""
+
+    offset: int
 
 
 @dataclass(frozen=True)
@@ -302,16 +313,20 @@ def _scatter_min_per_key(
     return won % pool
 
 
-def _final_front(lmax: np.ndarray, cmax: np.ndarray) -> tuple[Front, list[int]]:
+def _final_front(layer: Layer) -> tuple[Front, list[int]]:
     """The Pareto front of a final layer listed in ascending load, and the
     indices of its points' states: those whose lateness is below that of
-    every smaller load.  Unreached cells of a folded table hold their
-    dtype's maximum and never qualify."""
+    every smaller load.  A fold of the dense table adds its offset back
+    to its points' lateness; its unreached cells hold their dtype's
+    maximum and never qualify."""
+    lmax = layer.lmax
     prior = np.empty_like(lmax)
     prior[0] = np.iinfo(lmax.dtype).max
     np.minimum.accumulate(lmax[:-1], out=prior[1:])
     witnesses = np.flatnonzero(lmax < prior)
-    points = map(ParetoPoint, cmax[witnesses].tolist(), lmax[witnesses].tolist())
+    offset = layer.offset if isinstance(layer, _Fold) else 0
+    lateness = [value + offset for value in lmax[witnesses].tolist()]
+    points = map(ParetoPoint, layer.cmax[witnesses].tolist(), lateness)
     return Front(tuple(points)), witnesses.tolist()
 
 
@@ -409,7 +424,7 @@ def _solve_layered(inst: Instance, width: Fraction, budget: int) -> SolveResult:
     origins = []
     for lmax, cmax, origin in _layer_loop(inst, width, budget):
         origins.append(origin)
-    front, witnesses = _final_front(lmax, cmax)
+    front, witnesses = _final_front(Layer(inst.n, lmax, cmax))
     schedules = []
     for idx in witnesses:
         choices = []
@@ -451,71 +466,56 @@ def _fold(
     return folded, loads[start - base : total - base + 1]
 
 
-def _rise(inst: Instance, dtype: type) -> Optional[np.ndarray]:
-    """The rising ramp of a dense solve in the cell dtype, or None when it
-    would pass twice the table's width: ``lo..hi`` for ``lo = min(p_1,
-    p_j + q_j)`` and ``hi = max(P, S_j + q_j)`` over jobs ``j`` 2..n.  It
-    holds the table's loads and every ``a + p + q``, and its reverse
-    every ``S_i + q - a``, that a job's children are bounded by."""
-    later = inst.jobs[1:]
-    lo = min([inst.jobs[0].p] + [job.p + job.q for job in later])
-    hi = max([inst.total_p] + [s + job.q for job, s in zip(later, inst.prefix[2:])])
-    if hi - lo + 1 > 2 * (inst.total_p - inst.jobs[0].p + 1):
-        return None
-    return np.arange(lo, hi + 1, dtype=dtype)
-
-
-def _first_table(inst: Instance) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
-    """The dense table of layer 1, the ramp of its loads and `_rise`, in
-    the cell dtype: ``table[k]`` is the smallest lateness with flag-1 load
-    ``loads[k] = p_1 + k``, for every load up to ``P``, and ``loads`` is
-    a view of the rising ramp when there is one."""
+def _first_table(inst: Instance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The dense table of layer 1, the ramp of its loads and the ramp
+    they are a view of, in the cell dtype: ``table[k]`` is the smallest
+    lateness less ``q_1`` with flag-1 load ``loads[k] = p_1 + k``, for
+    every load up to ``P``, and ``rise`` runs up to ``P`` from below
+    every value `_add_jobs` reads: the smallest ``p - d`` of jobs 2..n,
+    but no lower than ``2 p_1 + 1 - P``, where a clamped slice may
+    start."""
     first = inst.jobs[0]
-    # every lateness and load is at most P + q_max, below the sentinel
-    dtype = np.int32 if inst.total_p + inst.q_max < np.iinfo(np.int32).max else np.int64
+    # every cell is at most P, below the sentinel
+    dtype = np.int32 if inst.total_p < np.iinfo(np.int32).max else np.int64
     table = np.full(inst.total_p - first.p + 1, np.iinfo(dtype).max, dtype=dtype)
-    table[0] = first.p + first.q
-    rise = _rise(inst, dtype)
-    if rise is None:
-        return table, np.arange(first.p, inst.total_p + 1, dtype=dtype), None
-    lo = int(rise[0])
-    return table, rise[first.p - lo : inst.total_p - lo + 1], rise
+    table[0] = first.p
+    low = min([first.p] + [job.p + job.q - first.q for job in inst.jobs[1:]])
+    lo = min(first.p, max(low, 2 * first.p + 1 - inst.total_p))
+    rise = np.arange(lo, inst.total_p + 1, dtype=dtype)
+    return table, rise[first.p - lo :], rise
 
 
-def _add_jobs(
-    inst: Instance, table: np.ndarray, loads: np.ndarray, rise: Optional[np.ndarray]
-) -> Iterator[np.ndarray]:
+def _add_jobs(inst: Instance, table: np.ndarray, rise: np.ndarray) -> Iterator[np.ndarray]:
     """Adds jobs 2..n to layer 1's ``table`` in place (see the module
     docstring), yielding after each job its take mask: ``take[k]`` is
-    set iff load ``p_1 + k + p`` moved onto flag 1.  ``loads`` and
-    ``rise`` are `_first_table`'s: each job reads its children's
-    lateness bounds as slices of ``rise`` and its reverse, or computes
-    them from ``loads`` when there is no ``rise``."""
-    base = inst.jobs[0].p
+    set iff load ``p_1 + k + p`` moved onto flag 1.
+
+    Each job reads its children's lateness bounds as slices of
+    `_first_table`'s ``rise`` and its reverse, ``m = S_i - p - p_1 + 1``
+    values each, one per parent, up to ``S_i - d`` (flag 1) and ``S_i -
+    d - p_1`` (flag 0).  No reached cell is below ``p_1``, so values up
+    to ``p_1`` never bind: a slice whose largest value is below ``p_1``
+    reads up to ``p_1`` instead, which changes no cell and keeps it in
+    ``rise``.
+    """
+    base, top = inst.jobs[0].p, inst.jobs[0].q
+    shift, hi = base - int(rise[0]) + 1, int(rise[-1])
     # scratch for one job's parents, as wide as the table
     moved = np.empty_like(table)
-    if rise is None:
-        stayed = np.empty_like(table)
-    else:
-        # contiguous: a reversed view is about 3x slower to read
-        fall = rise[::-1].copy()
-        lo, hi = int(rise[0]), int(rise[-1])
+    # contiguous: a reversed view is about 3x slower to read
+    fall = rise[::-1].copy()
     for job, prefix in zip(inst.jobs[1:], inst.prefix[2:]):
-        m = prefix - job.p - base + 1  # loads reached before this job
-        parents = table[:m]
-        # the bounds a + p + q of the flag-1 children, S_i + q - a of flag 0
-        if rise is None:
-            rising = np.add(loads[:m], job.p + job.q, out=moved[:m])
-            falling = np.subtract(prefix + job.q, loads[:m], out=stayed[:m])
-        else:
-            start = base + job.p + job.q - lo
-            rising = rise[start : start + m]
-            start = hi - (prefix + job.q - base)
-            falling = fall[start : start + m]
-        # flag-1 children: load a + p, lateness max(L, a + p + q)
-        up = np.maximum(rising, parents, out=moved[:m])
-        # flag-0 children in place: max(L, S_i - a + q); the sentinel stays
-        np.maximum(parents, falling, out=parents)
+        # t = S_i - d - p_1, the flag-0 bound of the first parent; the
+        # flag-1 bound of the last parent is p_1 + t
+        m, t = prefix - job.p - base + 1, prefix + job.q - top - base
+        # max() written out: a call per job read 3% slower on small tables
+        end = shift + (t if t > 0 else 0)
+        start = hi - (t if t > base else base)
+        parents, up = table[:m], moved[:m]
+        # flag-1 children: load a + p, lateness max(L, a + p - d)
+        np.maximum(rise[end - m : end], parents, out=up)
+        # flag-0 children in place: max(L, S_i - d - a); the sentinel stays
+        np.maximum(parents, fall[start : start + m], out=parents)
         # a flag-1 child replaces its cell only when strictly smaller
         cells = table[job.p : job.p + m]
         take = up < cells
@@ -529,24 +529,25 @@ def _table_folds(inst: Instance) -> Iterator[_Fold]:
     buffer, which the next fold overwrites."""
     table, loads, rise = _first_table(inst)
     out = np.empty_like(table)
-    base = inst.jobs[0].p
+    base, offset = inst.jobs[0].p, inst.jobs[0].q
     # layer 1, then one layer per job added
-    for i, _ in enumerate(chain((None,), _add_jobs(inst, table, loads, rise)), 1):
-        yield _Fold(i, *_fold(table, loads, base, inst.prefix[i], out))
+    for i, _ in enumerate(chain((None,), _add_jobs(inst, table, rise)), 1):
+        yield _Fold(i, *_fold(table, loads, base, inst.prefix[i], out), offset)
 
 
 def _solve_dense(inst: Instance, sizes: Sequence[int]) -> SolveResult:
     """The exact front from a table of the smallest lateness per flag-1
     load (see the module docstring); ``sizes`` is `_table_sizes`."""
-    base, total = inst.jobs[0].p, inst.total_p
+    base, offset, total = inst.jobs[0].p, inst.jobs[0].q, inst.total_p
     table, loads, rise = _first_table(inst)
     # per job i >= 2: packed bits, bit k set iff load base + k + p moved onto flag 1
-    takes = [np.packbits(take).tobytes() for take in _add_jobs(inst, table, loads, rise)]
-    front, _ = _final_front(*_fold(table, loads, base, total, np.empty_like(table)))
+    takes = [np.packbits(take).tobytes() for take in _add_jobs(inst, table, rise)]
+    folded = _fold(table, loads, base, total, np.empty_like(table))
+    front, _ = _final_front(_Fold(inst.n, *folded, offset))
     schedules = []
     for cmax, lmax in front:
         # ties between the two mirrors go to flag 1 carrying the makespan
-        a = cmax if table[cmax - base] == lmax else total - cmax
+        a = cmax if table[cmax - base] == lmax - offset else total - cmax
         flags = []
         for job, packed in zip(reversed(inst.jobs[1:]), reversed(takes)):
             k = a - base - job.p

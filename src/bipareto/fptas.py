@@ -29,9 +29,10 @@ trimmed states give one step function of the load, the smallest
 lateness an exact state there must have to be covered
 (`_cover_steps`), and each exact state finds its step by binary
 search.  On the dense route `verify` passes the table's folds instead,
-`exact`'s private `_Fold` layers with one cell per makespan: each is
-cut into one run of cells per step, and one reduceat compares each
-run's minimum with its step, with no per-state array.
+`exact`'s private `_Fold` layers with one cell per makespan, each
+holding its lateness less the fold's offset ``q_1``: each fold is cut
+into one run of cells per step, and one reduceat compares each run's
+minimum with its step less the offset, with no per-state array.
 
 This module only chooses the box width; the box rule itself,
 `box_index`, and the engine that applies it are in `exact`.
@@ -224,15 +225,17 @@ def _first_uncovered_cell(
     fold: _Fold, steps: np.ndarray, need: np.ndarray
 ) -> Optional[ParetoPoint]:
     """The first reached cell of a fold of the dense table, in ascending
-    makespan, that the step function `_cover_steps` does not cover.
+    makespan, that the step function `_cover_steps` does not cover, with
+    the fold's offset added back to its lateness.
 
     The cells under one step are contiguous: the steps inside the fold's
     makespans cut it into segments, and one reduceat takes each
-    segment's minimum.  A segment fails when its minimum is below its
-    ``need`` clamped to the cell dtype's maximum, which unreached cells
-    hold: they never read as uncovered, while reached cells below the
-    first step still do.  Only the first failing segment is searched
-    cell by cell.
+    segment's minimum.  The cells hold lateness less the fold's offset,
+    so each ``need`` is lowered by it too, then clamped to the cell
+    dtype's maximum, which unreached cells hold: they never read as
+    uncovered, while reached cells below the first step still do.  A
+    segment fails when its minimum is below its lowered ``need``.  Only
+    the first failing segment is searched cell by cell.
     """
     folded, start = fold.lmax, int(fold.cmax[0])
     size = len(folded)
@@ -242,7 +245,7 @@ def _first_uncovered_cell(
     cuts = np.empty(last - first + 2, dtype=np.int64)
     cuts[0], cuts[-1] = 0, size
     np.subtract(steps[first:last], start, out=cuts[1:-1])
-    need = np.minimum(need[first : last + 1], np.iinfo(folded.dtype).max)
+    need = np.minimum(need[first : last + 1] - fold.offset, np.iinfo(folded.dtype).max)
     # a repeated step leaves an empty segment, which reduceat reads as
     # the next cell: only non-empty segments can fail
     seg_min = np.minimum.reduceat(folded, cuts[:-1])
@@ -253,7 +256,7 @@ def _first_uncovered_cell(
     s = failing[0]
     lo, hi = cuts[s], cuts[s + 1]
     k = int(lo + np.argmax(folded[lo:hi] < need[s]))
-    return ParetoPoint(start + k, int(folded[k]))
+    return ParetoPoint(start + k, int(folded[k]) + fold.offset)
 
 
 def find_closeness_violation(
@@ -285,8 +288,10 @@ def find_closeness_violation(
     An exact layer's states may be in any order: the first uncovered
     one in layer order is reported.  Each is checked by one binary
     search.  (On the dense route, verify passes the table's folds
-    instead, as `exact` streams them privately; those are checked one
-    contiguous run of cells per step, with the same answer.)
+    instead, as `exact` streams them privately, their cells holding
+    lateness less the first job's delivery time; those are checked one
+    contiguous run of cells per step against the steps lowered by that
+    offset, with the same answer.)
     """
     num, den = grid.delta1.numerator, grid.delta1.denominator
     for ex_layer, ap_layer in zip_longest(exact_layers, approx_layers):

@@ -55,9 +55,12 @@ def sorted_loop(inst, width=Fraction(1)):
 def reached(layer):
     """Copies of a layer's reached cells, as a `Layer`: on a fold of the
     dense table, the makespans its cells reach, each with its smallest
-    lateness; every state of any other layer."""
+    lateness, the fold's offset added back in int64; every state of any
+    other layer."""
     hit = layer.lmax != np.iinfo(layer.lmax.dtype).max
-    return Layer(layer.i, layer.lmax[hit], layer.cmax[hit])
+    offset = layer.offset if isinstance(layer, exact_module._Fold) else 0
+    lmax = np.add(layer.lmax[hit], offset, dtype=np.int64)
+    return Layer(layer.i, lmax, layer.cmax[hit])
 
 
 def spy_exact(monkeypatch, name):

@@ -81,8 +81,14 @@ expect() {
 # check meets, and the trimmed run keeps every exact state.
 check 0 0 "--n 200 --p 1:1000 --q 1:1000 --seed 404" "" 3/10 1/1000
 # the same loads with q 2^31..2^32-1 (P 101,976, q_max 4,271,075,250):
-# P + q_max passes int32, so the table runs on int64 cells
+# the cells hold lateness less q_1, at most P, so the table still runs on
+# int32 cells, and verify's checks add q_1 back to the folds they read
 check 0 0 "--n 200 --p 1:1000 --q 2147483648:4294967295 --seed 404" "" 3/10
+# the same loads with q 1..2^40: q_1 sits more than P above every other
+# delivery time, so no job's bound passes p_1 and every slice of the ramp
+# starts at its clamp; verify's drift check and exact front read the
+# folds with q_1 as offset
+check 0 0 "--n 200 --p 1:1000 --q 1:1099511627776 --seed 404" "" 3/10
 # p 1:10000 (P 976,976): its 9.7e7 cells pass the default budget of 5e7,
 # but the sorted engine's peak (about 4.8e7 states) fits it, so both
 # commands take the dense table

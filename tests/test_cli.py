@@ -278,8 +278,8 @@ def test_verify_reports_corrupted_front(worked_file, monkeypatch, capsys):
     # builds it from the last layer: the exact front first, then this one.
     final_front, fronts = cli._final_front, []
 
-    def corrupted(lmax, cmax):
-        front, witnesses = final_front(lmax, cmax)
+    def corrupted(layer):
+        front, witnesses = final_front(layer)
         fronts.append(front)
         if len(fronts) == 2:
             front = Front((ParetoPoint(10**6, 10**6 + 1),))

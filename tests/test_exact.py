@@ -518,32 +518,35 @@ def test_layer_sizes_ignore_a_common_factor_of_the_loads(factor):
 DENSE_P = [5, 3, 8, 2, 7, 1, 4, 6, 2, 3]
 
 
-def ramp_jobs(q_1, spread):
-    """DENSE_P with job 1 (p 5) at ``q_1``, job 2 (p 3) at ``spread`` and
-    the rest at 0: the ramps span loads 1..max(P, 8 + spread), 41 of them
-    up to a spread of 33, against a table of 37 cells."""
-    return [(5, q_1), (3, spread)] + [(p, 0) for p in DENSE_P[2:]]
+def big_first(total, q_1, q=lambda p: 7):
+    """DENSE_P with job 1 grown so that the loads sum to ``total``, at
+    ``q_1``, and every other job at ``q(p)``: a table of 37 cells, whatever
+    ``total``, whose flag-0 bounds never pass ``p_1``."""
+    return [(total - sum(DENSE_P[1:]), q_1)] + [(p, q(p)) for p in DENSE_P[1:]]
 
 
 @pytest.mark.parametrize(
-    "jobs, dtype, ramps",
+    "jobs, dtype",
     [
-        # equal q: the all-on-flag-1 cell holds exactly P + q_max, one
-        # below the int32 sentinel, and then equal to it; the ramps would
-        # span loads and latenesses from 1 to past 2^31
-        ([(p, 2**31 - 2 - sum(DENSE_P)) for p in DENSE_P], np.int32, False),
-        ([(p, 2**31 - 1 - sum(DENSE_P)) for p in DENSE_P], np.int64, False),
-        ([(p, 2**40 if p % 2 else p) for p in DENSE_P], np.int64, False),
-        # the ramps are built up to twice the table's width, 74 values, and
-        # job 1's delivery time alone sets the cell dtype
-        (ramp_jobs(100, 66), np.int32, True),
-        (ramp_jobs(100, 67), np.int32, False),
-        (ramp_jobs(2**31, 66), np.int64, True),
-        (ramp_jobs(2**31, 67), np.int64, False),
+        # the cells hold L - q_1, at most P: int32 up to P = 2^31 - 2, one
+        # below the int32 sentinel, and int64 from P = 2^31 - 1
+        (big_first(2**31 - 2, 7), np.int32),
+        (big_first(2**31 - 1, 7), np.int64),
+        # delivery times change no cell's dtype: equal q near 2^31, and q
+        # 2^40 on the odd loads, whose even ones' bounds never pass p_1
+        ([(p, 2**31 - 1 - sum(DENSE_P)) for p in DENSE_P], np.int32),
+        ([(p, 2**40 if p % 2 else p) for p in DENSE_P], np.int32),
+        # bounds that pass p_1, and job 1 so far above the rest that no
+        # bound passes it: every slice starts at its clamp
+        ([(p, 2 * p) for p in DENSE_P], np.int32),
+        ([(5, 2**31), (3, 67)] + [(p, 0) for p in DENSE_P[2:]], np.int32),
+        (big_first(2**31, 30, lambda p: 2 * p), np.int64),
+        (big_first(2**31, 2**40), np.int64),
     ],
     ids=[
         "int32-max-minus-1",
         "int32-max",
+        "q-2^31",
         "q-2^40",
         "int32-ramps",
         "int32-past-ramps",
@@ -551,14 +554,13 @@ def ramp_jobs(q_1, spread):
         "int64-past-ramps",
     ],
 )
-def test_dense_cell_dtype_boundary(monkeypatch, jobs, dtype, ramps):
+def test_dense_cell_dtype_boundary(monkeypatch, jobs, dtype):
     inst = normalize(jobs)
     table, loads, rise = exact_module._first_table(inst)
-    assert table.dtype == loads.dtype == np.dtype(dtype)
-    assert (rise is not None) == ramps
-    if ramps:
-        assert rise.dtype == np.dtype(dtype)
-        assert np.shares_memory(loads, rise)
+    assert table.dtype == loads.dtype == rise.dtype == np.dtype(dtype)
+    assert np.shares_memory(loads, rise)
+    assert loads.tolist() == list(range(inst.jobs[0].p, inst.total_p + 1))
+    assert len(rise) <= 2 * len(table)
     reference, ranked = sorted_solve(inst), sorted_layers(inst)
     fold, tables = exact_module._fold, []
 
@@ -573,12 +575,15 @@ def test_dense_cell_dtype_boundary(monkeypatch, jobs, dtype, ramps):
     monkeypatch.setattr(exact_module, "_layer_loop", sorted_engine)
     lean = solve_exact(inst)
     # verify's stream of the table's folds, each fold's reached cells
-    layers = list(map(reached, exact_module._exact_stream(inst, DEFAULT_STATE_BUDGET)))
+    layers = []
+    for folded in exact_module._exact_stream(inst, DEFAULT_STATE_BUDGET):
+        assert folded.lmax.dtype == folded.cmax.dtype == np.dtype(dtype)
+        assert folded.offset == inst.jobs[0].q
+        layers.append(reached(folded))
     assert set(tables) == {np.dtype(dtype)}
     assert_paths_agree(inst, lean, reference)
     for table_layer, layer in zip(layers, ranked, strict=True):
         assert table_layer.i == layer.i
-        assert table_layer.lmax.dtype == table_layer.cmax.dtype == np.dtype(dtype)
         assert table_layer.lmax.tolist() == layer.lmax.tolist()
         assert table_layer.cmax.tolist() == layer.cmax.tolist()
     if len({job.q for job in inst.jobs}) == 1:
@@ -589,7 +594,8 @@ def test_dense_cell_dtype_boundary(monkeypatch, jobs, dtype, ramps):
     "jobs, cells",
     [
         ([(p, 2 * p) for p in DENSE_P], np.int32),
-        ([(p, 2**40 if p % 2 else p) for p in DENSE_P], np.int64),
+        # P past 2^31 - 2, whatever the delivery times
+        (big_first(2**31, 2**40, lambda p: 2**40 - 3 * p), np.int64),
         # sparse loads: solve_exact takes the sorted engine
         ([(1, 100)] * 19 + [(1_000_000, 0)], None),
     ],

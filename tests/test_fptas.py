@@ -248,7 +248,7 @@ def as_fold(layer, dtype=np.int32):
     start, stop = int(layer.cmax.min()), int(layer.cmax.max()) + 1
     folded = np.full(stop - start, np.iinfo(dtype).max, dtype=dtype)
     folded[layer.cmax - start] = layer.lmax
-    return _Fold(layer.i, folded, np.arange(start, stop, dtype=dtype))
+    return _Fold(layer.i, folded, np.arange(start, stop, dtype=dtype), 0)
 
 
 def reference_closeness_violation(exact_layers, approx_layers, grid):
@@ -397,7 +397,7 @@ def closeness_jobs(draw, kinds=("single", "small", "wide", "huge_p")):
         return [(p, draw(st.integers(0, 50))) for _ in range(n)]
     if kind == "even_p":  # no odd load is reached: the folds have unreached cells
         return [(2 * draw(st.integers(1, 15)), draw(st.integers(0, 30))) for _ in range(n)]
-    if kind == "big_q":  # P + q_max >= 2**31 - 1: the dense table's cells are int64
+    if kind == "big_q":  # q past 2^31: the dense table's cells stay int32, as P is small
         return [(draw(st.integers(1, 30)), draw(st.integers(2**31, 2**40))) for _ in range(n)]
     p_hi = 30 if kind == "small" else 10**12
     return [(draw(st.integers(1, p_hi)), draw(st.integers(0, p_hi))) for _ in range(n)]
@@ -535,7 +535,11 @@ def test_table_layers_equal_sorted_layers(jobs, eps, mode, seed):
 @pytest.mark.parametrize(
     "edge, jobs, eps",
     [
-        ("int64-cells", [(3, 2**40), (5, 2**31), (4, 7), (6, 1)], Fraction(1, 2)),
+        (
+            "int64-cells",
+            [(2**31, 2**40), (5, 2**40 - 3), (4, 2**40 - 8), (3, 2**40 - 20), (6, 1)],
+            Fraction(1, 2),
+        ),
         ("unreached-cells", [(4, 9), (8, 3), (2, 30), (6, 12), (10, 1)], Fraction(3, 10)),
         ("window-0", [(7, 3), (2, 8), (9, 9), (4, 1), (5, 6)], Fraction(1, 40)),
     ],
@@ -546,7 +550,7 @@ def test_fold_check_equals_layer_check(edge, jobs, eps):
     grid = grid_params(inst, eps)
     ranked = sorted_layers(inst)
     # the fold stream reuses one buffer: copy each fold to keep it
-    folds = [_Fold(f.i, f.lmax.copy(), f.cmax) for f in exact_module._table_folds(inst)]
+    folds = [_Fold(f.i, f.lmax.copy(), f.cmax, f.offset) for f in exact_module._table_folds(inst)]
     dtype = folds[0].lmax.dtype
     if edge == "int64-cells":
         assert dtype == np.int64
@@ -572,6 +576,53 @@ def test_fold_check_equals_layer_check(edge, jobs, eps):
             )
             if mode == "real":
                 assert found is None
+
+
+def wide_q_instances():
+    """Dense instances whose delivery times spread far wider than their
+    loads: q drawn from 1..2^40 and from 2^31..2^32 - 1, where q_1 is far
+    above every other job, and jobs at q_1 = 2^40 mixed with jobs within
+    P + 2 of it and jobs far below it, so that the dense table's bounds
+    pass p_1, stay at or below it, and sit at its edge."""
+    instances = make_instances(31, 6, (2, 40), (1, 10), (1, 2**40))
+    instances += make_instances(32, 6, (2, 40), (1, 10), (2**31, 2**32 - 1))
+    rng = np.random.default_rng(31)
+    for _ in range(60):
+        loads = rng.integers(1, 7, int(rng.integers(2, 13))).tolist()
+        near = 2**40 - rng.integers(0, sum(loads) + 3, len(loads))
+        far = rng.integers(0, 2**40, len(loads))
+        delivery = np.where(rng.random(len(loads)) < 0.6, near, far).tolist()
+        instances.append(normalize(zip(loads, [2**40] + delivery[1:])))
+    return instances
+
+
+def test_wide_delivery_times_on_the_dense_table():
+    # the table holds L - q_1 and starts a bound's slice no lower than
+    # where its values reach p_1; its folds carry q_1 back to the front
+    # and the drift check
+    outcomes = set()
+    for k, inst in enumerate(wide_q_instances()):
+        reference, ranked = sorted_solve(inst), sorted_layers(inst)
+        dense = exact_module._solve_dense(inst, reference.layer_sizes)
+        assert dense.front == reference.front
+        for schedule, point in zip(dense.schedules, dense.front, strict=True):
+            assert evaluate_schedule(inst, schedule) == point
+        table, _, rise = exact_module._first_table(inst)
+        assert len(rise) <= 2 * len(table)
+        table_layers = list(map(reached, exact_module._table_folds(inst)))
+        for layer, layer_ref in zip(table_layers, ranked, strict=True):
+            assert layer.lmax.tolist() == layer_ref.lmax.tolist()
+            assert layer.cmax.tolist() == layer_ref.cmax.tolist()
+        eps = Fraction(1, 10)
+        grid = grid_params(inst, eps)
+        # every other instance's trimmed run perturbed, so that some fail
+        rng, perturb = np.random.default_rng(k), k % 2 == 0
+        approx = perturbed_layers(trimmed_layers(inst, eps), grid, rng, perturb, perturb)
+        found = find_closeness_violation(ranked, approx, grid)
+        assert find_closeness_violation(exact_module._table_folds(inst), approx, grid) == found
+        outcomes.add(found is None)
+    # the drift check both passed and failed
+    assert outcomes == {True, False}
 
 
 @pytest.mark.parametrize(

@@ -45,7 +45,18 @@ int64, for ``boxes = box_index(P, width) + 1``.  A layer keeps at most
 one state per box, so no pool passes ``2 * boxes`` and every packed
 value fits.  Such a solve then scatters each layer whose pool has at
 least 512 children and at least half as many as the boxes; its slots
-are allocated at the first such layer.  The solves keep
+are allocated at the first such layer.
+
+Each layer expands into scratch arrays the solve owns, one slot per
+child of the pool: the children's lateness and loads, their box keys
+when those are int64 (boxes wider than 1) and the sort reducer's flags.
+They are allocated at layer 2 and replaced only when a pool outgrows
+them, by arrays an eighth longer than that pool, so they follow the
+pools, never the box count (``P + 1`` at width 1), and layers that grow
+slowly reuse them instead of allocating their own.  What is fresh per
+layer is what outlives it: ``origin``, and the layer's ``lmax`` and
+``cmax``, gathered from the scratch by ``origin``.  The next layer
+overwrites the scratch, so no layer is a view of it.  The solves keep
 only the ``origin`` arrays.  `exact_layers` and `trimmed_layers` (in
 `fptas`) drain the same loop and wrap each layer's ``lmax`` and ``cmax``
 in a `Layer` as they yield it, keeping none.
@@ -224,25 +235,35 @@ class SolveResult:
 
 
 def _expand(
-    lmax: np.ndarray, cmax: np.ndarray, p: int, q: int, prefix_total: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """``(lmax, cmax)`` of all children of a layer, in generation order.
+    lmax: np.ndarray,
+    cmax: np.ndarray,
+    p: int,
+    q: int,
+    prefix_total: int,
+    child_lmax: np.ndarray,
+    child_cmax: np.ndarray,
+) -> None:
+    """Writes ``(lmax, cmax)`` of all children of a layer, in generation
+    order, into ``child_lmax`` and ``child_cmax``, each twice the layer's
+    length, by six ufunc calls and no temporary.
 
     Child 2j is the same-machine child of parent j, child 2j+1 its
     other-machine child, so a child's pool index is its generation rank,
-    ``index >> 1`` its parent and ``index & 1`` its choice.
+    ``index >> 1`` its parent and ``index & 1`` its choice.  The job
+    lands on a machine of load ``cmax + p`` or ``S_i - cmax``, written
+    first as the child's loads; one pass adds ``q`` to both for the
+    completion-plus-delivery, then the maxima with the parent's ``lmax``
+    and, for the other-machine child, with the lead load ``cmax`` finish
+    the children.
     """
-    m = len(cmax)
-    child_lmax = np.empty(2 * m, dtype=np.int64)
-    child_cmax = np.empty(2 * m, dtype=np.int64)
-
-    np.maximum(lmax, cmax + (p + q), out=child_lmax[0::2])
+    same_lmax, other_lmax = child_lmax[0::2], child_lmax[1::2]
+    other_cmax = child_cmax[1::2]
     np.add(cmax, p, out=child_cmax[0::2])
-
-    other_load = prefix_total - cmax
-    np.maximum(lmax, other_load + q, out=child_lmax[1::2])
-    np.maximum(cmax, other_load, out=child_cmax[1::2])
-    return child_lmax, child_cmax
+    np.subtract(prefix_total, cmax, out=other_cmax)
+    np.add(child_cmax, q, out=child_lmax)
+    np.maximum(same_lmax, lmax, out=same_lmax)
+    np.maximum(other_lmax, lmax, out=other_lmax)
+    np.maximum(other_cmax, cmax, out=other_cmax)
 
 
 def box_index(value: int, delta: Fraction) -> int:
@@ -260,34 +281,47 @@ def box_index(value: int, delta: Fraction) -> int:
 
 def _box_key(
     width: Fraction, total_p: int
-) -> tuple[Callable[[np.ndarray], np.ndarray], bool]:
+) -> tuple[Callable[[np.ndarray, np.ndarray], np.ndarray], bool]:
     """The load-box key ``floor(C / width)`` of a solve, as a function of
-    the children's loads, and whether those keys are int64 indices of
-    boxes wider than 1, the keys the scatter reducer takes.
+    the children's loads and an int64 scratch array at least as long, and
+    whether those keys are int64 indices of boxes wider than 1, the keys
+    the scatter reducer takes.
 
     A width of at most 1 gives every integer load its own box, so the load
     itself is the key.  Wider boxes are keyed in int64 when the scaled
-    loads (at most ``total_p * den``) fit, and otherwise in object arrays
-    of exact Python integers; all three run the same sort.
+    loads (at most ``total_p * den``) fit, written into the scratch, and
+    otherwise in object arrays of exact Python integers; all three run the
+    same sort.  Only int64 keys of wider boxes use the scratch.
     """
     num, den = width.numerator, width.denominator
     if num <= den:
-        return (lambda cmax: cmax), False
+        return (lambda cmax, out: cmax), False
     if num > _INT64_MAX or total_p * den > _INT64_MAX:
-        return (lambda cmax: cmax.astype(object) * den // num), False
-    return (lambda cmax: cmax * den // num), True
+        return (lambda cmax, out: cmax.astype(object) * den // num), False
+
+    # 0-d int64 operands: ufuncs take them faster than Python integers
+    den64, num64 = np.array(den, dtype=np.int64), np.array(num, dtype=np.int64)
+
+    def scaled(cmax: np.ndarray, out: np.ndarray) -> np.ndarray:
+        key = np.multiply(cmax, den64, out=out[: len(cmax)])
+        return np.floor_divide(key, num64, out=key)
+
+    return scaled, True
 
 
-def _min_lmax_per_key(key: np.ndarray, lmax: np.ndarray) -> np.ndarray:
+def _min_lmax_per_key(
+    key: np.ndarray, lmax: np.ndarray, flags: np.ndarray
+) -> np.ndarray:
     """Pool index of the smallest-``lmax`` element per distinct ``key``,
-    ties to the smallest index, in ascending key order.
+    ties to the smallest index, in ascending key order.  ``flags`` is a
+    bool scratch array at least as long as the pool.
 
     lexsort is stable, so equal (key, lmax) pairs keep pool order, which
     is generation order.
     """
     order = np.lexsort((lmax, key))
     sorted_key = key[order]
-    is_first = np.empty(len(order), dtype=bool)
+    is_first = flags[: len(order)]
     is_first[0] = True
     np.not_equal(sorted_key[1:], sorted_key[:-1], out=is_first[1:])
     return order[is_first]
@@ -392,20 +426,32 @@ def _layer_loop(
     cmax = np.array([first.p], dtype=np.int64)
     yield lmax, cmax, np.array([-1], dtype=np.int64)
     retained = 1
+    size = 0  # children the scratch holds
 
     for i in range(2, inst.n + 1):
         _check_budget(i, retained, len(cmax), budget)
         job = inst.jobs[i - 1]
-        pool_lmax, pool_cmax = _expand(lmax, cmax, job.p, job.q, inst.prefix[i])
-        key = box_key(pool_cmax)
-        pool = len(key)
+        pool = 2 * len(cmax)
+        if pool > size:
+            # trimmed layers grow at almost every job: scratch sized to
+            # the pool alone is replaced almost every layer, which cost
+            # about 6% of the fptas-grid solves
+            size = pool + pool // 8
+            child_lmax = np.empty(size, dtype=np.int64)
+            child_cmax = np.empty(size, dtype=np.int64)
+            keys = np.empty(size, dtype=np.int64) if int64_boxes else None
+            flags = np.empty(size, dtype=bool)
+        pool_lmax, pool_cmax = child_lmax[:pool], child_cmax[:pool]
+        _expand(lmax, cmax, job.p, job.q, inst.prefix[i], pool_lmax, pool_cmax)
+        key = box_key(pool_cmax, keys)
         if scatter and pool >= _SCATTER_MIN_POOL and boxes <= _SCATTER_BOXES_PER_CHILD * pool:
             if best is None:
                 best = np.full(boxes, _INT64_MAX, dtype=np.int64)
                 ranks = np.arange(2 * boxes, dtype=np.int64)
             origin = _scatter_min_per_key(key, pool_lmax, best, ranks)
         else:
-            origin = _min_lmax_per_key(key, pool_lmax)
+            origin = _min_lmax_per_key(key, pool_lmax, flags)
+        # fresh gathers: the next layer overwrites the scratch
         lmax, cmax = pool_lmax[origin], pool_cmax[origin]
         retained += len(origin)
         yield lmax, cmax, origin

@@ -187,23 +187,29 @@ def _cover_steps(ap_layer: Layer, window: int) -> tuple[np.ndarray, np.ndarray]:
     bound, at most ``C# + 2 * window + 2`` and at least
     ``C# - 2 * window``, fits in int64.
     """
-    ap_cmax = ap_layer.cmax
-    steps = np.concatenate((ap_cmax - window, ap_cmax + (window + 1)))
+    ap_cmax, m = ap_layer.cmax, len(ap_layer)
+    steps = np.empty(2 * m, dtype=np.int64)
+    np.subtract(ap_cmax, window, out=steps[:m])
+    np.add(ap_cmax, window + 1, out=steps[m:])
     steps.sort(kind="stable")  # two ascending runs: one merge
     # Run [lo, hi) of each step, interleaved: loads are integers, so the
     # last load <= b + window is the last one < b + window + 1.
-    bounds = np.empty(2 * len(steps), dtype=np.int64)
+    bounds = np.empty(4 * m, dtype=np.int64)
     np.subtract(steps, window, out=bounds[0::2])
     np.add(steps, window + 1, out=bounds[1::2])
-    bounds = np.searchsorted(ap_cmax, bounds, side="left")
+    bounds = ap_cmax.searchsorted(bounds, side="left")
+    lo, hi = bounds[0::2], bounds[1::2]
     # Range minimum of the trimmed lmax over each run: reduceat over the
     # interleaved bounds reduces ap_lmax[lo:hi] at even positions.  The
     # sentinel keeps lo == len(ap_layer) a valid index; empty runs
     # (lo == hi) reduce to a single element, so they are set apart.
-    ap_lmax = np.append(ap_layer.lmax, np.int64(_INT64_MAX))
-    run_min = np.minimum.reduceat(ap_lmax, bounds)[0::2]
-    need = np.full(len(steps) + 1, _INT64_MAX, dtype=np.int64)
-    np.copyto(need[1:], run_min - window, where=bounds[0::2] < bounds[1::2])
+    ap_lmax = np.empty(m + 1, dtype=np.int64)
+    ap_lmax[:m] = ap_layer.lmax
+    ap_lmax[m] = _INT64_MAX
+    need = np.empty(2 * m + 1, dtype=np.int64)
+    need[0] = _INT64_MAX
+    np.subtract(np.minimum.reduceat(ap_lmax, bounds)[0::2], window, out=need[1:])
+    np.copyto(need[1:], _INT64_MAX, where=lo == hi)
     return steps, need
 
 
@@ -213,8 +219,8 @@ def _first_uncovered(
     """The first exact state of a layer, in layer order, that the step
     function `_cover_steps` does not cover: each state finds its step
     by one binary search."""
-    uncovered = need[np.searchsorted(steps, ex_layer.cmax, side="right")] > ex_layer.lmax
-    hits = np.flatnonzero(uncovered)
+    uncovered = need[steps.searchsorted(ex_layer.cmax, side="right")] > ex_layer.lmax
+    (hits,) = uncovered.nonzero()
     if not len(hits):
         return None
     j = hits[0]

@@ -54,7 +54,8 @@ def test_initial_layer():
 
 
 def expand_pairs(pairs, p, q, prefix_total):
-    lmax, cmax = _expand(*successor_pool(pairs), p, q, prefix_total)
+    lmax, cmax = np.empty((2, 2 * len(pairs)), dtype=np.int64)
+    _expand(*successor_pool(pairs), p, q, prefix_total, lmax, cmax)
     return list(zip(lmax.tolist(), cmax.tolist()))
 
 
@@ -73,7 +74,7 @@ def prune_winners(pairs):
     """Pool indices the exact solver keeps (load boxes of width 1) from a
     pool of (lmax, cmax) children."""
     lmax, cmax = successor_pool(pairs)
-    return _min_lmax_per_key(cmax, lmax).tolist()
+    return _min_lmax_per_key(cmax, lmax, np.empty(len(cmax), dtype=bool)).tolist()
 
 
 def test_prune_keeps_minimal_lateness_per_load():

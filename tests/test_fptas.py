@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from bisect import bisect_left
 from dataclasses import fields
 from fractions import Fraction
@@ -98,7 +99,8 @@ def trim_winners(pairs, grid):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(exact_module, "_INT64_MAX", 0)  # force object box keys
         keys.append(_box_key(grid.delta1, grid.cmax_bound)[0])
-    return [_min_lmax_per_key(key(cmax), lmax).tolist() for key in keys]
+    scratch, flags = np.empty(len(cmax), dtype=np.int64), np.empty(len(cmax), dtype=bool)
+    return [_min_lmax_per_key(key(cmax, scratch), lmax, flags).tolist() for key in keys]
 
 
 def reference_trim_winners(pairs, grid):
@@ -719,7 +721,8 @@ def test_scatter_reducer_matches_sort_reducer(case):
     best = np.full(boxes, _INT64_MAX, dtype=np.int64)
     ranks = np.arange(2 * boxes, dtype=np.int64)
     won = _scatter_min_per_key(key, lmax, best, ranks)
-    assert won.tolist() == _min_lmax_per_key(key, lmax).tolist()
+    flags = np.empty(len(key), dtype=bool)
+    assert won.tolist() == _min_lmax_per_key(key, lmax, flags).tolist()
     assert (best == _INT64_MAX).all()  # scratch left ready for the next layer
 
 
@@ -753,6 +756,63 @@ def test_scatter_packing_bound_near_magnitude_cap(monkeypatch):
         assert got.layer_sizes == want.layer_sizes
     # the forced scatter served every layer of the small solve
     assert len(pools) == small.n - 1
+
+
+@pytest.mark.parametrize("mode", ["int64", "int64-scatter", "python-int", "exact"])
+def test_yielded_layers_never_alias_the_scratch(monkeypatch, mode):
+    """The sorted engine expands every layer into scratch arrays that the
+    next layer overwrites, so each layer it yields must be its own: a
+    stream drained with ``list()`` still holds, in every layer, what that
+    layer held when it was yielded."""
+    pools = spy_scatter(monkeypatch)
+    if mode == "python-int":
+        monkeypatch.setattr(exact_module, "_INT64_MAX", 0)  # force object box keys
+    # every layer takes the one reducer under test
+    monkeypatch.setattr(exact_module, "_SCATTER_MIN_POOL", 1)
+    monkeypatch.setattr(exact_module, "_SCATTER_BOXES_PER_CHILD", 10**9 * (mode == "int64-scatter"))
+    if mode == "exact":
+        # loads near 1e6 and 50 apart: the route count leaves them to the
+        # sorted engine, whose layers grow by less than their pools' scratch
+        inst = make_instances(61, 1, (30, 30), (10**6, 10**6 + 50), (1, 10**6))[0]
+        assert _table_sizes(inst, DEFAULT_STATE_BUDGET) is None
+        stream = exact_layers(inst)
+    else:
+        inst = make_instances(61, 1, (40, 40), (1, 100), (1, 1000))[0]
+        assert grid_params(inst, Fraction(1, 10)).delta1 > 1
+        stream = trimmed_layers(inst, Fraction(1, 10))
+    seen = []
+
+    def copies(layers):
+        for layer in layers:
+            seen.append((layer.lmax.tolist(), layer.cmax.tolist()))
+            yield layer
+
+    drained = list(copies(stream))
+    assert len(drained) == inst.n and max(map(len, drained)) > 100
+    assert [(layer.lmax.tolist(), layer.cmax.tolist()) for layer in drained] == seen
+    assert len(pools) == (inst.n - 1 if mode == "int64-scatter" else 0)
+
+
+def test_sorted_engine_scratch_follows_the_pool():
+    """The sorted engine's scratch grows with the pools it expands, never
+    with the box count, ``P + 1`` at width 1.  Past its parent chain, 8
+    bytes per state kept, a solve's ``tracemalloc`` peak stays within six
+    int64 arrays as long as its widest pool.  With numpy 2.4 it reads 5.4
+    such arrays on the loads near 1e12 and 5.3 at eps 1/1000; allocating
+    every layer's arrays afresh read 5.1 and 5.5."""
+    wide = make_instances(3, 1, (16, 16), (10**12 - 10**6, 10**12), (1, 10**6))[0]
+    assert _table_sizes(wide, DEFAULT_STATE_BUDGET) is None  # the sorted route
+    big = make_instances(404, 1, (200, 200), (1, 1000), (1, 1000))[0]
+    assert grid_params(big, Fraction(1, 1000)).delta1 < 1  # width 1
+    for solve in (partial(solve_exact, wide), partial(solve_fptas, big, Fraction(1, 1000))):
+        tracemalloc.start()
+        try:
+            sizes = solve().layer_sizes
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        widest_pool = 2 * max(sizes[:-1])
+        assert peak <= 8 * sum(sizes) + 6 * 8 * widest_pool, f"peak {peak / 2**20:.2f} MB"
 
 
 def test_coverage_and_closeness_on_random_instances():

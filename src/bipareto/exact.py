@@ -118,25 +118,18 @@ reports them as its layer sizes.  Before each job the count tests the
 budget by `_layer_loop`'s own check (`_check_budget`), the states kept
 so far plus twice the last layer, so it raises StateBudgetError at the
 first layer the sorted engine would refuse, with the same text, and no
-engine runs.  Before any of that, an O(n) bound settles sparse routes:
+engine runs.  Before any of that, one O(n) bound settles sparse routes:
 layer ``i`` keeps at most twice the states of layer ``i - 1`` (the
-list-growth bound of Nemhauser and Ullmann's Pareto-list DP), at most
-``S_i // (2 g) + 1`` makespans, for ``g`` the greatest common divisor
-of the loads, and at most one state per flag-1 load, of which there
-are at most ``i + spread i (i - 1) / 2``: for ``spread`` the largest
-less the smallest of the loads 2..n in units of ``g``, ``k`` of those
-loads sum to one of ``k spread + 1`` multiples of ``g``.  Every load
-and makespan is a multiple of ``g``, and the count's bitset has one bit
-per multiple, ``P // g`` at most.  The count runs only while the cells
-or those bits are at most four times both that bound and the budget, so
-its bitset is bounded by the states the sorted engine could keep, not
-by the loads; an instance it skips reaches any overrun in the sorted
-engine.  An instance counted for its bits alone has more than four
-times its states in cells, so its count raises or sends it to the
-sorted engine.  Loads that share no large factor and spread widely
-are its limit: under a budget of at least a quarter of the cells, the
-doubling term lets the bound, and then the bitset, grow as wide as the
-loads, ``P / g`` bits.  Every other exact solve and every
+list-growth bound of Nemhauser and Ullmann's Pareto-list DP), so at
+most ``2**n - 1`` in all, and an instance with more than four times that
+in cells skips the count and reaches any overrun in the sorted engine.
+The count's cost follows the states it counts, not the loads: it keeps
+the subset sums as a sorted array, merged with itself shifted by each
+load as in that DP's list merge, until they are at least a 256th of the
+``P - p_1 + 1`` possible sums; from then on a bitset of those sums, 32
+bytes per sum at most, is no larger.  An instance whose states outgrow
+the memory before the budget runs out of memory in the count rather
+than in the sorted engine.  Every other exact solve and every
 `solve_fptas` call run the sorted engine.
 Both paths give the same front, layer sizes and layers' states, and
 raise the same StateBudgetError under the same budget; their
@@ -151,7 +144,6 @@ layers and witnesses.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -606,46 +598,55 @@ def _solve_dense(inst: Instance, sizes: Sequence[int]) -> SolveResult:
     return SolveResult(front, tuple(schedules), tuple(sizes))
 
 
+def _union(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The distinct values of two ascending int64 arrays, ascending: a
+    stable sort merges the two runs, and one neighbour compare drops the
+    repeats."""
+    both = np.concatenate((a, b))
+    both.sort(kind="stable")
+    return both[np.concatenate(([True], both[1:] != both[:-1]))]
+
+
 def _table_sizes(inst: Instance, budget: int) -> Optional[list[int]]:
     """The sorted engine's state count per layer when the exact solve
     takes the dense table, else None: the table does not pay (see the
     module docstring).  Raises StateBudgetError where the sorted engine
     would, when the count reaches that layer.
 
-    Every load is a multiple of ``g``, the loads' greatest common
-    divisor, so the count works in units of ``g``.  Bit ``t`` of ``reach``
-    is set when some subset of the jobs 2..i sums to ``t g``, so flag 1
-    can carry ``p_1 + t g`` and flag 0 can carry ``t g``.  The loads
-    either machine can carry form a set symmetric about ``S_i / 2`` of
-    size ``2 |reach| - |reach & (reach + p_1 / g)|``; the makespans are
-    its upper half, ``|reach| - floor(|reach & (reach + p_1 / g)| / 2)``
-    of them.
+    ``reach`` holds the subset sums ``t`` of the jobs 2..i: flag 1 can
+    carry ``p_1 + t`` and flag 0 can carry ``t``.  The loads either
+    machine can carry form a set symmetric about ``S_i / 2``, and the
+    makespans are its upper half.  ``reach`` starts as a sorted int64
+    array; that set is then the union of ``reach`` and ``reach + p_1``,
+    and the makespans ``(|union| + 1) // 2``.  Once ``reach`` holds a
+    256th of the ``P - p_1 + 1`` possible sums, it becomes a Python
+    integer with bit ``t`` set for each sum, for good; the set then has
+    ``2 |reach| - |reach & (reach >> p_1)|`` loads, and the makespans
+    are ``|reach| - floor(|reach & (reach >> p_1)| / 2)``.
     """
-    cells = sum(inst.prefix[1:]) - inst.n * (inst.jobs[0].p - 1)
-    loads = [job.p for job in inst.jobs]
-    g = math.gcd(*loads)
-    # layer i keeps at most twice layer i-1 and at most S_i // (2 g) + 1
-    # states, one per multiple of g from S_i / 2 to S_i
-    most = bound = 1
-    for prefix in inst.prefix[2:]:
-        most = min(2 * most, prefix // (2 * g) + 1)
-        bound += most
-    # and at most one per flag-1 load: k of the loads 2..i sum to one of
-    # k spread + 1 multiples of g, so layer i keeps at most
-    # i + spread i (i - 1) / 2 states
-    n, spread = inst.n, (max(loads[1:], default=0) - min(loads[1:], default=0)) // g
-    bound = min(bound, n * (n + 1) // 2 + spread * (n + 1) * n * (n - 1) // 6)
-    # count while the table or the bitset, P // g bits, is within four
-    # times those states; past the cells, the count only raises or says no
-    if min(cells, inst.total_p // g) > 4 * min(budget, bound):
+    if budget < 1:
+        raise ValueError("state budget must be positive")
+    base, span = inst.jobs[0].p, inst.total_p - inst.jobs[0].p
+    cells = sum(inst.prefix[1:]) - inst.n * (base - 1)
+    # layer i keeps at most twice the states of layer i - 1, 2**n - 1 in all
+    if cells > 4 * (2**inst.n - 1):
         return None
-    base = inst.jobs[0].p // g
-    reach = kept = 1
-    sizes = [1]
+    reach = np.zeros(1, dtype=np.int64)
+    kept, sizes = 1, [1]
     for i, job in enumerate(inst.jobs[1:], 2):
         _check_budget(i, kept, sizes[-1], budget)
-        reach |= reach << job.p // g
-        sizes.append(reach.bit_count() - (reach & reach >> base).bit_count() // 2)
+        if isinstance(reach, int):
+            reach |= reach << job.p
+            sizes.append(reach.bit_count() - (reach & reach >> base).bit_count() // 2)
+        else:
+            reach = _union(reach, reach + job.p)
+            sizes.append((len(_union(reach, reach + base)) + 1) // 2)
+            if span <= 256 * len(reach):
+                # one bit per possible sum, 32 bytes per sum held at most;
+                # a bool array would take eight times that
+                bits = np.zeros(span // 8 + 1, dtype=np.uint8)
+                np.bitwise_or.at(bits, reach >> 3, (1 << (reach & 7)).astype(np.uint8))
+                reach = int.from_bytes(bits, "little")
         kept += sizes[-1]
     return sizes if cells <= 4 * kept else None
 

@@ -26,9 +26,9 @@ failed=0
 # check EXIT CAP_KB "GEN ARGS" "FLAGS" EPS...: generate an instance, then
 # run `solve --algo dp --schedules` once and `verify --epsilon EPS` once per
 # EPS, each with FLAGS, under `ulimit -v CAP_KB` unless CAP_KB is 0.  The
-# case fails unless every command exits EXIT, no stdout line starts with
-# FAIL, and a non-zero exit leaves an `error:` line and no traceback on
-# stderr.
+# case fails unless every command exits EXIT within 120 s, no stdout line
+# starts with FAIL, and a non-zero exit leaves an `error:` line and no
+# traceback on stderr.
 check() {
     local want=$1 cap=$2 gen=$3 flags=$4
     shift 4
@@ -36,7 +36,7 @@ check() {
     local name=case$cases eps problems="" start=$SECONDS
     local inst=$work/$name.txt
     echo "== $name: gen $gen, flags '$flags', ulimit -v $cap, expecting exit $want"
-    if python -m bipareto gen $gen --out-path "$inst"; then
+    if timeout 120 python -m bipareto gen $gen --out-path "$inst"; then
         expect solve --input-path "$inst" --algo dp --schedules --out-path "$work/$name.csv" $flags
         for eps in "$@"; do
             expect verify --input-path "$inst" --epsilon "$eps" $flags
@@ -58,10 +58,14 @@ expect() {
     local out=$work/$name.$1.out err=$work/$name.$1.err code
     (
         if [ "$cap" != 0 ]; then ulimit -v "$cap"; fi
-        exec python -m bipareto "$@"
+        exec timeout 120 python -m bipareto "$@"
     ) >"$out" 2>"$err"
     code=$?
     cat "$out" "$err"
+    if [ "$code" = 124 ]; then
+        problems+="; $1 ran past 120 s"
+        return
+    fi
     if [ "$code" != "$want" ]; then
         problems+="; $1 exited $code"
     fi
@@ -94,31 +98,33 @@ check 0 0 "--n 200 --p 1:1000 --q 1:1099511627776 --seed 404" "" 3/10
 # commands take the dense table
 check 0 0 "--n 200 --p 1:10000 --q 1:1000 --seed 404" "" 3/10
 # p 1:100000 (P 10,106,976): its 1.0e9 cells pass four times the default
-# budget, but the route count's bitset of 1.0e7 bits does not, so the
-# count runs, and it raises the sorted engine's overrun at layer 68
-# (50,846,046 live states) itself: both commands exit 3 in well under a
-# second, running neither engine
+# budget, but not four times the 2**200 - 1 states that doubling allows,
+# so the route count runs: a sorted array of subset sums until there are
+# P / 256 of them, then a bitset of P bits.  It raises the sorted engine's
+# overrun at layer 68 (50,846,046 live states) itself: both commands exit
+# 3 in well under a second, running neither engine
 check 3 4000000 "--n 200 --p 1:100000 --q 1:1000 --seed 404" "" 3/10
-# p 1:12000 (P 1,158,976): its 1.2e8 cells are under four times the
-# default budget, so the route count runs, and it raises the sorted
-# engine's overrun at layer 186 itself: both commands exit 3 in well under
-# a second, running neither engine
+# p 1:12000 (P 1,158,976): the route count runs, as on every n=200
+# instance, and it raises the sorted engine's overrun at layer 186 itself:
+# both commands exit 3 in well under a second, running neither engine
 check 3 2000000 "--n 200 --p 1:12000 --q 1:1000 --seed 404" "" 3/10
-# sparse n=16 (P about 8.7e12) under a budget of 1e14 states: the route
-# count is bounded by the states the sorted engine could keep, so both
-# commands take the sorted engine without a bitset as wide as the loads
+# sparse n=16 (P about 8.7e12) under a budget of 1e14 states: its cells
+# pass four times the 2**16 - 1 states that doubling allows, so both
+# commands skip the route count and take the sorted engine
 check 0 4000000 "--n 16 --p 1:1000000000000 --q 1:1000000 --seed 1" "--budget 100000000000000" 3/10
-# 60 loads of 2^31 under a budget of 1e13: the route count works in units
-# of the loads' common factor, so it sees 960 states, not 1.3e11 cells
+# 60 loads of 2^31 under a budget of 1e13: the route count keeps their 60
+# subset sums as a sorted array, not a bitset of 1.3e11 bits, and sends
+# the 960 states to the sorted engine
 check 0 2000000 "--n 60 --p 2147483648:2147483648 --q 5:5 --seed 1" "--budget 10000000000000" 3/10
-# 60 loads drawn from 2^31..2^31 + 1 under a budget of 1e13: they share no
-# factor, but k of them sum to one of k + 1 values, so the route count's
-# O(n) bound allows 37,815 states against 3.8e12 cells, and both commands
-# take the sorted engine (9,919 states) without a bitset
+# 60 loads drawn from 2^31..2^31 + 1 under a budget of 1e13: k of them
+# sum to one of k + 1 values, so the route count's sorted array holds at
+# most 1,830 subset sums, and both commands take the sorted engine (9,919
+# states for 3.8e12 cells) without a bitset
 check 0 2000000 "--n 60 --p 2147483648:2147483649 --q 5:5 --seed 1" "--budget 10000000000000" 3/10
-# 60 loads drawn from 1..2^32 under a budget of 1e13: nothing bounds the
-# route count below the loads, so its bitset runs out of memory before the
-# budget is reached, and both commands exit 3 with an error line
+# 60 loads drawn from 1..2^32 under a budget of 1e13: the subset sums
+# double at every job and stay a sorted array, 2**(i - 1) in layer i, so
+# the route count runs out of memory at layer 27, long before the budget,
+# and both commands exit 3 with an error line
 check 3 2000000 "--n 60 --p 1:4294967296 --q 1:1000 --seed 1" "--budget 10000000000000" 3/10
 
 echo "$((cases - failed)) of $cases cases ok"

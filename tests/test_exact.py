@@ -144,6 +144,9 @@ def test_budget_guard():
     assert solve_exact(normalize(WORKED), budget=7).layer_sizes == (1, 2, 4)
     with pytest.raises(ValueError):
         solve_exact(inst, budget=0)
+    # before the route count, which would raise StateBudgetError at layer 2
+    with pytest.raises(ValueError):
+        exact_module._exact_stream(inst, 0)
 
 
 def scalar_layer_records(inst):
@@ -453,17 +456,28 @@ def test_sparse_instance_under_the_cell_count_takes_the_sorted_path(monkeypatch)
         (normalize([(1, 100)] * 29 + [(150_000_000, 0)]), DEFAULT_STATE_BUDGET),
         # P 110,919,620: 6.3e8 cells for 4,095 states, the most 12 jobs allow
         (generate_instance(GenSpec((12, 12), (1, 2**24), (1, 2**24), 5, 1), 0), 10**9),
-        # loads sharing the factor 2^31: 960 states, counted in that unit
+        # 60 loads of 2^31: 960 states for 1.3e11 cells, 60 subset sums
         (normalize([(2**31, 5)] * 60), 10**13),
-        # loads of 2^31 and 2^31 + 1, which share no factor: 9,919 states,
-        # at most i (i + 1) / 2 flag-1 loads in layer i, for 3.8e12 cells
+        # loads of 2^31 and 2^31 + 1: 9,919 states for 3.8e12 cells, at
+        # most i (i + 1) / 2 subset sums in layer i
         (generate_instance(GenSpec((60, 60), (2**31, 2**31 + 1), (5, 5), 1, 1), 0), 10**13),
+        # P 2e8 for 1,181 and 29,901 states: a bitset of the loads would
+        # hold 2e8 bits, the sorted subset sums 78 and 398 values
+        (normalize([(1, 5)] * 2 + [(5_263_157, 5)] * 38), DEFAULT_STATE_BUDGET),
+        (normalize([(1, 5)] * 2 + [(1_010_101, 5)] * 198), DEFAULT_STATE_BUDGET),
     ],
-    ids=["one-long-job", "wide-loads", "common-factor", "near-identical"],
+    ids=[
+        "one-long-job",
+        "wide-loads",
+        "common-factor",
+        "near-identical",
+        "two-unit-loads-38",
+        "two-unit-loads-198",
+    ],
 )
 def test_route_count_is_bounded_by_states_not_cells(inst, budget):
-    # each layer keeps at most twice the states of the one before, so the
-    # sorted route is settled before a bitset as wide as the loads is built
+    # the count keeps its subset sums as a sorted array until a bitset of
+    # the loads is no larger, so it holds about as much as the states
     tracemalloc.start()
     try:
         result = solve_exact(inst, budget=budget)
@@ -479,8 +493,9 @@ def test_route_count_is_bounded_by_states_not_cells(inst, budget):
 
 
 def test_route_count_raises_past_four_times_the_budget_in_cells(monkeypatch):
-    # the cells pass four times the budget, but the count's bitset of P // g
-    # bits does not, so the count runs and raises the sorted engine's text
+    # the cells pass four times the budget, but not four times the 2**n - 1
+    # states that doubling allows, so the count runs and raises the sorted
+    # engine's text
     small = make_instances(29, 1, (60, 60), (1, 6))[0]
     with pytest.raises(StateBudgetError) as info:
         sorted_solve(small, 100)
@@ -509,8 +524,8 @@ def test_route_count_raises_past_four_times_the_budget_in_cells(monkeypatch):
 
 @pytest.mark.parametrize("factor", [2, 3, 2**20])
 def test_layer_sizes_ignore_a_common_factor_of_the_loads(factor):
-    # the route count works in units of the loads' common factor, so
-    # scaling every load keeps the states, whichever route each solve takes
+    # scaling every load scales every subset sum and keeps the states,
+    # whichever route each solve takes
     for inst in make_instances(27, 4, (20, 40)):
         scaled = normalize([(job.p * factor, job.q) for job in inst.jobs])
         assert solve_exact(scaled, budget=10**13).layer_sizes == solve_exact(inst).layer_sizes

@@ -107,29 +107,38 @@ the offset, and its exact front adds the offset back;
 width ``delta1``.
 
 The budget counts the sorted engine's states on both routes, and one
-count decides the route (`_table_sizes`).  `solve_exact` takes the
+count decides the route (`_takes_table`).  `solve_exact` takes the
 table iff its cell count ``sum_i (S_i - p_1 + 1)`` is at most four
 times the sorted engine's state count, and the sorted engine would run
 within the budget.  Dense loads give a ratio near 2 (the two mirrors),
 on either side of it, so a factor of 2 would send some of them to the
 sorted engine; the table measured faster up to a ratio of about 10.
-The states per layer are counted from subset sums, and the table
-reports them as its layer sizes.  Before each job the count tests the
-budget by `_layer_loop`'s own check (`_check_budget`), the states kept
-so far plus twice the last layer, so it raises StateBudgetError at the
-first layer the sorted engine would refuse, with the same text, and no
-engine runs.  Before any of that, one O(n) bound settles sparse routes:
-layer ``i`` keeps at most twice the states of layer ``i - 1`` (the
+The states per layer are counted from subset sums, one layer at a time
+(`_count_layers`).  Before each job the count tests the budget by
+`_layer_loop`'s own check (`_check_budget`), the states kept so far
+plus twice the last layer, so it raises StateBudgetError at the first
+layer the sorted engine would refuse, with the same text, and no engine
+runs.  Before any of that, one O(n) bound settles sparse routes: layer
+``i`` keeps at most twice the states of layer ``i - 1`` (the
 list-growth bound of Nemhauser and Ullmann's Pareto-list DP), so at
-most ``2**n - 1`` in all, and an instance with more than four times that
-in cells skips the count and reaches any overrun in the sorted engine.
-The count's cost follows the states it counts, not the loads: it keeps
-the subset sums as a sorted array, merged with itself shifted by each
-load as in that DP's list merge, until they are at least a 256th of the
-``P - p_1 + 1`` possible sums; from then on a bitset of those sums, 32
-bytes per sum at most, is no larger.  An instance whose states outgrow
-the memory before the budget runs out of memory in the count rather
-than in the sorted engine.  Every other exact solve and every
+most ``2**n - 1`` in all, and an instance with more than four times
+that in cells skips the count and reaches any overrun in the sorted
+engine.  The count stops at the first layer where the cells are at most
+four times the states kept, if no later layer can pass the budget: the
+states only grow, so the route is then the table.  The later layers
+are bounded in O(n) by the same growth bound, each capped by the
+``floor(S_j / 2) + 1`` makespans it can hold; on dense loads the count
+stops 56–60 layers short of ``n = 200``.  Where that bound passes the
+budget the count goes on, so every overrun still raises at its layer.
+The table's ``layer_sizes`` are then counted in full, by
+`_table_sizes`, when a caller first reads them.  The count's cost
+follows the states it counts, not the loads: it keeps the subset sums
+as a sorted array, merged with itself shifted by each load as in that
+DP's list merge, until they are at least a 256th of the ``P - p_1 +
+1`` possible sums; from then on a bitset of those sums, 32 bytes per
+sum at most, is no larger.  An instance whose states outgrow the memory
+before the budget runs out of memory in the count rather than in the
+sorted engine.  Every other exact solve and every
 `solve_fptas` call run the sorted engine.
 Both paths give the same front, layer sizes and layers' states, and
 raise the same StateBudgetError under the same budget; their
@@ -146,6 +155,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import chain
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -209,9 +219,10 @@ class SolveResult:
     flag (0 or 1) of ``inst.jobs[k]``, with the first job on flag 1; it
     evaluates exactly to ``front.points[j]``.
     ``layer_sizes[i-1]`` is the sorted engine's state count of layer
-    ``i`` on either route: the dense path of `solve_exact` takes it
-    from the count that routed the solve there (see the module
-    docstring).
+    ``i`` on either route.  The dense path of `solve_exact` counts them
+    by `_table_sizes` when they are first read, since its route count
+    stops early (see the module docstring); the result then compares,
+    hashes and prints as if they had been given.
     The layers themselves come from `exact_layers` and
     `trimmed_layers`.
     """
@@ -219,6 +230,29 @@ class SolveResult:
     front: Front
     schedules: tuple[tuple[int, ...], ...]
     layer_sizes: tuple[int, ...]
+
+    @classmethod
+    def _counted_on_read(
+        cls,
+        front: Front,
+        schedules: tuple[tuple[int, ...], ...],
+        count: Callable[[], Sequence[int]],
+    ) -> SolveResult:
+        """A result whose ``layer_sizes`` is ``tuple(count())``, called at
+        the first read."""
+        result = cls.__new__(cls)
+        result.__dict__.update(front=front, schedules=schedules, _count=count)
+        return result
+
+    def __getattr__(self, name: str):
+        # reached only for attributes not set, so for layer_sizes only on
+        # results of _counted_on_read, until the first read sets it
+        if name != "layer_sizes" or "_count" not in self.__dict__:
+            raise AttributeError(name)
+        sizes = tuple(self.__dict__["_count"]())
+        self.__dict__["layer_sizes"] = sizes
+        del self.__dict__["_count"]
+        return sizes
 
 
 # ---------------------------------------------------------------------------
@@ -573,9 +607,10 @@ def _table_folds(inst: Instance) -> Iterator[_Fold]:
         yield _Fold(i, *_fold(table, loads, base, inst.prefix[i], out), offset)
 
 
-def _solve_dense(inst: Instance, sizes: Sequence[int]) -> SolveResult:
+def _solve_dense(inst: Instance, budget: int) -> SolveResult:
     """The exact front from a table of the smallest lateness per flag-1
-    load (see the module docstring); ``sizes`` is `_table_sizes`."""
+    load (see the module docstring).  Its ``layer_sizes`` are
+    `_table_sizes` under ``budget``, counted when first read."""
     base, offset, total = inst.jobs[0].p, inst.jobs[0].q, inst.total_p
     table, loads, rise = _first_table(inst)
     # per job i >= 2: packed bits, bit k set iff load base + k + p moved onto flag 1
@@ -595,60 +630,119 @@ def _solve_dense(inst: Instance, sizes: Sequence[int]) -> SolveResult:
         flags.append(1)
         schedules.append(tuple(flags[::-1]))
 
-    return SolveResult(front, tuple(schedules), tuple(sizes))
+    return SolveResult._counted_on_read(front, tuple(schedules), partial(_table_sizes, inst, budget))
+
+
+def _merged(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The values of two ascending int64 arrays, ascending, repeats kept: a
+    stable sort merges the two runs in linear time."""
+    both = np.concatenate((a, b))
+    both.sort(kind="stable")
+    return both
 
 
 def _union(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The distinct values of two ascending int64 arrays, ascending: a
-    stable sort merges the two runs, and one neighbour compare drops the
-    repeats."""
-    both = np.concatenate((a, b))
-    both.sort(kind="stable")
+    """The distinct values of two ascending int64 arrays, ascending: one
+    neighbour compare drops the repeats of their merge."""
+    both = _merged(a, b)
     return both[np.concatenate(([True], both[1:] != both[:-1]))]
 
 
-def _table_sizes(inst: Instance, budget: int) -> Optional[list[int]]:
-    """The sorted engine's state count per layer when the exact solve
-    takes the dense table, else None: the table does not pay (see the
-    module docstring).  Raises StateBudgetError where the sorted engine
-    would, when the count reaches that layer.
+def _table_cells(inst: Instance, budget: int) -> Optional[int]:
+    """The dense table's cell count ``sum_i (S_i - p_1 + 1)``, or None when
+    the O(n) list-growth bound already sends the solve to the sorted
+    engine: layer ``i`` keeps at most twice the states of layer ``i - 1``,
+    ``2**n - 1`` in all, and the cells pass four times that."""
+    if budget < 1:
+        raise ValueError("state budget must be positive")
+    cells = sum(inst.prefix[1:]) - inst.n * (inst.jobs[0].p - 1)
+    return None if cells > 4 * (2**inst.n - 1) else cells
+
+
+def _count_layers(inst: Instance, budget: int) -> Iterator[int]:
+    """The sorted engine's state count of layers 1..n, one at a time,
+    counted from subset sums.  Before each layer ``i >= 2`` it raises
+    StateBudgetError where the sorted engine would (`_check_budget`).
 
     ``reach`` holds the subset sums ``t`` of the jobs 2..i: flag 1 can
     carry ``p_1 + t`` and flag 0 can carry ``t``.  The loads either
-    machine can carry form a set symmetric about ``S_i / 2``, and the
-    makespans are its upper half.  ``reach`` starts as a sorted int64
-    array; that set is then the union of ``reach`` and ``reach + p_1``,
-    and the makespans ``(|union| + 1) // 2``.  Once ``reach`` holds a
-    256th of the ``P - p_1 + 1`` possible sums, it becomes a Python
-    integer with bit ``t`` set for each sum, for good; the set then has
-    ``2 |reach| - |reach & (reach >> p_1)|`` loads, and the makespans
-    are ``|reach| - floor(|reach & (reach >> p_1)| / 2)``.
+    machine can carry form a set symmetric about ``S_i / 2``, of ``2
+    |reach| - c`` loads for the ``c`` sums in both ``reach`` and ``reach +
+    p_1``, and the makespans are its upper half: ``|reach| - floor(c /
+    2)``.  ``reach`` starts as a sorted int64 array, grown by the union
+    with ``reach + p``; ``c`` is then the count of equal neighbours in
+    the merge of ``reach`` and ``reach + p_1``, which it does not
+    compact.  Once ``reach`` holds a 256th of the ``P - p_1 + 1``
+    possible sums, it becomes a Python integer with bit ``t`` set for each
+    sum, for good, and ``c`` is the popcount of ``reach & reach >> p_1``.
     """
-    if budget < 1:
-        raise ValueError("state budget must be positive")
     base, span = inst.jobs[0].p, inst.total_p - inst.jobs[0].p
-    cells = sum(inst.prefix[1:]) - inst.n * (base - 1)
-    # layer i keeps at most twice the states of layer i - 1, 2**n - 1 in all
-    if cells > 4 * (2**inst.n - 1):
-        return None
     reach = np.zeros(1, dtype=np.int64)
-    kept, sizes = 1, [1]
+    kept = size = 1
+    yield size
     for i, job in enumerate(inst.jobs[1:], 2):
-        _check_budget(i, kept, sizes[-1], budget)
+        _check_budget(i, kept, size, budget)
         if isinstance(reach, int):
             reach |= reach << job.p
-            sizes.append(reach.bit_count() - (reach & reach >> base).bit_count() // 2)
+            size = reach.bit_count() - (reach & reach >> base).bit_count() // 2
         else:
             reach = _union(reach, reach + job.p)
-            sizes.append((len(_union(reach, reach + base)) + 1) // 2)
+            both = _merged(reach, reach + base)
+            size = len(reach) - int(np.count_nonzero(both[1:] == both[:-1])) // 2
             if span <= 256 * len(reach):
                 # one bit per possible sum, 32 bytes per sum held at most;
                 # a bool array would take eight times that
                 bits = np.zeros(span // 8 + 1, dtype=np.uint8)
                 np.bitwise_or.at(bits, reach >> 3, (1 << (reach & 7)).astype(np.uint8))
                 reach = int.from_bytes(bits, "little")
-        kept += sizes[-1]
-    return sizes if cells <= 4 * kept else None
+        kept += size
+        yield size
+
+
+def _table_sizes(inst: Instance, budget: int) -> Optional[list[int]]:
+    """The sorted engine's state count per layer when the exact solve
+    takes the dense table, else None: the table does not pay (see the
+    module docstring).  Raises StateBudgetError where the sorted engine
+    would, when the count reaches that layer.  It drains `_count_layers`
+    to the last layer; the dense route's results call it when their
+    ``layer_sizes`` is first read."""
+    cells = _table_cells(inst, budget)
+    if cells is None:
+        return None
+    sizes = list(_count_layers(inst, budget))
+    return sizes if cells <= 4 * sum(sizes) else None
+
+
+def _takes_table(inst: Instance, budget: int) -> bool:
+    """Whether `solve_exact` takes the dense table, that is whether
+    `_table_sizes` returns sizes, decided from `_count_layers` without
+    counting the layers that cannot change the outcome.  It raises the
+    same StateBudgetError where the count raises.
+
+    The states kept only grow, so once the cells are at most four times
+    them the route is the table unless a later layer passes the budget.
+    Layer ``j`` keeps at most ``u_j = min(2 u_{j-1}, floor(S_j / 2) +
+    1)`` states (twice the layer before, and one per makespan), from
+    ``u_i`` the last layer counted.  ``u`` never falls, so the budget
+    test before layer ``n``, the kept states plus ``u_{i+1..n-1}`` plus
+    ``2 u_{n-1}``, is the largest of the later ones: when it fits, the
+    count stops there.
+    """
+    cells = _table_cells(inst, budget)
+    if cells is None:
+        return False
+    kept = 0
+    for i, size in enumerate(_count_layers(inst, budget), 1):
+        kept += size
+        if 4 * kept < cells:
+            continue
+        bound, u = kept, size
+        for total in inst.prefix[i + 1 : inst.n]:
+            u = min(2 * u, total // 2 + 1)
+            bound += u
+        if i == inst.n or bound + 2 * u <= budget:
+            return True
+    return False
 
 
 def solve_exact(inst: Instance, *, budget: int = DEFAULT_STATE_BUDGET) -> SolveResult:
@@ -662,10 +756,9 @@ def solve_exact(inst: Instance, *, budget: int = DEFAULT_STATE_BUDGET) -> SolveR
     retained state count would exceed ``budget``: from the route count
     when it reaches that layer, else from the sorted engine.
     """
-    sizes = _table_sizes(inst, budget)
-    if sizes is None:
+    if not _takes_table(inst, budget):
         return _solve_layered(inst, Fraction(1), budget)
-    return _solve_dense(inst, sizes)
+    return _solve_dense(inst, budget)
 
 
 def exact_layers(inst: Instance, *, budget: int = DEFAULT_STATE_BUDGET) -> Iterator[Layer]:
@@ -685,6 +778,6 @@ def _exact_stream(inst: Instance, budget: int) -> Iterator[Layer]:
     `_table_folds` yields, which the check reads directly, one at a
     time.  A budget overrun the route count finds raises here, before
     any layer."""
-    if _table_sizes(inst, budget) is None:
+    if not _takes_table(inst, budget):
         return _sorted_layers(inst, Fraction(1), budget)
     return _table_folds(inst)

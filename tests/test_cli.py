@@ -357,8 +357,9 @@ def test_out_of_memory_exits_as_over_budget(tmp_path, monkeypatch, capsys, comma
     def route_count(*args):
         raise MemoryError
 
-    # memory can run out before the budget is reached, as in the route count
-    monkeypatch.setattr(exact_module, "_table_sizes", route_count)
+    # memory can run out before the budget is reached, as in the route
+    # count's per-layer step, which both commands reach
+    monkeypatch.setattr(exact_module, "_count_layers", route_count)
     assert main([*command, "--input-path", path]) == EXIT_BUDGET
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -13,6 +13,7 @@ from bipareto import (
     GenSpec,
     Layer,
     ParetoPoint,
+    SolveResult,
     StateBudgetError,
     evaluate_schedule,
     exact_layers,
@@ -433,6 +434,70 @@ def test_dense_path_runs_while_the_sorted_engine_fits_the_budget(monkeypatch):
     assert peak < 2**20, f"verify peaked at {peak / 2**20:.1f} MB"
 
 
+def spy_budget_checks(monkeypatch):
+    """Record the layer of every `_check_budget` call, made before each
+    layer the route count or the sorted engine builds."""
+    layers, check = [], exact_module._check_budget
+
+    def spy(i, *args):
+        layers.append(i)
+        return check(i, *args)
+
+    monkeypatch.setattr(exact_module, "_check_budget", spy)
+    return layers
+
+
+def test_route_count_stops_at_the_layer_that_settles_the_route(monkeypatch):
+    # dp-dense's p 1:1000 instances: from the layer where the cells are at
+    # most four times the states kept, the route is the table, and the
+    # default budget outlasts any later layer
+    inst = make_instances(1, 2, (200, 200), (1, 1000), (1, 1000))[1]
+    layers = spy_budget_checks(monkeypatch)
+    result = solve_exact(inst)
+    counted = list(layers)
+    # the first read of layer_sizes runs the whole count, a second none
+    sizes = result.layer_sizes
+    assert result.layer_sizes is sizes
+    assert layers[len(counted) :] == list(range(2, inst.n + 1))
+    assert sizes == tuple(exact_module._table_sizes(inst, DEFAULT_STATE_BUDGET))
+    assert all(type(size) is int for size in sizes)
+    kept = np.cumsum(sizes)
+    settled = int(np.argmax(4 * kept >= table_cells(inst))) + 1
+    assert counted == list(range(2, settled + 1))
+    assert 140 <= settled <= 144
+    # an unread result compares and hashes as one given its sizes
+    given_sizes = SolveResult(result.front, result.schedules, sizes)
+    assert solve_exact(inst) == given_sizes and hash(solve_exact(inst)) == hash(given_sizes)
+    assert solve_exact(inst) != SolveResult(result.front, result.schedules, sizes[:-1])
+
+
+def test_route_count_past_the_settling_layer_raises_the_overrun(monkeypatch):
+    # The route settles at layer 142, but one state below the sorted
+    # engine's peak its last layer overruns: the count goes on to raise
+    # there, with the sorted engine's text, on solve_exact's route and
+    # before verify's stream yields any layer.
+    inst = make_instances(1, 1, (200, 200), (1, 100), (1, 1000))[0]
+    sizes = exact_module._table_sizes(inst, DEFAULT_STATE_BUDGET)
+    budget = sorted_peak(sizes) - 1
+    with pytest.raises(StateBudgetError) as ranked:
+        sorted_solve(inst, budget)
+    assert " layer 200 needs " in str(ranked.value)
+    layers = spy_budget_checks(monkeypatch)
+    with pytest.raises(StateBudgetError) as info:
+        solve_exact(inst, budget=budget)
+    assert str(info.value) == str(ranked.value)
+    assert layers == list(range(2, inst.n + 1))
+
+    def engine(*args):
+        raise AssertionError("the exact stream ran an engine")
+
+    monkeypatch.setattr(exact_module, "_sorted_layers", engine)
+    monkeypatch.setattr(exact_module, "_table_folds", engine)
+    with pytest.raises(StateBudgetError) as info:
+        exact_module._exact_stream(inst, budget)
+    assert str(info.value) == str(ranked.value)
+
+
 def test_sparse_instance_under_the_cell_count_takes_the_sorted_path(monkeypatch):
     # sparse loads: 1.0M cells fit the budget but are far over four
     # times the 129 states the sorted engine keeps
@@ -627,7 +692,7 @@ def test_exact_layers_leak_no_fold(monkeypatch, jobs, cells):
         raise AssertionError("exact_layers ran the route count")
 
     # exact_layers streams the sorted engine on every route
-    monkeypatch.setattr(exact_module, "_table_sizes", route_count)
+    monkeypatch.setattr(exact_module, "_count_layers", route_count)
     table_folds = spy_exact(monkeypatch, "_table_folds")
     layers = list(exact_layers(inst))
     assert table_folds == []

@@ -605,7 +605,7 @@ def test_wide_delivery_times_on_the_dense_table():
     outcomes = set()
     for k, inst in enumerate(wide_q_instances()):
         reference, ranked = sorted_solve(inst), sorted_layers(inst)
-        dense = exact_module._solve_dense(inst, reference.layer_sizes)
+        dense = exact_module._solve_dense(inst, DEFAULT_STATE_BUDGET)
         assert dense.front == reference.front
         for schedule, point in zip(dense.schedules, dense.front, strict=True):
             assert evaluate_schedule(inst, schedule) == point
